@@ -1,45 +1,21 @@
-"""Hot numeric loops: numba-compiled kernels with pure-numpy fallbacks.
+"""Hot numeric loops as level-sliced numpy transforms over the heap.
 
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
-2H+1, leaves occupy [N, 2N).  ``TWOWEIGHT_DISABLE_NUMBA=1`` (or numba being
-unavailable) selects the numpy path; ``use_numba()`` reports which one is
-active.  Both paths compute bit-identical results up to float addition order.
+2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
+(batch) axes.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("TWOWEIGHT_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
+HAVE_NUMBA = False  # no compiled kernels; the benchmark's environment record reads it
 
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# Floats per temporary block in the batched passes: keeps the working set of
+# one block cache-sized whatever the grid size.
+CHUNK_FLOATS = 1 << 15
 
 
-def use_numba():
-    return HAVE_NUMBA
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (level-sliced, vectorized over the batch axis)
-# ---------------------------------------------------------------------------
-
-def box_sums_np(leaf):
+def box_sums(leaf):
     """Sum leaf values over every heap box.
 
     leaf: (..., N) in Morton order. Returns (..., 2N) with out[..., H] the sum
@@ -56,7 +32,7 @@ def box_sums_np(leaf):
     return out
 
 
-def analyze_np(alpha, beta, weighted_sums, inv_sqrt_total):
+def analyze(alpha, beta, weighted_sums, inv_sqrt_total):
     """Weighted-Haar analysis from box sums of f*mass.
 
     weighted_sums: (..., 2N) box sums of the mass-weighted values. Returns the
@@ -73,7 +49,7 @@ def analyze_np(alpha, beta, weighted_sums, inv_sqrt_total):
     return coef
 
 
-def synthesize_np(alpha, beta, coef, inv_sqrt_total):
+def synthesize(alpha, beta, coef, inv_sqrt_total):
     """Inverse of analyze: whitened coefficients -> leaf values (..., N)."""
     n = alpha.shape[-1]
     acc = np.zeros(coef.shape[:-1] + (2 * n,), dtype=np.float64)
@@ -89,140 +65,80 @@ def synthesize_np(alpha, beta, coef, inv_sqrt_total):
     return acc[..., n:]
 
 
-def testing_images_np(wt, chain_idx, chain_val, alpha, beta, inv_sqrt_total, mass,
-                      lo, hi, pair_offsets, pair_partner):
+def testing_images(wt, in_basis, in_mass, alpha, beta, inv_sqrt_total, mass,
+                   lo, hi, pair_offsets, pair_partner):
     """Per-box indicator images and the statistics the testing module needs.
 
     For each box B (heap order, 1..2N-1): image = T applied to the indicator
-    of B.  ``wt`` is the TRANSPOSED whitened matrix (input slot, output slot),
-    so the per-box chain combination reads contiguous rows.  Returns per box
-    the output-measure norm^2 restricted to B's own leaf range, the global
-    norm^2, and for the box's slice of the admissible pair list the pairings
-    <T(sigma 1_B), 1_G>.
+    of B.  ``wt`` is the TRANSPOSED whitened matrix (input slot, output slot);
+    any strides will do.  Returns per box the output-measure norm^2
+    restricted to B's own leaf range, the global norm^2, and for the box's
+    slice of the admissible pair list the pairings <T(sigma 1_B), 1_G>.
 
-    chain_idx/chain_val: (2N, depth+2) padded sparse analyses of indicators
-    (slot indices, -1 padding).  mass: (N,) output-side leaf masses.
-    pair_offsets: (2N+1,) CSR offsets into pair_partner per box.
+    The image is linear in B, so the pass builds the N leaf images once and
+    sums sibling rows level by level, O(N^2) in all:
+
+    * input-side synthesis of every output slot's row of W, scaled by the
+      input leaf masses, gives the output coefficients of T(sigma 1_leaf);
+    * output-side synthesis of those, a block of input leaves at a time,
+      gives the leaf images; a block is summed up to its root box, and the
+      block roots are summed on up to the grid root.
+
+    in_basis: (alpha, beta, inv_sqrt_total) of the input measure; in_mass:
+    (N,) input leaf masses.  alpha/beta/inv_sqrt_total, mass: the same for
+    the output measure.  pair_offsets: (2N+1,) CSR offsets into pair_partner
+    per box.
     """
+    n = mass.shape[0]
     n2 = lo.shape[0]
     restricted = np.zeros(n2)
     glob = np.zeros(n2)
     pair_vals = np.zeros(pair_partner.shape[0])
-    for box in range(1, n2):
-        idx = chain_idx[box]
-        sel = idx >= 0
-        img_coef = chain_val[box][sel] @ wt[idx[sel]]
-        vals = synthesize_np(alpha, beta, img_coef, inv_sqrt_total)
-        wv = mass * vals
-        glob[box] = float(wv @ vals)
-        s = slice(lo[box], hi[box])
-        restricted[box] = float(wv[s] @ vals[s])
-        start, stop = pair_offsets[box], pair_offsets[box + 1]
-        if stop > start:
-            cs = np.concatenate(([0.0], np.cumsum(wv)))
-            gs = pair_partner[start:stop]
-            pair_vals[start:stop] = cs[hi[gs]] - cs[lo[gs]]
+    rows = max(1, min(n, CHUNK_FLOATS // n))
+
+    in_alpha, in_beta, in_inv = in_basis
+    w = wt.T  # (output slot, input slot)
+    leaf_coef = np.empty((n, n))  # (output slot, input leaf)
+    for a in range(0, n, rows):
+        leaf_coef[a : a + rows] = in_mass * synthesize(in_alpha, in_beta, w[a : a + rows],
+                                                       in_inv)
+
+    def visit(img, heap0):
+        """Statistics of consecutive same-level boxes heap0, heap0+1, ..."""
+        size = hi[heap0] - lo[heap0]
+        for c in range(0, img.shape[0], rows):
+            block = img[c : c + rows]
+            boxes = np.arange(heap0 + c, heap0 + c + block.shape[0])
+            wv = block * mass
+            sq = wv * block
+            glob[boxes] = sq.sum(axis=1)
+            own = sq.reshape(block.shape[0], n // size, size)
+            restricted[boxes] = own[np.arange(block.shape[0]), lo[boxes] // size].sum(axis=1)
+            start, stop = pair_offsets[boxes[0]], pair_offsets[boxes[-1] + 1]
+            if stop > start:
+                cs = np.zeros((block.shape[0], n + 1))
+                np.cumsum(wv, axis=1, out=cs[:, 1:])
+                row = np.repeat(np.arange(block.shape[0]),
+                                np.diff(pair_offsets[boxes[0] : boxes[-1] + 2]))
+                gs = pair_partner[start:stop]
+                pair_vals[start:stop] = cs[row, hi[gs]] - cs[row, lo[gs]]
+
+    def sum_up(img, heap0):
+        """Visit each level from img's up to a single box; return its image."""
+        while True:
+            visit(img, heap0)
+            if img.shape[0] == 1:
+                return img[0]
+            img[0::2] += img[1::2]
+            img = img[0::2]
+            heap0 >>= 1
+
+    tops = np.empty((n // rows, n))  # images of the block root boxes
+    for a in range(0, n, rows):
+        img = synthesize(alpha, beta, np.ascontiguousarray(leaf_coef[:, a : a + rows].T),
+                         inv_sqrt_total)
+        tops[a // rows] = sum_up(img, n + a)
+    if tops.shape[0] > 1:
+        tops[0::2] += tops[1::2]
+        sum_up(tops[0::2], (n // rows) >> 1)
     return restricted, glob, pair_vals
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (scalar loops over the heap)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _box_sums_nb(leaf):
-        n = leaf.shape[0]
-        out = np.zeros(2 * n, dtype=np.float64)
-        out[n:] = leaf
-        for h in range(n - 1, 0, -1):
-            out[h] = out[2 * h] + out[2 * h + 1]
-        return out
-
-    @njit(cache=True)
-    def _synthesize_nb(alpha, beta, coef, inv_sqrt_total):
-        n = alpha.shape[0]
-        acc = np.zeros(2 * n, dtype=np.float64)
-        acc[1] = coef[0] * inv_sqrt_total
-        for h in range(1, n):
-            a = acc[h]
-            c = coef[h]
-            acc[2 * h] = a - beta[h] * c
-            acc[2 * h + 1] = a + alpha[h] * c
-        return acc[n:]
-
-    @njit(cache=True)
-    def _analyze_nb(alpha, beta, wsums, inv_sqrt_total):
-        n = alpha.shape[0]
-        coef = np.empty(n, dtype=np.float64)
-        coef[0] = wsums[1] * inv_sqrt_total
-        for h in range(1, n):
-            coef[h] = alpha[h] * wsums[2 * h + 1] - beta[h] * wsums[2 * h]
-        return coef
-
-    @njit(cache=True)
-    def _testing_images_nb(wt, chain_idx, chain_val, alpha, beta, inv_sqrt_total,
-                           mass, lo, hi, pair_offsets, pair_partner):
-        n2 = lo.shape[0]
-        n = n2 // 2
-        restricted = np.zeros(n2)
-        glob = np.zeros(n2)
-        pair_vals = np.zeros(pair_partner.shape[0])
-        img = np.empty(n, dtype=np.float64)
-        cs = np.empty(n + 1, dtype=np.float64)
-        for box in range(1, n2):
-            for s in range(n):
-                img[s] = 0.0
-            for j in range(chain_idx.shape[1]):
-                slot = chain_idx[box, j]
-                if slot < 0:
-                    break
-                v = chain_val[box, j]
-                row = wt[slot]
-                for s in range(n):
-                    img[s] += row[s] * v
-            vals = _synthesize_nb(alpha, beta, img, inv_sqrt_total)
-            g = 0.0
-            cs[0] = 0.0
-            for s in range(n):
-                wv = mass[s] * vals[s]
-                g += wv * vals[s]
-                cs[s + 1] = cs[s] + wv
-            glob[box] = g
-            r = 0.0
-            for s in range(lo[box], hi[box]):
-                r += mass[s] * vals[s] * vals[s]
-            restricted[box] = r
-            for p in range(pair_offsets[box], pair_offsets[box + 1]):
-                partner = pair_partner[p]
-                pair_vals[p] = cs[hi[partner]] - cs[lo[partner]]
-        return restricted, glob, pair_vals
-
-    def box_sums(leaf):
-        if leaf.ndim == 1:
-            return _box_sums_nb(np.ascontiguousarray(leaf, dtype=np.float64))
-        return box_sums_np(leaf)
-
-    def analyze_core(alpha, beta, wsums, inv_sqrt_total):
-        if wsums.ndim == 1:
-            return _analyze_nb(alpha, beta, wsums, inv_sqrt_total)
-        return analyze_np(alpha, beta, wsums, inv_sqrt_total)
-
-    def synthesize_core(alpha, beta, coef, inv_sqrt_total):
-        if coef.ndim == 1:
-            return _synthesize_nb(alpha, beta, np.ascontiguousarray(coef, dtype=np.float64),
-                                  inv_sqrt_total)
-        return synthesize_np(alpha, beta, coef, inv_sqrt_total)
-
-    def testing_images(wt, chain_idx, chain_val, alpha, beta, inv_sqrt_total, mass,
-                       lo, hi, pair_offsets, pair_partner):
-        return _testing_images_nb(np.ascontiguousarray(wt), chain_idx, chain_val,
-                                  alpha, beta, inv_sqrt_total, mass, lo, hi,
-                                  pair_offsets, pair_partner)
-
-else:
-    box_sums = box_sums_np
-    analyze_core = analyze_np
-    synthesize_core = synthesize_np
-    testing_images = testing_images_np

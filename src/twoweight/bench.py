@@ -1,9 +1,8 @@
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Time the heap transforms, the batched testing pass and ewl_radius.
 
 Run as ``python -m twoweight.bench [--dimension N] [--depth D] [--repeat K]``.
-Both implementations are timed in the same process (the numpy fallbacks are
-always importable), plus one end-to-end testing pass under whichever path
-the TWOWEIGHT_DISABLE_NUMBA flag selected at import.
+Each row is the best of K timed calls after one warm-up call.  The
+end-to-end benchmark is ``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -15,14 +14,15 @@ import numpy as np
 
 from . import _kernels
 from .grid import GridSpec, build_grid
-from .haar import basis, chain_table
+from .haar import basis
+from .localization import ewl_radius
 from .measures import LeafMeasure
 from .operators import random_ewl
-from .testing import admissible_pairs, testing_report
+from .testing import _indicator_pass, admissible_pairs, testing_report
 
 
 def _time(fn, repeat):
-    fn()  # warmup (and numba compilation)
+    fn()  # warmup
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
@@ -39,42 +39,30 @@ def run(dimension=1, depth=10, repeat=20):
     b = basis(mu)
     values = rng.standard_normal(n)
     coefs = rng.standard_normal(n)
-    wsums = _kernels.box_sums_np(values * mu.masses)
+    wsums = _kernels.box_sums(values * mu.masses)
 
-    rows = []
-    variants = [("numpy", _kernels.box_sums_np, _kernels.analyze_np, _kernels.synthesize_np)]
-    if _kernels.HAVE_NUMBA:
-        variants.append(("numba", _kernels.box_sums, _kernels.analyze_core,
-                         _kernels.synthesize_core))
-    for label, f_sums, f_ana, f_syn in variants:
-        rows.append((f"box_sums[{label}]",
-                     _time(lambda f=f_sums: f(values), repeat)))
-        rows.append((f"analyze[{label}]",
-                     _time(lambda f=f_ana: f(b.alpha, b.beta, wsums, b.inv_sqrt_total),
-                           repeat)))
-        rows.append((f"synthesize[{label}]",
-                     _time(lambda f=f_syn: f(b.alpha, b.beta, coefs, b.inv_sqrt_total),
-                           repeat)))
+    rows = [
+        ("box_sums[numpy]", _time(lambda: _kernels.box_sums(values), repeat)),
+        ("analyze[numpy]",
+         _time(lambda: _kernels.analyze(b.alpha, b.beta, wsums, b.inv_sqrt_total), repeat)),
+        ("synthesize[numpy]",
+         _time(lambda: _kernels.synthesize(b.alpha, b.beta, coefs, b.inv_sqrt_total), repeat)),
+    ]
 
-    # the testing-image pass dominates sweep runtime; compare both paths
+    # the testing pass and the radius classifier dominate a sweep trial
     bench_depth = min(depth, 8 // dimension if dimension > 1 else 8)
     g2 = build_grid(GridSpec(dimension, bench_depth))
     n2 = g2.num_leaves
     sigma = LeafMeasure(g2, rng.uniform(0.1, 1.0, n2))
     omega = LeafMeasure(g2, rng.uniform(0.1, 1.0, n2))
     t = random_ewl(1, sigma, omega, 0)
-    idx, val = chain_table(sigma)
-    ob = basis(omega)
     offsets, partners = admissible_pairs(g2, 1)
-    args = (t.w, idx, val, ob.alpha, ob.beta, ob.inv_sqrt_total,
-            omega.masses, g2.box_lo, g2.box_hi, offsets, partners)
+    slow = max(3, repeat // 4)
     rows.append((f"testing_images[numpy] (d={bench_depth})",
-                 _time(lambda: _kernels.testing_images_np(*args), max(3, repeat // 4))))
-    if _kernels.HAVE_NUMBA:
-        rows.append((f"testing_images[numba] (d={bench_depth})",
-                     _time(lambda: _kernels.testing_images(*args), max(3, repeat // 4))))
-    rows.append((f"testing_report[active] (d={bench_depth})",
-                 _time(lambda: testing_report(t), max(3, repeat // 4))))
+                 _time(lambda: _indicator_pass(t.w.T, sigma, omega, offsets, partners), slow)))
+    rows.append((f"ewl_radius[numpy] (d={bench_depth})", _time(lambda: ewl_radius(t), slow)))
+    rows.append((f"testing_report[numpy] (d={bench_depth})",
+                 _time(lambda: testing_report(t), slow)))
     return rows
 
 
@@ -84,18 +72,10 @@ def main(argv=None):
     parser.add_argument("--depth", type=int, default=10)
     parser.add_argument("--repeat", type=int, default=20)
     args = parser.parse_args(argv)
-    print(f"numba active: {_kernels.use_numba()}")
     rows = run(args.dimension, args.depth, args.repeat)
     width = max(len(name) for name, _ in rows)
     for name, ms in rows:
         print(f"{name:<{width}s}  {ms:10.3f} ms")
-    by_name = {}
-    for name, ms in rows:
-        key = name.split("[")[0]
-        by_name.setdefault(key, {})[name.split("[")[1].split("]")[0]] = ms
-    for key, views in by_name.items():
-        if "numpy" in views and "numba" in views and views["numba"] > 0:
-            print(f"{key}: numba speedup {views['numpy'] / views['numba']:.1f}x")
     return 0
 
 

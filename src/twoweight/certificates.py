@@ -344,19 +344,22 @@ def orthant_vanishing_check(op, f_values, g_values, tol: float = 1e-12) -> bool:
 
 
 def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
-                     rtol: float = PARTITION_RTOL) -> BilinearCertificate:
+                     rtol: float = PARTITION_RTOL, report=None) -> BilinearCertificate:
     """Run the entire decomposition on (T, f, g) and verify every estimate.
 
     The C-term is certified by applying the B machinery to the adjoint with
     f and g (and their measures) swapped; the stopping family on that side
-    is built from |f|.
+    is built from |f|.  ``report`` is a testing report of t at radius r with
+    c3 at r + 1 in its c3_extra; without one it is computed here.
     """
     if r is None:
         r = ewl_radius(t)
         if r is None:
             r = t.grid.tree_depth
     n = t.grid.dimension
-    rep = testing_report(t, r=r, norm=False, extra_c3_radii=(r + 1,))
+    rep = report
+    if rep is None:
+        rep = testing_report(t, r=r, norm=False, extra_c3_radii=(r + 1,))
     c1, c2, c3 = rep.c1, rep.c2, rep.c3
     c3_next = rep.c3_extra[r + 1]
 

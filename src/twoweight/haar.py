@@ -73,14 +73,14 @@ def analyze(mu: LeafMeasure, values: np.ndarray) -> np.ndarray:
     """Whitened coefficients of leaf values; batched over leading axes."""
     b = basis(mu)
     wsums = _kernels.box_sums(np.asarray(values, dtype=np.float64) * mu.masses)
-    return _kernels.analyze_core(b.alpha, b.beta, wsums, b.inv_sqrt_total)
+    return _kernels.analyze(b.alpha, b.beta, wsums, b.inv_sqrt_total)
 
 
 def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
     """Leaf values from whitened coefficients (mu-a.e. inverse of analyze)."""
     b = basis(mu)
-    return _kernels.synthesize_core(b.alpha, b.beta, np.asarray(coef, dtype=np.float64),
-                                    b.inv_sqrt_total)
+    return _kernels.synthesize(b.alpha, b.beta, np.asarray(coef, dtype=np.float64),
+                               b.inv_sqrt_total)
 
 
 def indicator_coefficients(mu: LeafMeasure, heap: int):
@@ -105,25 +105,6 @@ def indicator_coefficients(mu: LeafMeasure, heap: int):
             val.append(v)
         h = parent
     return np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64)
-
-
-def chain_table(mu: LeafMeasure):
-    """Padded (2N, tree_depth+2) sparse indicator analyses for every box.
-
-    Row H holds the whitened slots/values of 1_{box H} in the mu basis,
-    -1 padded; cached on the measure (used by the testing pass kernels).
-    """
-    if mu._chain_table is None:
-        grid = mu.grid
-        width = grid.tree_depth + 2
-        idx = np.full((grid.num_boxes, width), -1, dtype=np.int64)
-        val = np.zeros((grid.num_boxes, width))
-        for h in range(1, grid.num_boxes):
-            i, v = indicator_coefficients(mu, h)
-            idx[h, : i.size] = i
-            val[h, : v.size] = v
-        mu._chain_table = (idx, val)
-    return mu._chain_table
 
 
 def haar0(rect: HaarRectangle) -> LeafFunction:

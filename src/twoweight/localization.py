@@ -1,4 +1,4 @@
-"""Classifiers for the essentially-well-localized and well-localized properties.
+r"""Classifiers for the essentially-well-localized and well-localized properties.
 
 ewl_radius finds the smallest uniform r with
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import CHUNK_FLOATS
 from .haar import basis, indicator_coefficients, synthesize
 from .operators import DyadicOperator
 
@@ -31,24 +32,31 @@ NOT_LOCALIZED = None  # sentinel: no radius up to n*d satisfies the condition
 
 
 def _side_radius(grid, w, in_measure, out_measure, tol):
-    """Max over charged rectangles of the minimal containing-ancestor gap."""
+    """Max over charged rectangles of the minimal containing-ancestor gap.
+
+    The columns of w are synthesized a block at a time; per column the
+    support bounds and the climb to the first ancestor box holding both are
+    vectorized over the block.
+    """
     n = grid.num_leaves
-    in_charged = basis(in_measure).charged
+    rects = np.nonzero(basis(in_measure).charged)[0]
     out_charged = out_measure.charged_leaves()
     lo_all, hi_all = grid.box_lo, grid.box_hi
+    rows = max(1, CHUNK_FLOATS // n)
     worst = 0
-    for h in range(1, n):
-        if not in_charged[h]:
-            continue
-        vals = synthesize(out_measure, w[:, h])
-        supp = np.nonzero(out_charged & (np.abs(vals) > tol))[0]
-        if supp.size == 0:
-            continue
-        lo, hi = supp[0], supp[-1]
-        anc, r = h, 0
-        while not (lo_all[anc] <= lo and hi < hi_all[anc]):
-            anc >>= 1
+    for c in range(0, rects.size, rows):
+        hs = rects[c : c + rows]
+        supp = out_charged & (np.abs(synthesize(out_measure, w[:, hs].T)) > tol)
+        hit = supp.any(axis=1)
+        hs, supp = hs[hit], supp[hit]
+        lo = np.argmax(supp, axis=1)
+        hi = n - 1 - np.argmax(supp[:, ::-1], axis=1)
+        anc, r = hs.copy(), 0
+        outside = ~((lo_all[anc] <= lo) & (hi < hi_all[anc]))
+        while np.any(outside):
+            anc[outside] >>= 1
             r += 1
+            outside = ~((lo_all[anc] <= lo) & (hi < hi_all[anc]))
         worst = max(worst, r)
     return worst
 

@@ -29,7 +29,6 @@ class LeafMeasure:
         self.masses.flags.writeable = False
         self._box_mass = None
         self._basis = None
-        self._chain_table = None
 
     @property
     def box_mass(self) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Kernels constant on separated dyadic cube pairs, and their operators.
+r"""Kernels constant on separated dyadic cube pairs, and their operators.
 
 A kernel table K over leaf pairs is (essentially) perfect dyadic with radius
 r when |K(x, y)| <= 1 / dist(x, y) off the diagonal and K is constant on
 I x J for every pair of dyadic cubes with I^(r) /\ J = 0 and J^(r) /\ I = 0
-(heap ancestors, clipped at the root).  Such operators are essentially well
-localized with radius <= r for any pair of measures: for a leaf x outside
-E^(r), the same-depth box containing x forms a separated pair with E, so the
-kernel row is constant on E and the weighted Haar function integrates to
-zero against it.
+(heap ancestors, clipped at the root).  In dimension 1 such operators are
+essentially well localized with radius <= r for any pair of measures: for a
+leaf x outside E^(r), the same-depth box containing x forms a separated pair
+with E, so the kernel row is constant on E and the weighted Haar function
+integrates to zero against it.  The argument needs E to be a dyadic cube,
+which every box is only when n = 1; for n >= 2 the radius bound does not
+hold in general (a random n=2, d=3 kernel of radius 1, benchmark reference
+key ``kernel:perfect_dyadic:n2d3@e576a51b011c``, has ewl_radius 2).
 
 dist(x, y) is the Euclidean distance between leaf centers (the discrete
 reading of the pointwise size bound on a leaf-constant kernel).

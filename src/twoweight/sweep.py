@@ -15,6 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,7 +189,8 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
     if r_used is None:
         r_used = grid.tree_depth
     start = time.perf_counter()
-    report = testing_report(t, r=r_used)
+    extra = (r_used + 1,) if config.certificates else ()
+    report = testing_report(t, r=r_used, extra_c3_radii=extra)
 
     if max(report.c1, report.c2, report.c3) > report.norm * (1 + NECESSITY_SLACK):
         failures.append(f"necessity: max testing constant above norm (trial {index})")
@@ -201,7 +203,8 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
         f = rng.standard_normal(grid.num_leaves)
         g = rng.standard_normal(grid.num_leaves)
         try:
-            cert = full_certificate(t, f, g, r=r_used, rtol=config.partition_rtol)
+            cert = full_certificate(t, f, g, r=r_used, rtol=config.partition_rtol,
+                                    report=report)
         except (DecompositionError, NormError) as exc:
             failures.append(f"certificate error (trial {index}): {exc}")
             cert = None
@@ -255,20 +258,31 @@ def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
     params = [(config, idx, d, r, fam, kind)
               for idx, d, r, fam, kind in config.trial_params()]
     workers = int(os.environ.get(WORKERS_ENV, "1") or 1)
-    if workers > 1 and len(params) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_star, params, chunksize=4))
-    else:
-        results = [run_trial(*p) for p in params]
-
     rows, all_failures, certs = [], [], []
     passes = 0
-    for row, failures, cert in results:
-        rows.append(row)
-        passes += not failures
-        all_failures.extend(failures)
-        if cert is not None:
-            certs.append(cert)
+    max_emb = 0.0
+    max_slack = 0.0
+    with ExitStack() as stack:
+        if workers > 1 and len(params) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_trial_star, params, chunksize=4)
+        else:
+            results = (run_trial(*p) for p in params)
+        # fold each trial as it arrives: only the rows and, when they are
+        # dumped, the certificate documents outlive their trial
+        for row, failures, cert in results:
+            rows.append(row)
+            passes += not failures
+            all_failures.extend(failures)
+            if cert is None:
+                continue
+            bc = cert["bound_constants"]
+            max_emb = max(max_emb, bc.get("embedding_ratio_g", 0.0),
+                          bc.get("embedding_ratio_f", 0.0))
+            max_slack = max(max_slack, bc.get("packing_slack_g", 0.0),
+                            bc.get("packing_slack_f", 0.0))
+            if config.dump_certificates:
+                certs.append(cert)
 
     cells = {}
     for (idx, d, r, fam, kind), row in zip(config.trial_params(), rows):
@@ -282,15 +296,6 @@ def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
         }
         for key, vals in cells.items()
     }
-
-    max_emb = 0.0
-    max_slack = 0.0
-    for cert in certs:
-        bc = cert["bound_constants"]
-        max_emb = max(max_emb, bc.get("embedding_ratio_g", 0.0),
-                      bc.get("embedding_ratio_f", 0.0))
-        max_slack = max(max_slack, bc.get("packing_slack_g", 0.0),
-                        bc.get("packing_slack_f", 0.0))
 
     summary = SweepSummary(
         cells=cell_stats,
@@ -309,7 +314,7 @@ def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
         serialize.write_rows_csv(os.path.join(out_dir, "trials.csv"), rows)
         serialize.dump_json(os.path.join(out_dir, "summary.json"), summary.as_dict())
         serialize.dump_json(os.path.join(out_dir, "config.json"), config.as_dict())
-        if config.dump_certificates and certs:
+        if certs:
             cert_dir = os.path.join(out_dir, "certificates")
             os.makedirs(cert_dir, exist_ok=True)
             for cert in certs:

@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis, chain_table
+from .haar import basis
 from .operators import DyadicOperator
 
 POWER_RTOL = 1e-10
@@ -110,15 +110,15 @@ def _indicator_pass(wt, in_measure, out_measure, pair_offsets, pair_partner):
     """Restricted/global image norms and pairings for all boxes at once.
 
     wt is the transposed whitened matrix of the map being probed (input
-    slot major), so chain combinations read contiguous rows.
+    slot, output slot); a transposed view is fine.
     """
     grid = in_measure.grid
-    idx, val = chain_table(in_measure)
+    ib = basis(in_measure)
     ob = basis(out_measure)
     return _kernels.testing_images(
-        wt, idx, val, ob.alpha, ob.beta, ob.inv_sqrt_total,
-        out_measure.masses, grid.box_lo, grid.box_hi,
-        pair_offsets, pair_partner,
+        wt, (ib.alpha, ib.beta, ib.inv_sqrt_total), in_measure.masses,
+        ob.alpha, ob.beta, ob.inv_sqrt_total, out_measure.masses,
+        grid.box_lo, grid.box_hi, pair_offsets, pair_partner,
     )
 
 
@@ -206,8 +206,7 @@ def weak_boundedness(t: DyadicOperator, r: int) -> float:
     """c3 at pair-enumeration radius r (forward pass only)."""
     grid = t.grid
     offsets, partners = admissible_pairs(grid, r)
-    wt = np.ascontiguousarray(t.w.T)
-    _, _, pair_vals = _indicator_pass(wt, t.sigma, t.omega, offsets, partners)
+    _, _, pair_vals = _indicator_pass(t.w.T, t.sigma, t.omega, offsets, partners)
     boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
     c3, _ = _pair_sup(pair_vals, t.sigma.box_mass[boxes_e], t.omega.box_mass[partners],
                       boxes_e, partners)
@@ -254,8 +253,7 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
 
     enum_r = max([r, *extra_c3_radii])
     offsets, partners = admissible_pairs(grid, enum_r)
-    wt = np.ascontiguousarray(t.w.T)
-    restricted, glob, pair_vals = _indicator_pass(wt, t.sigma, t.omega, offsets, partners)
+    restricted, glob, pair_vals = _indicator_pass(t.w.T, t.sigma, t.omega, offsets, partners)
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
     restricted2, glob2, _ = _indicator_pass(t.w, t.omega, t.sigma, *empty)
 
