@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import CHUNK_FLOATS
 from .exceptions import DimensionError, GridSizeError
 from .grid import Grid
 from .haar import WeightedBasis, analyze, basis, synthesize
@@ -250,43 +251,52 @@ def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> Dyad
     boxes = _slot_boxes(grid)
     depth = grid.box_depth[boxes]
     anc = np.maximum(boxes >> np.minimum(r, depth), 1)
-    anc_depth = grid.box_depth[anc]
 
     rng = np.random.default_rng(rng_seed)
     w = np.zeros((n, n))
     out_charged = basis(omega).charged_slots()
     in_charged = basis(sigma).charged_slots()
-    for e in range(n):
-        if not in_charged[e]:
-            continue
-        # contains(anc_e, box) and contains(anc(box), box_e), vectorized
-        gap_out = depth - anc_depth[e]
-        in_anc_of_e = (gap_out >= 0) & ((boxes >> np.maximum(gap_out, 0)) == anc[e])
-        gap_in = depth[e] - anc_depth
-        e_in_anc_of_out = (gap_in >= 0) & ((boxes[e] >> np.maximum(gap_in, 0)) == anc)
-        allowed = in_anc_of_e & e_in_anc_of_out & out_charged
-        k = int(np.count_nonzero(allowed))
-        if k:
-            w[allowed, e] = rng.uniform(-1.0, 1.0, k)
-
-    from .haar import indicator_coefficients
-
-    ob, sb = basis(omega), basis(sigma)
-    for e in range(1, n):
-        if not in_charged[e]:
-            continue
-        mass = omega.box_mass[anc[e]]
-        if mass <= 0:
-            continue
-        idx, val = indicator_coefficients(omega, int(anc[e]))
-        w[idx, e] += rng.uniform(-1.0, 1.0) * val / np.sqrt(mass)
-    for g in range(1, n):
-        if not out_charged[g]:
-            continue
-        mass = sigma.box_mass[anc[g]]
-        if mass <= 0:
-            continue
-        idx, val = indicator_coefficients(sigma, int(anc[g]))
-        w[g, idx] += rng.uniform(-1.0, 1.0) * val / np.sqrt(mass)
+    # window[e, g]: box(g) inside anc(e) and box(e) inside anc(g); heap boxes
+    # nest exactly when their leaf intervals do.  Draws run column by column,
+    # rows ascending: the C order of w.T, built a block of columns at a time.
+    lo_b, hi_b = grid.box_lo[boxes], grid.box_hi[boxes]
+    lo_a, hi_a = grid.box_lo[anc], grid.box_hi[anc]
+    cols = max(1, CHUNK_FLOATS // n)
+    for c in range(0, n, cols):
+        e = slice(c, c + cols)
+        window = ((lo_a[e, None] <= lo_b) & (hi_b <= hi_a[e, None])
+                  & (lo_a <= lo_b[e, None]) & (hi_b[e, None] <= hi_a))
+        window &= in_charged[e, None] & out_charged
+        w.T[e][window] = rng.uniform(-1.0, 1.0, np.count_nonzero(window))
+    _add_mean_components(w, omega, anc, in_charged, rng)
+    _add_mean_components(w.T, sigma, anc, out_charged, rng)
     return DyadicOperator(grid, sigma, omega, w, family="random_ewl",
                           claimed_radius=r, meta={"seed": rng_seed})
+
+
+def _add_mean_components(w: np.ndarray, mu: LeafMeasure, anc: np.ndarray,
+                         charged: np.ndarray, rng):
+    """Add u_e 1_{anc(e)} / mu(anc(e))^{1/2}, in mu's whitened coordinates, to
+    every column e >= 1 that is charged and has mu(anc(e)) > 0.
+
+    One uniform draw u_e per such column, columns ascending.  The entries are
+    those of ``haar.indicator_coefficients(mu, anc(e))``: the constant slot,
+    then each strict ancestor with a nonzero coefficient, found by one climb
+    over all columns at once.
+    """
+    b = basis(mu)
+    cols = np.flatnonzero(charged[1:] & (mu.box_mass[anc[1:]] > 0)) + 1
+    mass = mu.box_mass[anc[cols]]
+    u = rng.uniform(-1.0, 1.0, cols.size)
+    root = np.sqrt(mass)
+    w[0, cols] += u * (mass * b.inv_sqrt_total) / root
+    h = anc[cols]
+    live = h > 1
+    while live.any():
+        cols, mass, u, root, h = cols[live], mass[live], u[live], root[live], h[live]
+        parent = h >> 1
+        v = np.where(h & 1, b.alpha[parent] * mass, -b.beta[parent] * mass)
+        nz = v != 0.0
+        w[parent[nz], cols[nz]] += u[nz] * v[nz] / root[nz]
+        h = parent
+        live = h > 1

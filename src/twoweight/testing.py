@@ -1,11 +1,10 @@
 """Exact two-weight operator norms and the Sawyer-type testing constants.
 
 The operator norm of f -> T(sigma f) from L^2(sigma) to L^2(omega) is the
-largest singular value of the whitened matrix (dense SVD up to 256 leaves,
-deterministic power iteration above).  The testing constants are suprema over
-boxes of the truncated grid, leaf scale included (a leaf cube is the level-1
-split rectangle of its own base, so it belongs to the rectangle system as a
-set):
+largest singular value of the whitened matrix, from one dense SVD at every
+grid size.  The testing constants are suprema over boxes of the truncated
+grid, leaf scale included (a leaf cube is the level-1 split rectangle of its
+own base, so it belongs to the rectangle system as a set):
 
     c1  = max_E ||1_E T(sigma 1_E)||_omega / sigma(E)^{1/2}
     c2  =  the same for T* with the measures swapped
@@ -30,80 +29,40 @@ from .grid import Grid
 from .haar import basis
 from .operators import DyadicOperator
 
-POWER_RTOL = 1e-10
-POWER_MAX_ITERS = 10_000
-DENSE_SVD_MAX_LEAVES = 256
-
-
-def _power_norm(w: np.ndarray, rtol: float = POWER_RTOL,
-                max_iters: int = POWER_MAX_ITERS) -> float:
-    """Largest singular value by power iteration on the normal map.
-
-    Deterministic starts: the all-ones vector, then a fixed-seed draw if the
-    first stagnates near zero.  Certified by the normal-equation residual.
-    """
-    n = w.shape[0]
-    best = 0.0
-    certified = False
-    rng = np.random.default_rng(0)
-    for v in (np.ones(n), rng.standard_normal(n)):
-        v = v / np.linalg.norm(v)
-        est = 0.0
-        ok = False
-        for _ in range(max_iters):
-            u = w @ v
-            new = np.linalg.norm(u)
-            if new == 0.0:
-                est, ok = 0.0, True
-                break
-            v_next = w.T @ u  # = W^T W v, so the residual below is free
-            resid = np.linalg.norm(v_next - new**2 * v)
-            nn = np.linalg.norm(v_next)
-            if nn == 0.0:
-                est, ok = new, True
-                break
-            v = v_next / nn
-            if abs(new - est) <= rtol * new and resid <= 1e-7 * new**2:
-                est, ok = new, True
-                break
-            est = new
-        if est >= best:
-            best, certified = est, ok
-    if not certified:  # pathological spectrum; fall back to the dense oracle
-        best = np.linalg.svd(w, compute_uv=False)[0]
-    return float(best)
-
 
 def operator_norm(t: DyadicOperator) -> float:
     """||T(sigma .)||_{L^2(sigma) -> L^2(omega)}, exact on charged leaves."""
     if t.sigma.total == 0.0 or t.omega.total == 0.0:
         raise NormError("operator norm undefined: a side carries no mass")
-    if t.grid.num_leaves <= DENSE_SVD_MAX_LEAVES:
-        return float(np.linalg.svd(t.w, compute_uv=False)[0])
-    return _power_norm(t.w)
+    return float(np.linalg.svd(t.w, compute_uv=False)[0])
 
 
 def admissible_pairs(grid: Grid, r: int):
     """CSR pair list: for every box E the partners G with volume within
-    2^{+-r} of E and G meeting the clipped r-ancestor of E."""
+    2^{+-r} of E and G meeting the clipped r-ancestor of E.
+
+    The clipped ancestor A = max(E >> r, 1) sits at depth max(depth(E) - r, 0),
+    so no strict ancestor of A is close enough in volume: the partners are the
+    descendants of A (A included) down to depth min(tree_depth, depth(E) + r),
+    listed level by level in heap order.  That is the breadth-first order of
+    A's subtree, whose k-th node (from 1) at level L = floor(log2 k) is
+    (A << L) + k - 2^L.
+    """
     depth = grid.box_depth
-    nd = grid.tree_depth
+    boxes = np.arange(grid.num_boxes, dtype=np.int64)
+    anc = np.maximum(boxes >> r, 1)
+    levels = np.minimum(grid.tree_depth, depth + r) - depth[anc] + 1
+    counts = (np.int64(1) << levels) - 1
+    counts[0] = 0  # heap slot 0 is not a box
     offsets = np.zeros(grid.num_boxes + 1, dtype=np.int64)
-    partners = []
-    for e in range(1, grid.num_boxes):
-        de = depth[e]
-        anc = max(e >> r, 1)
-        da = int(depth[anc])
-        for m in range(max(da, de - r), min(nd, de + r) + 1):
-            gap = m - da
-            partners.extend(range(anc << gap, (anc + 1) << gap))
-        a = anc
-        while a > 1:
-            a >>= 1
-            if depth[a] >= de - r:
-                partners.append(a)
-        offsets[e + 1] = len(partners)
-    return offsets, np.asarray(partners, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    k = np.arange(1, offsets[-1] + 1, dtype=np.int64)
+    k -= np.repeat(offsets[:-1], counts)
+    level = (np.frexp(k)[1] - 1).astype(np.int64)
+    partners = np.repeat(anc, counts) << level
+    partners += k
+    partners -= np.int64(1) << level
+    return offsets, partners
 
 
 def _indicator_pass(wt, in_measure, out_measure, pair_offsets, pair_partner):

@@ -15,9 +15,11 @@ from twoweight import (
     weighted_haar,
 )
 from twoweight.exceptions import DimensionError
+from twoweight.haar import basis, indicator_coefficients
 from twoweight.localization import ewl_radius
 from twoweight.operators import (
     CoefficientSequence,
+    DyadicOperator,
     from_leaf_matrix,
     haar_shift,
     martingale_transform,
@@ -188,6 +190,54 @@ def test_random_ewl_deterministic_and_localized(rng):
     assert np.array_equal(t1.w, t2.w)
     for seed in range(20):
         assert ewl_radius(random_ewl(2, sigma, omega, seed)) <= 2
+
+
+def _random_ewl_loop(r, sigma, omega, rng_seed):
+    """Per-slot loop construction of random_ewl, kept as its reference."""
+    grid = sigma.grid
+    n = grid.num_leaves
+    boxes = np.arange(n, dtype=np.int64)
+    boxes[0] = 1
+    depth = grid.box_depth[boxes]
+    anc = np.maximum(boxes >> np.minimum(r, depth), 1)
+    anc_depth = grid.box_depth[anc]
+    rng = np.random.default_rng(rng_seed)
+    w = np.zeros((n, n))
+    out_charged = basis(omega).charged_slots()
+    in_charged = basis(sigma).charged_slots()
+    for e in range(n):
+        if not in_charged[e]:
+            continue
+        gap_out = depth - anc_depth[e]
+        in_anc_of_e = (gap_out >= 0) & ((boxes >> np.maximum(gap_out, 0)) == anc[e])
+        gap_in = depth[e] - anc_depth
+        e_in_anc_of_out = (gap_in >= 0) & ((boxes[e] >> np.maximum(gap_in, 0)) == anc)
+        allowed = in_anc_of_e & e_in_anc_of_out & out_charged
+        k = int(np.count_nonzero(allowed))
+        if k:
+            w[allowed, e] = rng.uniform(-1.0, 1.0, k)
+    for e in range(1, n):
+        mass = omega.box_mass[anc[e]]
+        if in_charged[e] and mass > 0:
+            idx, val = indicator_coefficients(omega, int(anc[e]))
+            w[idx, e] += rng.uniform(-1.0, 1.0) * val / np.sqrt(mass)
+    for g in range(1, n):
+        mass = sigma.box_mass[anc[g]]
+        if out_charged[g] and mass > 0:
+            idx, val = indicator_coefficients(sigma, int(anc[g]))
+            w[g, idx] += rng.uniform(-1.0, 1.0) * val / np.sqrt(mass)
+    return DyadicOperator(grid, sigma, omega, w)
+
+
+# (1, 8): 256 leaves, so the window is built in more than one block of columns
+@pytest.mark.parametrize("n,d", [(1, 6), (2, 3), (1, 8)])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_random_ewl_matches_loop_reference(n, d, r, rng):
+    grid = build_grid(GridSpec(n, d))
+    for seed in range(4):
+        sigma, omega = _measure_pair(rng, grid, zero_fraction=0.3)
+        want = _random_ewl_loop(r, sigma, omega, (r, seed))
+        assert np.array_equal(random_ewl(r, sigma, omega, (r, seed)).w, want.w)
 
 
 def test_random_ewl_radius_zero_supports(rng):

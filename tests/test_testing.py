@@ -7,13 +7,14 @@ import pytest
 
 from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue
 from twoweight.exceptions import NormError
+from twoweight.haar import basis
 from twoweight.operators import (
     CoefficientSequence,
     martingale_transform,
     random_ewl,
     zero_operator,
 )
-from twoweight.testing import _power_norm, admissible_pairs, operator_norm
+from twoweight.testing import admissible_pairs, operator_norm
 from twoweight.testing import cube_testing, global_testing, local_testing
 from twoweight.testing import testing_report as make_report
 from twoweight.testing import weak_boundedness
@@ -69,14 +70,18 @@ def test_two_leaf_closed_form_singular_value(rng):
     assert operator_norm(t) == pytest.approx(closed, rel=1e-10)
 
 
-def test_power_iteration_matches_dense_svd(rng):
-    for d in (5, 6):
-        grid = build_grid(GridSpec(1, d))
-        sigma, omega = pair(rng, grid, zero_fraction=0.2)
-        for seed in range(3):
-            t = random_ewl(2, sigma, omega, seed)
-            svd = float(np.linalg.svd(t.w, compute_uv=False)[0])
-            assert _power_norm(t.w) == pytest.approx(svd, rel=1e-7)
+@pytest.mark.parametrize("n,d", [(1, 10), (2, 5)])
+def test_martingale_norm_closed_form_at_1024_leaves(n, d, rng):
+    # T_b maps h^sigma_E to b_E h^omega_E, so W is diagonal on the slots both
+    # measures charge and the norm is the largest |b_E| there
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    b = CoefficientSequence.random(grid, rng)
+    both = basis(sigma).charged_slots() & basis(omega).charged_slots()
+    assert grid.num_leaves == 1024 and 0 < np.count_nonzero(both) < grid.num_leaves
+    closed = float(np.max(np.abs(b.values[both])))
+    t = martingale_transform(b, sigma, omega)
+    assert operator_norm(t) == pytest.approx(closed, rel=1e-12)
 
 
 def test_norm_certified_against_whitened_leaf_matrix(rng):
@@ -214,6 +219,40 @@ def test_cube_testing_2d_brute_force(rng):
         best = max(best, np.sqrt(np.sum(omega.masses * img**2) / sq))
     assert c1c == pytest.approx(best, rel=1e-12)
     assert c1c <= make_report(t, r=1, norm=False).c1 * (1 + 1e-12)
+
+
+def _admissible_pairs_loop(grid, r):
+    """Per-box loop enumeration of admissible_pairs, kept as its reference."""
+    depth = grid.box_depth
+    nd = grid.tree_depth
+    offsets = np.zeros(grid.num_boxes + 1, dtype=np.int64)
+    partners = []
+    for e in range(1, grid.num_boxes):
+        de = depth[e]
+        anc = max(e >> r, 1)
+        da = int(depth[anc])
+        for m in range(max(da, de - r), min(nd, de + r) + 1):
+            gap = m - da
+            partners.extend(range(anc << gap, (anc + 1) << gap))
+        a = anc
+        while a > 1:
+            a >>= 1
+            if depth[a] >= de - r:
+                partners.append(a)
+        offsets[e + 1] = len(partners)
+    return offsets, np.asarray(partners, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8),
+                                 (2, 3)])
+def test_admissible_pairs_match_loop_reference(n, d):
+    grid = build_grid(GridSpec(n, d))
+    for r in range(4):
+        offsets, partners = admissible_pairs(grid, r)
+        want_offsets, want_partners = _admissible_pairs_loop(grid, r)
+        assert np.array_equal(offsets, want_offsets)
+        assert partners.dtype == want_partners.dtype
+        assert np.array_equal(partners, want_partners)
 
 
 def test_admissible_pair_count_bound():
