@@ -49,8 +49,13 @@ def analyze(alpha, beta, weighted_sums, inv_sqrt_total):
     return coef
 
 
-def synthesize(alpha, beta, coef, inv_sqrt_total):
-    """Inverse of analyze: whitened coefficients -> leaf values (..., N)."""
+def synthesize_boxes(alpha, beta, coef, inv_sqrt_total):
+    """Whitened coefficients -> the value on every box (..., 2N).
+
+    out[..., H] is the synthesized function's value on box H from the
+    components of H's strict ancestors and the constant; at leaves that is
+    the function itself.  Slot 0 is unused.
+    """
     n = alpha.shape[-1]
     acc = np.zeros(coef.shape[:-1] + (2 * n,), dtype=np.float64)
     acc[..., 1] = coef[..., 0] * inv_sqrt_total
@@ -62,7 +67,12 @@ def synthesize(alpha, beta, coef, inv_sqrt_total):
         acc[..., 2 * lo : 2 * hi : 2] = parent - beta[lo:hi] * contrib
         acc[..., 2 * lo + 1 : 2 * hi : 2] = parent + alpha[lo:hi] * contrib
         h <<= 1
-    return acc[..., n:]
+    return acc
+
+
+def synthesize(alpha, beta, coef, inv_sqrt_total):
+    """Inverse of analyze: whitened coefficients -> leaf values (..., N)."""
+    return synthesize_boxes(alpha, beta, coef, inv_sqrt_total)[..., alpha.shape[-1]:]
 
 
 def testing_images(wt, in_basis, in_mass, alpha, beta, inv_sqrt_total, mass,

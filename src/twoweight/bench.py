@@ -1,4 +1,4 @@
-"""Time the heap transforms, the batched testing pass and ewl_radius.
+"""Time the heap transforms, the batched testing pass and the classifiers.
 
 Run as ``python -m twoweight.bench [--dimension N] [--depth D] [--repeat K]``.
 Each row is the best of K timed calls after one warm-up call.  The
@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .grid import GridSpec, build_grid
 from .haar import basis
-from .localization import ewl_radius
+from .localization import ewl_radius, wl_radius
 from .measures import LeafMeasure
 from .operators import random_ewl
 from .testing import _indicator_pass, admissible_pairs, testing_report
@@ -49,7 +49,7 @@ def run(dimension=1, depth=10, repeat=20):
          _time(lambda: _kernels.synthesize(b.alpha, b.beta, coefs, b.inv_sqrt_total), repeat)),
     ]
 
-    # the testing pass and the radius classifier dominate a sweep trial
+    # the testing pass and ewl_radius dominate a sweep trial, wl_radius a classify
     bench_depth = min(depth, 8 // dimension if dimension > 1 else 8)
     g2 = build_grid(GridSpec(dimension, bench_depth))
     n2 = g2.num_leaves
@@ -61,6 +61,7 @@ def run(dimension=1, depth=10, repeat=20):
     rows.append((f"testing_images[numpy] (d={bench_depth})",
                  _time(lambda: _indicator_pass(t.w.T, sigma, omega, offsets, partners), slow)))
     rows.append((f"ewl_radius[numpy] (d={bench_depth})", _time(lambda: ewl_radius(t), slow)))
+    rows.append((f"wl_radius[numpy] (d={bench_depth})", _time(lambda: wl_radius(t), slow)))
     rows.append((f"testing_report[numpy] (d={bench_depth})",
                  _time(lambda: testing_report(t), slow)))
     return rows

@@ -47,12 +47,11 @@ from .haar import analyze, basis, indicator_coefficients
 from .localization import ewl_radius
 from .measures import LeafMeasure
 from .operators import DyadicOperator
-from .stopping import StoppingFamily, build_stopping_family, embedding_ratios
+from .stopping import EMBEDDING_LIMIT, StoppingFamily, build_stopping_family, embedding_ratios
 from .testing import testing_report
 
 PARTITION_RTOL = 1e-10
 BOUND_SLACK = 1e-9
-EMBEDDING_LIMIT = 8.0
 
 
 def count_M(n: int, r: int) -> int:

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import serialize
-from .localization import ewl_radius, wl_check
+from .localization import ewl_radius, wl_radius
 from .sweep import SweepConfig, replay_trial, run_sweep
 
 USAGE_ERROR = 2
@@ -95,7 +95,7 @@ def _cmd_classify(args) -> int:
     print(f"family: {t.family}")
     print(f"claimed radius: {t.claimed_radius}")
     print(f"ewl_radius: {'not-EWL-within-grid' if r is None else r}")
-    radii = [rr for rr in range(1, t.grid.tree_depth + 1) if wl_check(t, rr)]
+    radii = list(range(wl_radius(t), t.grid.tree_depth + 1))
     print(f"well-localized radii: {radii if radii else 'none up to n*d'}")
     return 0
 

@@ -17,14 +17,20 @@ boxes Q and charged rectangles R with |R| <= 2|Q|,
 and the same for T* with the measures swapped.  Q ranges over all boxes
 (leaf boxes included: the bridge between the two properties applies the
 condition to halves, which may sit at leaf scale).
+
+The set of pairs that must vanish only shrinks as r grows: a pair (Q, R)
+must vanish exactly when r < max(d(Q) - d(lca(Q, R)), d(R) - d(Q) + 1 if R
+is not inside Q), with d the heap depth.  So the radii that pass are all
+r >= wl_radius(T), the maximum of that bound over the pairs whose pairing
+exceeds the tolerance, and at least 1; wl_check(T, r) is r >= wl_radius(T).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import CHUNK_FLOATS
-from .haar import basis, indicator_coefficients, synthesize
+from ._kernels import CHUNK_FLOATS, synthesize_boxes
+from .haar import basis, synthesize
 from .operators import DyadicOperator
 
 SUPPORT_TOL = 1e-12
@@ -71,42 +77,54 @@ def ewl_radius(t: DyadicOperator, support_tol: float = SUPPORT_TOL):
     return r if r <= grid.tree_depth else NOT_LOCALIZED
 
 
-def _lower_triangular_ok(grid, w, in_measure, out_measure, r, rtol, fro):
-    """Vanishing over all (Q, R) pairs for one side of the property."""
+def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):
+    """Smallest r >= 0 at which one side's vanishing conditions hold.
+
+    Row R of w synthesized over the input basis with every level kept gives
+    S[R, Q] on every box Q, and <T(mu 1_Q), h_R> = mu(Q) S[R, Q] (mu the
+    input measure).  Rows are taken a block at a time; every pair with
+    |R| <= 2|Q| whose pairing exceeds the tolerance raises the radius to the
+    pair's bound from the module docstring.
+    """
     n = grid.num_leaves
     depth = grid.box_depth
-    out_b = basis(out_measure)
-    rect = np.nonzero(out_b.charged)[0]
-    rect_depth = depth[rect]
-    in_mass = in_measure.box_mass
+    b = basis(in_measure)
+    rect = np.nonzero(basis(out_measure).charged)[0]
+    in_mass = in_measure.box_mass[1:]
     out_mass = out_measure.box_mass
-    for q in range(1, grid.num_boxes):
-        dq = depth[q]
-        gate = rect_depth >= dq - 1  # |R| <= 2 |Q|
-        if not np.any(gate):
+    box_depth = depth[1:]
+    rows = max(1, CHUNK_FLOATS // (2 * n))
+    worst = 0
+    for c in range(0, rect.size, rows):
+        rs = rect[c : c + rows]
+        s = synthesize_boxes(b.alpha, b.beta, w[rs], b.inv_sqrt_total)[:, 1:]
+        tol = rtol * fro * np.sqrt(in_mass * out_mass[rs, None])
+        fail = (np.abs(in_mass * s) > tol) & (box_depth <= depth[rs, None] + 1)
+        ri, qi = np.nonzero(fail)
+        if ri.size == 0:
             continue
-        anc = max(q >> r, 1)
-        gap_anc = rect_depth - depth[anc]
-        in_q_r = (gap_anc >= 0) & ((rect >> np.maximum(gap_anc, 0)) == anc)
-        gap_q = rect_depth - dq
-        in_q = (gap_q >= 0) & ((rect >> np.maximum(gap_q, 0)) == q)
-        must_vanish = gate & (~in_q_r | ((rect_depth >= dq + r) & ~in_q))
-        if not np.any(must_vanish):
-            continue
-        idx, val = indicator_coefficients(in_measure, q)
-        pairings = w[:, idx] @ val
-        checked = rect[must_vanish]
-        tol = rtol * fro * np.sqrt(in_mass[q] * out_mass[checked])
-        if np.any(np.abs(pairings[checked]) > tol):
-            return False
-    return True
+        r_box, q_box = rs[ri], qi + 1
+        dr, dq = depth[r_box], depth[q_box]
+        k = np.minimum(dr, dq)
+        split = (r_box >> (dr - k)) ^ (q_box >> (dq - k))
+        below_lca = np.frexp(split)[1]  # bit length: levels under the common ancestor
+        # R is inside Q iff split == 0 with d(R) >= d(Q); for d(R) < d(Q)
+        # the second term is <= 0 either way
+        need = np.maximum(dq - k + below_lca, np.where(split != 0, dr - dq + 1, 0))
+        worst = max(worst, int(need.max()))
+    return worst
+
+
+def wl_radius(t: DyadicOperator, rtol: float = 1e-10) -> int:
+    """Smallest r >= 1 with wl_check(t, r); wl_check holds exactly from it on."""
+    fro = t.frobenius()
+    grid = t.grid
+    return max(1, _side_wl_radius(grid, t.w, t.sigma, t.omega, rtol, fro),
+               _side_wl_radius(grid, t.w.T, t.omega, t.sigma, rtol, fro))
 
 
 def wl_check(t: DyadicOperator, r: int, rtol: float = 1e-10) -> bool:
     """True iff T and T* both satisfy the vanishing conditions at radius r."""
     if r < 1:
         raise ValueError("the well-localized property needs r >= 1")
-    fro = t.frobenius()
-    grid = t.grid
-    return _lower_triangular_ok(grid, t.w, t.sigma, t.omega, r, rtol, fro) and \
-        _lower_triangular_ok(grid, t.w.T, t.omega, t.sigma, r, rtol, fro)
+    return r >= wl_radius(t, rtol)

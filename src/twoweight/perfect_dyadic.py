@@ -54,22 +54,22 @@ def _leaf_distances(grid: Grid) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def separated_cube_pairs(grid: Grid, radius: int):
-    """Ordered cube pairs (I, J) with disjoint r-ancestor overlaps."""
+def _separated_pairs(grid: Grid, radius: int):
+    """Heap arrays (I, J) of the separated cube pairs, row-major over cubes."""
     cubes = grid.cubes()
     depth = grid.box_depth
     anc = np.maximum(cubes >> np.minimum(radius, depth[cubes]), 1)
-    pairs = []
-    for a, i in enumerate(cubes):
-        for bj, j in enumerate(cubes):
-            if _boxes_meet(grid, anc[a], j) or _boxes_meet(grid, anc[bj], i):
-                continue
-            pairs.append((int(i), int(j)))
-    return pairs
+    lo, hi = grid.box_lo, grid.box_hi
+    # two dyadic boxes meet iff their leaf intervals overlap (one holds the other)
+    meet = (lo[anc][:, None] < hi[cubes]) & (lo[cubes] < hi[anc][:, None])
+    a, b = np.nonzero(~meet & ~meet.T)
+    return cubes[a], cubes[b]
 
 
-def _boxes_meet(grid: Grid, a: int, b: int) -> bool:
-    return grid.contains(a, b) or grid.contains(b, a)
+def separated_cube_pairs(grid: Grid, radius: int):
+    """Ordered cube pairs (I, J) with disjoint r-ancestor overlaps."""
+    i, j = _separated_pairs(grid, radius)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def validate_kernel(kernel: PerfectDyadicKernel):
@@ -86,14 +86,28 @@ def validate_kernel(kernel: PerfectDyadicKernel):
             f"|K|={abs(k[x, y]):.6g} > 1/dist={1 / dist[x, y]:.6g}",
             cube_pair=(int(grid.leaf_heap(x)), int(grid.leaf_heap(y))),
         )
-    lo, hi = grid.box_lo, grid.box_hi
-    for i, j in separated_cube_pairs(grid, kernel.radius):
-        block = k[lo[i] : hi[i], lo[j] : hi[j]]
-        if block.size and np.ptp(block) > CONSTANCY_ATOL * (1.0 + np.max(np.abs(block))):
-            raise KernelValidationError(
-                f"kernel not constant on separated cube pair (heap {i}, heap {j})",
-                cube_pair=(int(i), int(j)),
-            )
+    i, j = _separated_pairs(grid, kernel.radius)
+    n = grid.num_leaves
+    levels = grid.tree_depth + 1
+    group = grid.box_depth[i] * levels + grid.box_depth[j]
+    broken = np.zeros(i.size, dtype=bool)
+    # the cubes of one depth tile the leaves, so the blocks of all the pairs
+    # of one (depth I, depth J) group are the cells of one reshape of the table
+    for key in np.unique(group):
+        sel = np.nonzero(group == key)[0]
+        mi, mj = divmod(int(key), levels)
+        blocks = k.reshape(1 << mi, n >> mi, 1 << mj, n >> mj)
+        spread = np.ptp(blocks, axis=(1, 3))
+        peak = np.max(np.abs(blocks), axis=(1, 3))
+        bi, bj = i[sel] - (1 << mi), j[sel] - (1 << mj)
+        broken[sel] = spread[bi, bj] > CONSTANCY_ATOL * (1.0 + peak[bi, bj])
+    if np.any(broken):
+        first = int(np.argmax(broken))
+        ci, cj = int(i[first]), int(j[first])
+        raise KernelValidationError(
+            f"kernel not constant on separated cube pair (heap {ci}, heap {cj})",
+            cube_pair=(ci, cj),
+        )
 
 
 def _constancy_classes(grid: Grid, radius: int) -> np.ndarray:

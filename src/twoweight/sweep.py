@@ -5,7 +5,8 @@ A sweep enumerates cells (depth x radius x family x measure kind) and runs
 child seed derived from (master seed, trial index), so any execution order
 or worker count reproduces identical rows.  Exit status is nonzero exactly
 when an exact-partition certificate or exact-inequality invariant (the
-necessity chain max(c1,c2,c3) <= norm, local <= global) fails.
+necessity chain max(c1,c2,c3) <= norm, local <= global) fails, or when a
+trial raises; such a trial is recorded as a failure and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -168,11 +170,16 @@ def _build_operator(family, r, grid, sigma, omega, rng, scale):
     return FAMILY_BUILDERS[family](b, sigma, omega)
 
 
+def _trial_seed(config: SweepConfig, index: int):
+    """The trial's child seed sequence and the seed its row records."""
+    child = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+    return child, int(child.generate_state(1)[0])
+
+
 def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
     """One trial: generate, test, certify.  Returns (row, failures, cert_doc)."""
-    child = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+    child, child_seed = _trial_seed(config, index)
     rng = np.random.default_rng(child)
-    child_seed = int(child.generate_state(1)[0])
     grid = build_grid(GridSpec(config.dimension, d))
     sigma, omega = generate_measure_pair(kind, grid, rng)
     failures = []
@@ -221,7 +228,24 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
 
 
 def _trial_star(args):
-    return run_trial(*args)
+    """run_trial that turns an unexpected exception into a failed trial.
+
+    The row keeps the trial's identity with NaN values, and the failure
+    names the raising line, the trial index and the replay command that
+    re-raises it with its full traceback.
+    """
+    config, index, d, r, family, kind = args
+    try:
+        return run_trial(*args)
+    except Exception as exc:  # one bad trial must not take the sweep down
+        row = dict.fromkeys(serialize.CSV_COLUMNS, float("nan"))
+        row.update({"seed": _trial_seed(config, index)[1], "n": config.dimension,
+                    "d": d, "r": r, "family": family})
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        failure = (f"trial {index} raised {type(exc).__name__}: {exc} "
+                   f"({os.path.basename(where.filename)}:{where.lineno}); "
+                   f"replay with --replay {index}")
+        return row, [failure], None
 
 
 @dataclass
@@ -267,7 +291,7 @@ def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_trial_star, params, chunksize=4)
         else:
-            results = (run_trial(*p) for p in params)
+            results = (_trial_star(p) for p in params)
         # fold each trial as it arrives: only the rows and, when they are
         # dumped, the certificate documents outlive their trial
         for row, failures, cert in results:

@@ -125,3 +125,4 @@ def test_bench_module_runs():
     names = [name for name, _ in rows]
     assert any("box_sums[numpy]" in n for n in names)
     assert any("testing_report" in n for n in names)
+    assert any(n.startswith("wl_radius[numpy]") for n in names)

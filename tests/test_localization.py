@@ -1,9 +1,11 @@
 """Localization radius classifier and the well-localized bridge."""
 
+import numpy as np
 import pytest
 
-from twoweight import GridSpec, build_grid
-from twoweight.localization import NOT_LOCALIZED, ewl_radius, wl_check
+from twoweight import GridSpec, LeafMeasure, build_grid
+from twoweight.haar import basis, indicator_coefficients
+from twoweight.localization import NOT_LOCALIZED, ewl_radius, wl_check, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
     DyadicOperator,
@@ -12,6 +14,7 @@ from twoweight.operators import (
     paraproduct,
     random_ewl,
 )
+from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
 
 from conftest import random_measure
 
@@ -85,3 +88,71 @@ def test_wl_check_rejects_r_zero(rng):
     with pytest.raises(ValueError):
         wl_check(martingale_transform(CoefficientSequence.constant(grid, 1.0),
                                       sigma, omega), 0)
+
+
+def _wl_check_loop(t, r, rtol=1e-10):
+    """Reference: the per-box loop, one indicator analysis per box Q."""
+    fro = t.frobenius()
+
+    def side_ok(w, in_measure, out_measure):
+        grid = t.grid
+        depth = grid.box_depth
+        rect = np.nonzero(basis(out_measure).charged)[0]
+        rect_depth = depth[rect]
+        for q in range(1, grid.num_boxes):
+            dq = depth[q]
+            anc = max(q >> r, 1)
+            gap_anc = rect_depth - depth[anc]
+            in_q_r = (gap_anc >= 0) & ((rect >> np.maximum(gap_anc, 0)) == anc)
+            gap_q = rect_depth - dq
+            in_q = (gap_q >= 0) & ((rect >> np.maximum(gap_q, 0)) == q)
+            must_vanish = (rect_depth >= dq - 1) & (
+                ~in_q_r | ((rect_depth >= dq + r) & ~in_q))
+            if not np.any(must_vanish):
+                continue
+            idx, val = indicator_coefficients(in_measure, q)
+            pairings = w[:, idx] @ val
+            checked = rect[must_vanish]
+            tol = rtol * fro * np.sqrt(in_measure.box_mass[q] * out_measure.box_mass[checked])
+            if np.any(np.abs(pairings[checked]) > tol):
+                return False
+        return True
+
+    return side_ok(t.w, t.sigma, t.omega) and side_ok(t.w.T, t.omega, t.sigma)
+
+
+@pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 4), (1, 6), (2, 1), (2, 2), (2, 3)])
+def test_wl_check_matches_per_box_loop(n, d, zero_fraction):
+    rng = np.random.default_rng(1000 * n + 10 * d + int(10 * zero_fraction))
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, zero_fraction)
+    b = CoefficientSequence.random(grid, rng)
+    ops = [martingale_transform(b, sigma, omega), paraproduct(b, sigma, omega),
+           random_ewl(1, sigma, omega, 3), random_ewl(2, sigma, omega, 4),
+           perfect_dyadic_operator(random_kernel(grid, 1, 5), sigma, omega),
+           DyadicOperator(grid, sigma, omega,
+                          rng.standard_normal((grid.num_leaves, grid.num_leaves)))]
+    if n == 1:
+        ops.append(haar_shift(b, sigma, omega))
+    for t in ops:
+        radius = wl_radius(t)
+        assert 1 <= radius <= max(1, grid.tree_depth)
+        for r in range(1, grid.tree_depth + 2):
+            assert wl_check(t, r) == _wl_check_loop(t, r) == (r >= radius), (t.family, r)
+
+
+def test_wl_radius_small_rectangle_condition_binds():
+    # one entry W[R, E]: E the root rectangle, R = heap 7 (leaves 6, 7).  At
+    # rtol 1.2 only Q = heap 2 (the left half) exceeds the tolerance; R is
+    # outside Q and 4x smaller, so r = 1 fails on |R| <= 2^-r |Q| alone.
+    grid = build_grid(GridSpec(1, 3))
+    uniform = LeafMeasure(grid, np.full(8, 0.125))
+    w = np.zeros((8, 8))
+    w[7, 1] = 1.0
+    t = DyadicOperator(grid, uniform, uniform, w)
+    assert wl_radius(t, rtol=1.2) == 2
+    assert wl_radius(t) == 3  # leaf boxes in the left half pair with R too
+    for rtol in (1.2, 1e-10):
+        for r in range(1, grid.tree_depth + 2):
+            assert wl_check(t, r, rtol) == _wl_check_loop(t, r, rtol), (rtol, r)

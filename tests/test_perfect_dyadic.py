@@ -8,11 +8,13 @@ from twoweight import serialize
 from twoweight.exceptions import KernelValidationError
 from twoweight.localization import ewl_radius
 from twoweight.perfect_dyadic import (
+    CONSTANCY_ATOL,
     PerfectDyadicKernel,
     _leaf_distances,
     corrupt_kernel,
     perfect_dyadic_operator,
     random_kernel,
+    separated_cube_pairs,
     validate_kernel,
 )
 
@@ -78,3 +80,54 @@ def test_kernel_csv_roundtrip(rng):
     back = serialize.kernel_from_csv(grid, text, 1)
     assert np.array_equal(back.values, k.values)
     validate_kernel(back)
+
+
+def _separated_cube_pairs_loop(grid, radius):
+    """Reference: the pairwise loop over cubes."""
+    cubes = grid.cubes()
+    anc = np.maximum(cubes >> np.minimum(radius, grid.box_depth[cubes]), 1)
+
+    def meet(a, b):
+        return grid.contains(a, b) or grid.contains(b, a)
+
+    return [(int(i), int(j))
+            for a, i in enumerate(cubes) for bj, j in enumerate(cubes)
+            if not meet(anc[a], j) and not meet(anc[bj], i)]
+
+
+def _first_nonconstant_pair_loop(kernel):
+    """Reference: the first separated pair whose block is not constant."""
+    lo, hi = kernel.grid.box_lo, kernel.grid.box_hi
+    for i, j in _separated_cube_pairs_loop(kernel.grid, kernel.radius):
+        block = kernel.values[lo[i] : hi[i], lo[j] : hi[j]]
+        if np.ptp(block) > CONSTANCY_ATOL * (1.0 + np.max(np.abs(block))):
+            return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("n,depths", [(1, range(0, 7)), (2, range(0, 4))])
+def test_separated_cube_pairs_match_loop(n, depths):
+    for d in depths:
+        grid = build_grid(GridSpec(n, d))
+        for radius in range(4):
+            got = separated_cube_pairs(grid, radius)
+            assert got == _separated_cube_pairs_loop(grid, radius), (d, radius)
+            assert all(type(h) is int for p in got for h in p)
+
+
+def test_validate_kernel_names_first_nonconstant_pair():
+    cases = [(1, 4, 1), (1, 5, 0), (1, 6, 2), (2, 2, 1), (2, 3, 1)]
+    checked = 0
+    for n, d, radius in cases:
+        grid = build_grid(GridSpec(n, d))
+        for seed in range(4):
+            bad = corrupt_kernel(random_kernel(grid, radius, seed), 100 + seed)
+            want = _first_nonconstant_pair_loop(bad)
+            assert want is not None
+            with pytest.raises(KernelValidationError) as err:
+                validate_kernel(bad)
+            assert err.value.cube_pair == want
+            assert str(err.value) == (
+                f"kernel not constant on separated cube pair (heap {want[0]}, heap {want[1]})")
+            checked += 1
+    assert checked == 20

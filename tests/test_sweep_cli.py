@@ -201,3 +201,103 @@ def test_parallel_workers_match_serial(tmp_path, monkeypatch):
         return [[c for i, c in enumerate(row) if i != drop] for row in rows]
 
     assert stripped(out1) == stripped(out2)
+
+
+# `twoweight classify` output for _classify_cases(), recorded from the
+# per-box wl_check loop that preceded wl_radius
+CLASSIFY_OUTPUT = [
+    ("martingale_transform", 0, 0, "[1, 2, 3, 4, 5]"),
+    ("paraproduct", 0, 0, "[1, 2, 3, 4, 5]"),
+    ("haar_shift", 1, 1, "[2, 3, 4, 5]"),
+    ("random_ewl", 2, 2, "[3, 4, 5]"),
+    ("perfect_dyadic", 1, 1, "[2, 3, 4, 5]"),
+    ("custom", None, 4, "[5]"),
+    ("paraproduct", 0, 0, "[1, 2, 3, 4, 5, 6]"),
+    ("random_ewl", 1, 1, "[2, 3, 4, 5, 6]"),
+    ("perfect_dyadic", 1, 2, "[3, 4, 5, 6]"),
+    ("martingale_transform", 0, 0, "none up to n*d"),
+]
+
+
+def _classify_cases():
+    from twoweight import LeafMeasure
+    from twoweight.operators import (CoefficientSequence, DyadicOperator, haar_shift,
+                                     martingale_transform, paraproduct, random_ewl)
+    from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
+
+    rng = np.random.default_rng(4711)
+
+    def measure(grid, zero_fraction):
+        masses = rng.uniform(0.0, 1.0, grid.num_leaves)
+        masses[rng.random(grid.num_leaves) < zero_fraction] = 0.0
+        return LeafMeasure(grid, masses)
+
+    grid = build_grid(GridSpec(1, 5))
+    sigma, omega = measure(grid, 0.3), measure(grid, 0.3)
+    b = CoefficientSequence.random(grid, rng)
+    ops = [martingale_transform(b, sigma, omega), paraproduct(b, sigma, omega),
+           haar_shift(b, sigma, omega), random_ewl(2, sigma, omega, 5),
+           perfect_dyadic_operator(random_kernel(grid, 1, 3), sigma, omega),
+           DyadicOperator(grid, sigma, omega, rng.standard_normal((32, 32)))]
+    grid = build_grid(GridSpec(2, 3))
+    sigma, omega = measure(grid, 0.3), measure(grid, 0.0)
+    b = CoefficientSequence.random(grid, rng)
+    ops += [paraproduct(b, sigma, omega), random_ewl(1, sigma, omega, 9),
+            perfect_dyadic_operator(random_kernel(grid, 1, 4), sigma, omega)]
+    grid = build_grid(GridSpec(1, 0))
+    ops.append(martingale_transform(CoefficientSequence.random(grid, rng),
+                                    LeafMeasure(grid, [0.5]), LeafMeasure(grid, [2.0])))
+    return ops
+
+
+def test_cli_classify_output_unchanged(tmp_path, capsys):
+    ops = _classify_cases()
+    assert len(ops) == len(CLASSIFY_OUTPUT)
+    for i, (t, (family, claimed, ewl, radii)) in enumerate(zip(ops, CLASSIFY_OUTPUT)):
+        path = tmp_path / f"op{i}.json"
+        serialize.dump_json(path, serialize.operator_to_dict(t))
+        assert main(["classify", "--operator", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"family: {family}\nclaimed radius: {claimed}\n"
+            f"ewl_radius: {ewl}\nwell-localized radii: {radii}\n"), i
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
+    import twoweight.sweep as sweep_module
+
+    cfg = small_config(trials=1)
+    good = tmp_path / "good"
+    run_sweep(cfg, out_dir=str(good))
+    build = sweep_module._build_operator
+
+    def flaky(family, r, grid, *args):
+        if family == "random_ewl" and r == 1:
+            raise RuntimeError("boom")
+        return build(family, r, grid, *args)
+
+    monkeypatch.setattr(sweep_module, "_build_operator", flaky)
+    monkeypatch.setenv("TWOWEIGHT_WORKERS", workers)
+    out = tmp_path / "bad"
+    summary = run_sweep(cfg, out_dir=str(out))
+    assert summary.exit_code == 1
+    bad = [idx for idx, d, r, fam, kind in cfg.trial_params()
+           if fam == "random_ewl" and r == 1]
+    assert len(bad) == 2 and summary.trials == 8
+    assert len(summary.failures) == 2
+    for idx, failure in zip(bad, summary.failures):
+        assert failure.startswith(f"trial {idx} raised RuntimeError: boom (test_sweep_cli.py:")
+        assert failure.endswith(f"); replay with --replay {idx}")
+    assert summary.passes == 6
+    rows = serialize.read_rows_csv(out / "trials.csv")
+    want = serialize.read_rows_csv(good / "trials.csv")
+    for idx, (row, ref) in enumerate(zip(rows, want)):
+        if idx in bad:
+            assert [row[k] for k in ("seed", "n", "d", "family")] == \
+                [ref[k] for k in ("seed", "n", "d", "family")]
+            assert row["r"] == "1"
+            assert all(row[k] == "nan" for k in serialize.CSV_COLUMNS[5:])
+        else:
+            assert {k: v for k, v in row.items() if k != "wall_ms"} == \
+                {k: v for k, v in ref.items() if k != "wall_ms"}
+    assert serialize.load_json(out / "summary.json")["failures"] == summary.failures
