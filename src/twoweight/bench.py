@@ -1,4 +1,4 @@
-"""Time the heap transforms, the batched testing pass and the classifiers.
+"""Time the heap transforms, the testing pass, the operator norm and the classifiers.
 
 Run as ``python -m twoweight.bench [--dimension N] [--depth D] [--repeat K]``.
 Each row is the best of K timed calls after one warm-up call.  The
@@ -18,7 +18,8 @@ from .haar import basis
 from .localization import ewl_radius, wl_radius
 from .measures import LeafMeasure
 from .operators import random_ewl
-from .testing import _indicator_pass, admissible_pairs, testing_report
+from .testing import LANCZOS_MIN_LEAVES, _indicator_pass, admissible_pairs, operator_norm
+from .testing import testing_report
 
 
 def _time(fn, repeat):
@@ -64,6 +65,11 @@ def run(dimension=1, depth=10, repeat=20):
     rows.append((f"wl_radius[numpy] (d={bench_depth})", _time(lambda: wl_radius(t), slow)))
     rows.append((f"testing_report[numpy] (d={bench_depth})",
                  _time(lambda: testing_report(t), slow)))
+    # the operator norm at full size, on the path operator_norm takes there
+    t_full = random_ewl(1, mu, LeafMeasure(grid, rng.uniform(0.1, 1.0, n)), 0)
+    path = "lanczos" if n >= LANCZOS_MIN_LEAVES else "svd"
+    rows.append((f"operator_norm[{path}] (d={depth})",
+                 _time(lambda: operator_norm(t_full), repeat)))
     return rows
 
 

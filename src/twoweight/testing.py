@@ -1,10 +1,13 @@
 """Exact two-weight operator norms and the Sawyer-type testing constants.
 
 The operator norm of f -> T(sigma f) from L^2(sigma) to L^2(omega) is the
-largest singular value of the whitened matrix, from one dense SVD at every
-grid size.  The testing constants are suprema over boxes of the truncated
-grid, leaf scale included (a leaf cube is the level-1 split rectangle of its
-own base, so it belongs to the rectangle system as a set):
+largest singular value of the whitened matrix W: one dense SVD below
+LANCZOS_MIN_LEAVES leaves, and from there up a Lanczos iteration on the
+nonzero entries of W, which an essentially well localized operator keeps to
+a few percent of the matrix (lanczos_norm states its stopping rule).  The
+testing constants are suprema over boxes of the truncated grid, leaf scale
+included (a leaf cube is the level-1 split rectangle of its own base, so it
+belongs to the rectangle system as a set):
 
     c1  = max_E ||1_E T(sigma 1_E)||_omega / sigma(E)^{1/2}
     c2  =  the same for T* with the measures swapped
@@ -30,11 +33,88 @@ from .haar import basis
 from .operators import DyadicOperator
 
 
+# Grids with at least this many leaves take the Lanczos path of operator_norm.
+# The dense SVD costs O(N^3): with one BLAS thread it takes 4-6 ms per
+# operator at 256 leaves, where Lanczos ties or loses on every family, and
+# 38-46 ms at 512, where Lanczos takes 5-10 ms on paraproducts and random
+# EWL operators, 39 ms on a Haar shift and 124 ms on a martingale transform.
+LANCZOS_MIN_LEAVES = 512
+
+
 def operator_norm(t: DyadicOperator) -> float:
-    """||T(sigma .)||_{L^2(sigma) -> L^2(omega)}, exact on charged leaves."""
+    """||T(sigma .)||_{L^2(sigma) -> L^2(omega)}, exact on charged leaves.
+
+    The largest singular value of W: one dense SVD below LANCZOS_MIN_LEAVES
+    leaves, lanczos_norm(W) from there up.
+    """
     if t.sigma.total == 0.0 or t.omega.total == 0.0:
         raise NormError("operator norm undefined: a side carries no mass")
-    return float(np.linalg.svd(t.w, compute_uv=False)[0])
+    if t.grid.num_leaves < LANCZOS_MIN_LEAVES:
+        return float(np.linalg.svd(t.w, compute_uv=False)[0])
+    return lanczos_norm(t.w)
+
+
+def lanczos_norm(w: np.ndarray) -> float:
+    """Largest singular value of w by Lanczos on its smaller Gram matrix.
+
+    W and W^T are applied from the nonzero entries of w with np.bincount, in
+    the coordinates of the nonzero rows and columns.  The Gram matrix A is
+    W^T W when w has no more nonzero columns than nonzero rows and W W^T
+    otherwise, so A is k x k with k = min(#nonzero rows, #nonzero columns).
+    The iteration starts from one seeded vector, so repeated calls agree bit
+    for bit, and orthogonalizes each new vector twice against the whole basis.
+    It stops at the first step j where, with theta and s the top eigenpair
+    of the tridiagonal T_j and beta the norm of the next vector,
+
+    * the Ritz residual beta |s_j| is at most eps * theta (converged), or
+    * beta is at most sqrt(k) * eps * |A v_j|, below the rounding left by the
+      orthogonalization: the basis spans an invariant subspace (breakdown), or
+    * j = k: the basis spans the whole space (Krylov exhaustion).
+
+    In the last two cases theta is an eigenvalue of A to rounding.  The
+    result is sqrt(theta).
+    """
+    rows, cols = np.nonzero(w)
+    if rows.size == 0:
+        return 0.0
+    vals = w[rows, cols]
+    used_rows = np.zeros(w.shape[0], dtype=bool)
+    used_rows[rows] = True
+    used_cols = np.zeros(w.shape[1], dtype=bool)
+    used_cols[cols] = True
+    rows = np.cumsum(used_rows)[rows] - 1  # compressed row and column numbers
+    cols = np.cumsum(used_cols)[cols] - 1
+    num_rows, num_cols = int(used_rows.sum()), int(used_cols.sum())
+    if num_cols <= num_rows:  # A = W^T W on the columns
+        inner, outer, k, num_outer = cols, rows, num_cols, num_rows
+    else:  # A = W W^T on the rows
+        inner, outer, k, num_outer = rows, cols, num_rows, num_cols
+
+    eps = np.finfo(np.float64).eps
+    basis = np.empty((k, k))  # row j is the Lanczos vector v_j
+    alpha = np.empty(k)
+    beta = np.empty(k)
+    start = np.random.default_rng(0).standard_normal(k)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(k):
+        image = np.bincount(outer, vals * basis[j][inner], minlength=num_outer)
+        y = np.bincount(inner, vals * image[outer], minlength=k)
+        floor = np.sqrt(k) * eps * np.linalg.norm(y)
+        done = basis[: j + 1]
+        alpha[j] = 0.0
+        for _ in range(2):
+            h = done @ y
+            y -= h @ done
+            alpha[j] += h[j]
+        beta[j] = np.linalg.norm(y)
+        tri = np.diag(alpha[: j + 1])
+        tri += np.diag(beta[:j], 1)
+        tri += np.diag(beta[:j], -1)
+        theta, s = np.linalg.eigh(tri)
+        if (beta[j] * abs(s[-1, -1]) <= eps * theta[-1] or beta[j] <= floor
+                or j + 1 == k):
+            return float(np.sqrt(max(theta[-1], 0.0)))
+        basis[j + 1] = y / beta[j]
 
 
 def admissible_pairs(grid: Grid, r: int):
@@ -159,17 +239,6 @@ def global_testing(t: DyadicOperator):
     """(c1_global, c2_global): unrestricted variants; dominate the local ones."""
     rep = testing_report(t, r=0, norm=False)
     return rep.c1_global, rep.c2_global
-
-
-def weak_boundedness(t: DyadicOperator, r: int) -> float:
-    """c3 at pair-enumeration radius r (forward pass only)."""
-    grid = t.grid
-    offsets, partners = admissible_pairs(grid, r)
-    _, _, pair_vals = _indicator_pass(t.w.T, t.sigma, t.omega, offsets, partners)
-    boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
-    c3, _ = _pair_sup(pair_vals, t.sigma.box_mass[boxes_e], t.omega.box_mass[partners],
-                      boxes_e, partners)
-    return c3
 
 
 def cube_testing(t: DyadicOperator, r: int):

@@ -35,7 +35,6 @@ from twoweight.operators import (
     random_ewl,
 )
 from twoweight.stopping import build_stopping_family
-from twoweight.testing import weak_boundedness
 from twoweight.testing import testing_report as make_report
 
 from conftest import random_measure
@@ -296,7 +295,7 @@ def test_constant_prevalidation_randomized_depth3(rng):
                 if abs(int(depth[e]) - int(depth[gg])) > r:
                     masked[gg, e] = 0.0
         worst_a = float(np.linalg.svd(masked, compute_uv=False)[0])
-        c3_next = weak_boundedness(t, r + 1)
+        c3_next = make_report(t, r=r + 1, norm=False).c3
         assert worst_a <= 4 * count_M(1, r) * c3_next * (1 + 1e-9) + 1e-12
 
 

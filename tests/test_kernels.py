@@ -126,3 +126,4 @@ def test_bench_module_runs():
     assert any("box_sums[numpy]" in n for n in names)
     assert any("testing_report" in n for n in names)
     assert any(n.startswith("wl_radius[numpy]") for n in names)
+    assert "operator_norm[svd] (d=6)" in names

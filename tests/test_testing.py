@@ -10,14 +10,16 @@ from twoweight.exceptions import NormError
 from twoweight.haar import basis
 from twoweight.operators import (
     CoefficientSequence,
+    DyadicOperator,
     martingale_transform,
     random_ewl,
     zero_operator,
 )
-from twoweight.testing import admissible_pairs, operator_norm
+from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
+from twoweight.sweep import FAMILY_BUILDERS
+from twoweight.testing import LANCZOS_MIN_LEAVES, admissible_pairs, lanczos_norm, operator_norm
 from twoweight.testing import cube_testing, global_testing, local_testing
 from twoweight.testing import testing_report as make_report
-from twoweight.testing import weak_boundedness
 
 from conftest import random_measure
 
@@ -84,6 +86,172 @@ def test_martingale_norm_closed_form_at_1024_leaves(n, d, rng):
     assert operator_norm(t) == pytest.approx(closed, rel=1e-12)
 
 
+NORM_FAMILIES = [*FAMILY_BUILDERS, "random_ewl0", "random_ewl1", "random_ewl2", "custom"]
+
+
+def _family_operator(family, grid, sigma, omega, rng):
+    """One operator of a family; "random_ewlR" has radius R, "custom" is a dense W."""
+    if family in FAMILY_BUILDERS:
+        return FAMILY_BUILDERS[family](CoefficientSequence.random(grid, rng), sigma, omega)
+    if family.startswith("random_ewl"):
+        return random_ewl(int(family[-1]), sigma, omega, rng.integers(2**32))
+    if family == "perfect_dyadic":
+        kernel = random_kernel(grid, 1, int(rng.integers(2**32)))
+        return perfect_dyadic_operator(kernel, sigma, omega)
+    n = grid.num_leaves
+    return DyadicOperator(grid, sigma, omega, rng.standard_normal((n, n)))
+
+
+def _svd_norm(t):
+    return float(np.linalg.svd(t.w, compute_uv=False)[0])
+
+
+LANCZOS_GRIDS = [(1, 9), (1, 10), (2, 5)]  # 512 and 1024 leaves
+
+
+@pytest.mark.parametrize("n,d", LANCZOS_GRIDS)
+def test_lanczos_norm_matches_svd_every_family(n, d, rng):
+    grid = build_grid(GridSpec(n, d))
+    assert grid.num_leaves >= LANCZOS_MIN_LEAVES
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    for family in NORM_FAMILIES:
+        if family == "haar_shift" and n > 1:
+            continue
+        t = _family_operator(family, grid, sigma, omega, rng)
+        assert operator_norm(t) == pytest.approx(_svd_norm(t), rel=1e-13), family
+
+
+@pytest.mark.parametrize("n,d", LANCZOS_GRIDS)
+def test_lanczos_norm_doubled_top_singular_value(n, d, rng):
+    # two slots share the largest |b|: the top singular value of W is double
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, low=0.1)  # every slot charged on both sides
+    values = rng.uniform(-0.9, 0.9, grid.num_leaves)
+    values[0] = 0.0
+    values[[3, grid.num_leaves - 5]] = [1.0, -1.0]
+    t = martingale_transform(CoefficientSequence(grid, values), sigma, omega)
+    assert np.sort(np.linalg.svd(t.w, compute_uv=False))[-2] == pytest.approx(1.0, rel=1e-15)
+    assert operator_norm(t) == pytest.approx(1.0, rel=1e-13)
+
+
+def _lanczos_steps(monkeypatch, w):
+    """(lanczos_norm(w), its step count): it solves one tridiagonal eigh per step."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counted)
+        norm = lanczos_norm(w)
+    assert sizes == list(range(1, len(sizes) + 1))
+    return norm, len(sizes)
+
+
+@pytest.mark.parametrize("n,d", LANCZOS_GRIDS)
+def test_lanczos_norm_rank_one_single_row_and_zero_charged_block(n, d, rng, monkeypatch):
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    size = grid.num_leaves
+    rows = basis(omega).charged_slots()
+    cols = basis(sigma).charged_slots()
+    assert not rows.all() and not cols.all()
+    u, v = rng.standard_normal(size), rng.standard_normal(size)
+    rank_one = DyadicOperator(grid, sigma, omega, np.outer(u, v))
+    closed = np.linalg.norm(u[rows]) * np.linalg.norm(v[cols])
+    norm, steps = _lanczos_steps(monkeypatch, rank_one.w)
+    # breakdown: the start vector and the one image direction span the space
+    assert steps == 2
+    assert operator_norm(rank_one) == norm == pytest.approx(closed, rel=1e-13)
+    assert norm == pytest.approx(_svd_norm(rank_one), rel=1e-13)
+    one_row = np.zeros((size, size))
+    one_row[np.flatnonzero(rows)[3]] = v
+    single = DyadicOperator(grid, sigma, omega, one_row)
+    assert operator_norm(single) == pytest.approx(np.linalg.norm(v[cols]), rel=1e-13)
+    # entries only where a slot is uncharged: the mask clears all of them
+    outside = rng.standard_normal((size, size))
+    outside[np.ix_(rows, cols)] = 0.0
+    assert operator_norm(DyadicOperator(grid, sigma, omega, outside)) == 0.0
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_lanczos_norm_krylov_exhaustion_small_grids(d, rng):
+    # 16-64 leaves: the iteration runs until its basis spans the smaller side
+    # or breaks down, including rank-deficient paraproducts
+    grid = build_grid(GridSpec(1, d))
+    for zero_fraction in (0.0, 0.2):
+        sigma, omega = pair(rng, grid, zero_fraction=zero_fraction)
+        for family in [*NORM_FAMILIES, "perfect_dyadic"]:
+            t = _family_operator(family, grid, sigma, omega, rng)
+            assert lanczos_norm(t.w) == pytest.approx(_svd_norm(t), rel=1e-13), family
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_lanczos_norm_top_cluster_at_exhaustion(d, rng):
+    # |b| crowds towards its maximum 1 - 1e-15: the top Ritz value settles
+    # only once the basis spans every slot, and only with an orthogonal basis
+    grid = build_grid(GridSpec(1, d))
+    sigma, omega = pair(rng, grid, low=0.1)
+    values = np.zeros(grid.num_leaves)
+    values[1:] = 1.0 - np.geomspace(1e-15, 1.0, grid.num_leaves - 1)
+    t = martingale_transform(CoefficientSequence(grid, values), sigma, omega)
+    assert lanczos_norm(t.w) == pytest.approx(values[1], rel=1e-13)
+
+
+@pytest.mark.parametrize("n,d", [(1, 10), (2, 5)])
+def test_lanczos_norm_repeatable_and_adjoint_invariant(n, d, rng):
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    for family in NORM_FAMILIES:
+        if family == "haar_shift" and n > 1:
+            continue
+        t = _family_operator(family, grid, sigma, omega, rng)
+        norm = operator_norm(t)
+        assert operator_norm(t) == norm  # bit for bit
+        # ||T|| = ||T*||: the same spectrum, reached from the other side
+        assert operator_norm(t.adjoint()) == pytest.approx(norm, rel=1e-13), family
+
+
+def _lanczos_reference_steps(gram):
+    """Steps of plain dense Lanczos on gram until the documented rule stops it."""
+    eps = np.finfo(np.float64).eps
+    k = gram.shape[0]
+    start = np.random.default_rng(0).standard_normal(k)
+    vectors = [start / np.linalg.norm(start)]
+    alpha, beta = [], []
+    for j in range(k):
+        y = gram @ vectors[j]
+        floor = np.sqrt(k) * eps * np.linalg.norm(y)
+        done = np.array(vectors)
+        alpha.append(0.0)
+        for _ in range(2):
+            h = done @ y
+            y = y - h @ done
+            alpha[j] += h[j]
+        beta.append(np.linalg.norm(y))
+        tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        theta, s = np.linalg.eigh(tri)
+        if beta[j] * abs(s[-1, -1]) <= eps * theta[-1] or beta[j] <= floor or j + 1 == k:
+            return j + 1
+        vectors.append(y / beta[j])
+
+
+def test_lanczos_norm_stops_at_the_documented_rule(rng, monkeypatch):
+    # a 1024-leaf martingale transform converges slowly (close top values of
+    # |b|), so a looser or tighter residual bound moves its stopping step
+    grid = build_grid(GridSpec(1, 10))
+    sigma, omega = pair(rng, grid, low=0.1)
+    b = CoefficientSequence.random(grid, rng)
+    t = martingale_transform(b, sigma, omega)
+    want = _lanczos_reference_steps(np.diag(b.values[1:] ** 2))
+    norm, steps = _lanczos_steps(monkeypatch, t.w)
+    assert 50 < want < grid.num_leaves - 1
+    assert abs(steps - want) <= 1
+    assert norm == pytest.approx(np.max(np.abs(b.values)), rel=1e-13)
+
+
 def test_norm_certified_against_whitened_leaf_matrix(rng):
     # independent route: explicit D_omega^{1/2} A D_sigma^{-1/2} at d <= 4
     grid = build_grid(GridSpec(1, 4))
@@ -128,7 +296,7 @@ def test_c3_diagonal_pair_admissible(rng):
     grid = build_grid(GridSpec(1, 3))
     sigma, omega = pair(rng, grid, low=0.1)
     t = random_ewl(0, sigma, omega, 2)
-    c3 = weak_boundedness(t, 0)
+    c3 = make_report(t, r=0, norm=False).c3
     # the self pair (E, E) is always admissible; c3 dominates it
     e = 3
     pairing = np.sum(t.apply(indicator(grid, e).values) * indicator(grid, e).values
@@ -155,7 +323,7 @@ def test_c3_brute_force(r, rng):
                 continue
             val = np.sum(img * indicator(grid, g).values * omega.masses)
             best = max(best, abs(val) / np.sqrt(se * og))
-    assert weak_boundedness(t, r) == pytest.approx(best, rel=1e-10, abs=1e-12)
+    assert make_report(t, r=r, norm=False).c3 == pytest.approx(best, rel=1e-10, abs=1e-12)
 
 
 def test_global_constants_two_path(rng):
