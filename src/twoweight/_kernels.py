@@ -70,6 +70,28 @@ def synthesize_boxes(alpha, beta, coef, inv_sqrt_total):
     return acc
 
 
+def synthesize_at(alpha, beta, coef, boxes, cols, depth, inv_sqrt_total):
+    """synthesize_boxes(alpha, beta, coef[:, c], inv_sqrt_total)[q] per pair.
+
+    coef: (N, M) whitened coefficients, one function per column; boxes,
+    cols, depth: (P,) the box q, the column c and q's heap depth of each
+    pair.  Only each box's root path is walked, top-down with the
+    recurrence of synthesize_boxes, so the values are the same bit for bit
+    at O(P * tree depth) instead of O(M * N).
+    """
+    n = alpha.shape[-1]
+    # factor of the parent's component on each child box: -beta on the
+    # lower half, +alpha on the upper (x - b*c and x + (-b)*c round alike)
+    factor = np.zeros(2 * n)
+    factor[2::2] = -beta[1:]
+    factor[3::2] = alpha[1:]
+    val = coef[0, cols] * inv_sqrt_total
+    for k in range(int(depth.max()) if depth.size else 0):
+        node = boxes >> np.maximum(depth - k - 1, 0)  # the path's box at depth k + 1
+        val = np.where(k < depth, val + factor[node] * coef[node >> 1, cols], val)
+    return val
+
+
 def synthesize(alpha, beta, coef, inv_sqrt_total):
     """Inverse of analyze: whitened coefficients -> leaf values (..., N)."""
     return synthesize_boxes(alpha, beta, coef, inv_sqrt_total)[..., alpha.shape[-1]:]

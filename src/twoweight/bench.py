@@ -1,4 +1,4 @@
-"""Time the heap transforms, the testing pass, the operator norm and the classifiers.
+"""Time the heap transforms, the testing pass, the certificate, the norm and the classifiers.
 
 Run as ``python -m twoweight.bench [--dimension N] [--depth D] [--repeat K]``.
 Each row is the best of K timed calls after one warm-up call.  The
@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from . import _kernels
+from .certificates import full_certificate
 from .grid import GridSpec, build_grid
 from .haar import basis
 from .localization import ewl_radius, wl_radius
@@ -65,6 +66,11 @@ def run(dimension=1, depth=10, repeat=20):
     rows.append((f"wl_radius[numpy] (d={bench_depth})", _time(lambda: wl_radius(t), slow)))
     rows.append((f"testing_report[numpy] (d={bench_depth})",
                  _time(lambda: testing_report(t), slow)))
+    # a sweep trial's certificate pass, which reuses the trial's testing report
+    report = testing_report(t, r=1, norm=False, extra_c3_radii=(2,))
+    f, g = rng.standard_normal(n2), rng.standard_normal(n2)
+    rows.append((f"full_certificate[numpy] (d={bench_depth})",
+                 _time(lambda: full_certificate(t, f, g, r=1, report=report), slow)))
     # the operator norm at full size, on the path operator_norm takes there
     t_full = random_ewl(1, mu, LeafMeasure(grid, rng.uniform(0.1, 1.0, n)), 0)
     path = "lanczos" if n >= LANCZOS_MIN_LEAVES else "svd"

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import DecompositionError
-from .haar import analyze, basis, indicator_coefficients
+from .haar import analyze, basis
 from .localization import ewl_radius
 from .measures import LeafMeasure
 from .operators import DyadicOperator
@@ -211,9 +211,25 @@ def decompose_ABC(t: DyadicOperator, f_values, g_values, r: int,
     return a, b, c, parts
 
 
+def _sums_by(index, weights, size):
+    """out[k] = sum of weights[index == k], added in index order; float even
+    when index is empty (np.bincount then returns integers)."""
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
+
+
 def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
             c2: float, rtol: float = PARTITION_RTOL):
     """Exact B1/B2 split with per-S I/II terms and all bound verdicts.
+
+    I_S and II_S need <T(sigma h_E), 1_Q>_omega for Q = E^(r) and
+    Q = pi(E^(r)).  For any box Q that pairing is omega(Q) S_E[Q], where
+    S_E = synthesize_boxes(alpha_omega, beta_omega, W[:, E], 1/sqrt(omega(Q0)))
+    is column E of W synthesized on every box: the value on Q collects the
+    components of Q's strict ancestors and the constant, each times
+    <h^omega_G, 1_Q>_omega / omega(Q).  _kernels.synthesize_at evaluates
+    S_E[Q] for every live column (fhat(E) != 0, E sigma-charged) and its
+    two boxes by walking only Q's root path, and the per-S sums are
+    bincounts over S = pi(E^(r)).
 
     Returns (b1, b2, per_stopping, verdicts, residuals, constants).
     """
@@ -224,6 +240,7 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
     m_const = count_M(grid.dimension, r)
     om_mass = omega.box_mass
+    num_boxes = grid.num_boxes
 
     gints = _kernels.box_sums(parts["g_values"] * omega.masses)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -231,7 +248,7 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
 
     depth = grid.box_depth
     sp = family.stop_parent
-    anc_all = np.maximum(np.arange(grid.num_boxes, dtype=np.int64) >> r, 1)
+    anc_all = np.maximum(np.arange(num_boxes, dtype=np.int64) >> r, 1)
     spanc = sp[anc_all]
 
     gs = parts["G"][parts["mask_b"]]
@@ -247,49 +264,35 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
 
     b1 = float(np.sum(contrib_b[same]))
     b2_direct = float(np.sum(contrib_b[~same]))
-    b1_per_s = {}
-    for s, v in zip(s_f[same], contrib_b[same]):
-        b1_per_s[int(s)] = b1_per_s.get(int(s), 0.0) + float(v)
+    b1_per_s = _sums_by(s_f[same], contrib_b[same], num_boxes)
 
     # per-rectangle pairings against 1_{E^(r)} and 1_{pi E^(r)}
-    rect = np.arange(1, grid.num_leaves)
-    sig_charged = basis(t.sigma).charged
-    chain_cache = {}
+    fe = fhat[1:]
+    p_norm_sq = _sums_by(spanc[1 : grid.num_leaves], fe * fe, num_boxes)
+    live = np.flatnonzero((fe != 0.0) & basis(t.sigma).charged[1:]) + 1
+    anc, stop = anc_all[live], spanc[live]
+    b = basis(omega)
+    boxes = np.concatenate((anc, stop))
+    values = om_mass[boxes] * _kernels.synthesize_at(
+        b.alpha, b.beta, t.w, boxes, np.concatenate((live, live)), depth[boxes],
+        b.inv_sqrt_total)
+    t_anc, t_stop = values[: live.size], values[live.size :]
+    f_live = fhat[live]
+    i_s = _sums_by(stop, f_live * gavg[anc] * t_anc, num_boxes)
+    ii_s = _sums_by(stop, f_live * gavg[stop] * t_stop, num_boxes)
 
-    def chain(box):
-        if box not in chain_cache:
-            chain_cache[box] = indicator_coefficients(omega, box)
-        return chain_cache[box]
-
-    members = [int(s) for s in family.members]
-    i_s = {s: 0.0 for s in members}
-    ii_s = {s: 0.0 for s in members}
-    p_norm_sq = {s: 0.0 for s in members}
-    for e in rect:
-        s = int(spanc[e])
-        fe = float(fhat[e])
-        p_norm_sq[s] += fe * fe
-        if fe == 0.0 or not sig_charged[e]:
-            continue
-        idx, val = chain(int(anc_all[e]))
-        t_anc = float(t.w[idx, e] @ val)
-        idx, val = chain(s)
-        t_stop = float(t.w[idx, e] @ val)
-        i_s[s] += fe * float(gavg[anc_all[e]]) * t_anc
-        ii_s[s] += fe * float(gavg[s]) * t_stop
-
-    b2_collapsed = float(sum(ii_s.values()))
-    b1_from_split = float(sum(i_s[s] - ii_s[s] for s in members))
+    members = family.members
+    i_m, ii_m = i_s[members], ii_s[members]
+    b2_collapsed = float(np.sum(ii_m))
+    b1_from_split = float(np.sum(i_m - ii_m))
 
     # exactness residuals (relative to the pairing scale)
-    res_split = max(
-        abs(b1_per_s.get(s, 0.0) - (i_s[s] - ii_s[s])) for s in members
-    ) if members else 0.0
+    res_split = float(np.max(np.abs(b1_per_s[members] - (i_m - ii_m))))
     residuals = {
         "b2_collapse": abs(b2_direct - b2_collapsed) / scale,
         "b_s_split": res_split / scale,
         "b1_sum": abs(b1 - b1_from_split) / scale,
-        "projection_norms": abs(sum(p_norm_sq.values()) - fnorm**2)
+        "projection_norms": abs(float(np.sum(p_norm_sq)) - fnorm**2)
         / max(fnorm**2, 1e-300),
     }
 
@@ -297,26 +300,23 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     sqrt_m = np.sqrt(m_const)
     k_b1 = (2.0 * sqrt_m + 1.0) * np.sqrt(8.0)
     atol = 1e-12 * (1.0 + scale)
-    ok_i = ok_ii = True
-    for s in members:
-        cap = np.sqrt(om_mass[s]) * family.abs_average[s] * np.sqrt(p_norm_sq[s]) * c2
-        ok_i &= abs(i_s[s]) <= 2.0 * sqrt_m * cap * (1 + BOUND_SLACK) + atol
-        ok_ii &= abs(ii_s[s]) <= cap * (1 + BOUND_SLACK) + atol
+    cap = (np.sqrt(om_mass[members]) * family.abs_average[members]
+           * np.sqrt(p_norm_sq[members]) * c2)
     verdicts = {
         "b_structure": structure_ok,
         "b2_collapse": residuals["b2_collapse"] <= rtol,
         "b_s_split": residuals["b_s_split"] <= rtol,
         "b1_sum": residuals["b1_sum"] <= rtol,
         "projection_norms": residuals["projection_norms"] <= rtol,
-        "bound_I": bool(ok_i),
-        "bound_II": bool(ok_ii),
+        "bound_I": bool(np.all(np.abs(i_m) <= 2.0 * sqrt_m * cap * (1 + BOUND_SLACK) + atol)),
+        "bound_II": bool(np.all(np.abs(ii_m) <= cap * (1 + BOUND_SLACK) + atol)),
         "bound_B2": abs(b2_direct)
         <= np.sqrt(8.0) * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
         "bound_B1": abs(b1) <= k_b1 * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
     }
     constants = {"M": m_const, "I_factor": 2.0 * sqrt_m, "II_factor": 1.0,
                  "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
-    per_stopping = {s: (i_s[s], ii_s[s]) for s in members}
+    per_stopping = dict(zip(members.tolist(), zip(i_m.tolist(), ii_m.tolist())))
     return b1, b2_direct, per_stopping, verdicts, residuals, constants
 
 
@@ -331,15 +331,6 @@ def a_term_bound(a_value: float, n: int, r: int, c3_next: float,
         "M": m,
         "ok": abs(a_value) <= bound * (1 + BOUND_SLACK) + 1e-12 * (1 + fnorm * gnorm),
     }
-
-
-def orthant_vanishing_check(op, f_values, g_values, tol: float = 1e-12) -> bool:
-    """All cross-orthant pairings <T(sigma f 1_{Q_i}), g 1_{Q_j}> vanish (i != j).
-
-    ``op`` is a MultiRootOperator (see orthants module); the guard scales the
-    tolerance by the input norms and the operator's Frobenius norm.
-    """
-    return op.cross_pairings_vanish(f_values, g_values, tol)
 
 
 def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,

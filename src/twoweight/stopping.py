@@ -12,11 +12,20 @@ The packing constant 2 in turn bounds the embedding ratio
 sum_S omega(S) <|g|>_S^2 / ||g||^2 by 8 (dyadic Carleson embedding with
 constant 4 x packing 2); the acceptance suite pre-validates that threshold
 by exhaustive search at small depth before any sweep relies on it.
+
+The family is built by one top-down sweep over the heap levels.  With
+P = stop_parent[b >> 1] the minimal member containing b's parent, a box b
+is a member iff omega(b) > 0 and <|g|>_b > 2 <|g|>_P, and
+stop_parent[b] is b if it is a member and P otherwise.  Maximality is
+built in: below a member S' the threshold is taken from S', never from S.
+Massless boxes carry average 0 and never pass the strict inequality.
+Heap slot 0 is not a box and is never a member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,18 +39,26 @@ EMBEDDING_LIMIT = 8.0
 
 @dataclass
 class StoppingFamily:
-    """Members, tree structure and per-member averages of |g|."""
+    """Members, stopping parents and the omega-averages of |g|."""
 
     grid: Grid
-    members: np.ndarray  # heap indices, sorted
-    children: dict  # member -> list of stopping children
+    members: np.ndarray  # heap indices, sorted; members[0] is the root
     stop_parent: np.ndarray  # (2N,) minimal member containing each box
-    abs_average: dict  # member -> <|g|>^omega_S
+    abs_average: np.ndarray  # (2N,) <|g|>^omega_B for every box B, 0 if omega(B) = 0
     omega: LeafMeasure = field(repr=False)
 
     def parent_of(self, heap: int) -> int:
         """pi E: the minimal stopping rectangle containing box E."""
         return int(self.stop_parent[heap])
+
+    @property
+    def children(self) -> dict:
+        """Member -> its stopping children, sorted; built on each access."""
+        out = {s: [] for s in self.members.tolist()}
+        kids = self.members[1:]
+        for kid, parent in zip(kids.tolist(), self.stop_parent[kids >> 1].tolist()):
+            out[parent].append(kid)
+        return out
 
     def packing_slack(self):
         """(child-mass slack, worst global packing ratio).
@@ -49,20 +66,27 @@ class StoppingFamily:
         child slack: max over S of sum(children mass) - omega(S)/2 (should
         be <= 0 up to rounding); packing ratio: max over boxes Q with mass
         of sum of member masses inside Q over omega(Q) (should be <= 2).
+        Computed once per family.
         """
+        return self._packing
+
+    @cached_property
+    def _packing(self):
         bm = self.omega.box_mass
-        child_slack = -np.inf
-        for s, kids in self.children.items():
-            if kids:
-                child_slack = max(child_slack, sum(bm[k] for k in kids) - 0.5 * bm[s])
-        if child_slack == -np.inf:
-            child_slack = 0.0
-        stop_mass = np.zeros(self.grid.num_boxes)
+        kids = self.members[1:]
+        child_slack = 0.0
+        if kids.size:
+            kid_mass = np.bincount(self.stop_parent[kids >> 1], weights=bm[kids],
+                                   minlength=bm.size)
+            # every child has positive mass: the members with children are
+            # exactly those with positive child mass
+            has_kids = kid_mass > 0
+            child_slack = float((kid_mass[has_kids] - 0.5 * bm[has_kids]).max())
+        stop_mass = np.zeros(bm.size)
         stop_mass[self.members] = bm[self.members]
-        total = _member_subtree_sums(self.grid, stop_mass)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(bm[1:] > 0, total[1:] / np.where(bm[1:] > 0, bm[1:], 1.0), 0.0)
-        return float(child_slack), float(np.max(ratios))
+        total = _member_subtree_sums(stop_mass)
+        ratios = np.divide(total, bm, out=np.zeros(bm.size), where=bm > 0)
+        return child_slack, float(ratios.max())
 
     def packing_ok(self) -> bool:
         child_slack, ratio = self.packing_slack()
@@ -70,11 +94,16 @@ class StoppingFamily:
         return child_slack <= PACKING_RTOL * scale and ratio <= 2.0 + PACKING_RTOL
 
 
-def _member_subtree_sums(grid: Grid, node_values: np.ndarray) -> np.ndarray:
-    """out[H] = sum of node_values over all boxes inside box H (H included)."""
+def _member_subtree_sums(node_values: np.ndarray) -> np.ndarray:
+    """out[H] = sum of node_values over all boxes inside box H (H included).
+
+    node_values: (2N,) heap array; one level of parents per step, leaves up.
+    """
     out = node_values.copy()
-    for h in range(grid.num_boxes - 1, 1, -2):
-        out[h >> 1] += out[h] + out[h - 1]
+    h = out.shape[-1] >> 2
+    while h >= 1:
+        out[h : 2 * h] += out[2 * h : 4 * h : 2] + out[2 * h + 1 : 4 * h : 2]
+        h >>= 1
     return out
 
 
@@ -87,69 +116,38 @@ def build_stopping_family(g_values: np.ndarray, omega: LeafMeasure) -> StoppingF
     grid = omega.grid
     bm = omega.box_mass
     absint = _kernels.box_sums(np.abs(np.asarray(g_values, dtype=np.float64)) * omega.masses)
-    nd = grid.tree_depth
-
-    def avg(h):
-        return absint[h] / bm[h] if bm[h] > 0 else 0.0
-
-    members = [1]
-    children = {1: []}
-    queue = [1]
-    while queue:
-        s = queue.pop()
-        threshold = 2.0 * avg(s)
-        stack = [2 * s, 2 * s + 1] if grid.box_depth[s] < nd else []
-        kids = []
-        while stack:
-            b = stack.pop()
-            if bm[b] == 0.0:
-                continue
-            if avg(b) > threshold:
-                kids.append(b)
-                continue  # maximality: do not descend below a stopping child
-            if grid.box_depth[b] < nd:
-                stack.extend((2 * b, 2 * b + 1))
-        children[s] = sorted(kids)
-        for k in kids:
-            members.append(k)
-            children[k] = []
-            queue.append(k)
-
-    members = np.asarray(sorted(members), dtype=np.int64)
-    is_member = np.zeros(grid.num_boxes, dtype=bool)
-    is_member[members] = True
-    stop_parent = np.zeros(grid.num_boxes, dtype=np.int64)
+    avg = np.divide(absint, bm, out=np.zeros(bm.size), where=bm > 0)
+    threshold = 2.0 * avg
+    boxes = np.arange(bm.size)
+    stop_parent = np.zeros(bm.size, dtype=np.int64)
     stop_parent[1] = 1
-    for h in range(2, grid.num_boxes):
-        stop_parent[h] = h if is_member[h] else stop_parent[h >> 1]
-    averages = {int(s): float(avg(s)) for s in members}
-    return StoppingFamily(grid, members, children, stop_parent, averages, omega)
-
-
-def carleson_embedding_check(family: StoppingFamily, g_values: np.ndarray,
-                             omega: LeafMeasure) -> float:
-    """sum_S omega(S) <|g|>_S^2 / ||g||^2, zero when g vanishes in L^2(omega).
-
-    Uses the family's absolute averages, which dominate the signed ones;
-    `embedding_ratios` returns both.
-    """
-    return embedding_ratios(family, g_values, omega)["absolute"]
+    lo = 2
+    while lo < bm.size:
+        above = stop_parent[lo >> 1 : lo].repeat(2)
+        stop_parent[lo : 2 * lo] = np.where(avg[lo : 2 * lo] > threshold[above],
+                                            boxes[lo : 2 * lo], above)
+        lo <<= 1
+    members = (stop_parent[1:] == boxes[1:]).nonzero()[0] + 1
+    return StoppingFamily(grid, members, stop_parent, avg, omega)
 
 
 def embedding_ratios(family: StoppingFamily, g_values: np.ndarray,
                      omega: LeafMeasure) -> dict:
+    """sum_S omega(S) <.>_S^2 / ||g||^2 with the absolute and the signed averages.
+
+    Both are zero when g vanishes in L^2(omega); the absolute averages
+    dominate the signed ones.  The sums run left to right over the sorted
+    members (cumsum), as a plain accumulation loop would.
+    """
     g_values = np.asarray(g_values, dtype=np.float64)
-    norm_sq = float(np.sum(omega.masses * g_values**2))
+    norm_sq = float((omega.masses * g_values**2).sum())
     if norm_sq == 0.0:
         return {"absolute": 0.0, "signed": 0.0}
-    bm = omega.box_mass
-    sints = _kernels.box_sums(g_values * omega.masses)
-    abs_sum = 0.0
-    signed_sum = 0.0
-    for s in family.members:
-        m = bm[s]
-        if m == 0.0:
-            continue
-        abs_sum += m * family.abs_average[int(s)] ** 2
-        signed_sum += m * (sints[s] / m) ** 2
-    return {"absolute": abs_sum / norm_sq, "signed": signed_sum / norm_sq}
+    # g != 0 in L^2(omega) puts mass on the root, and every other member
+    # has mass by construction: no member divides by zero
+    members = family.members
+    m = omega.box_mass[members]
+    signed = _kernels.box_sums(g_values * omega.masses)[members] / m
+    abs_sum = (m * family.abs_average[members] ** 2).cumsum()[-1]
+    signed_sum = (m * signed**2).cumsum()[-1]
+    return {"absolute": float(abs_sum) / norm_sq, "signed": float(signed_sum) / norm_sq}

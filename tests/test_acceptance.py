@@ -37,7 +37,7 @@ from twoweight.perfect_dyadic import (
     validate_kernel,
 )
 from twoweight.serialize import read_rows_csv
-from twoweight.stopping import build_stopping_family, carleson_embedding_check
+from twoweight.stopping import build_stopping_family, embedding_ratios
 from twoweight.sweep import SweepConfig, run_sweep
 
 RNG_SEED = 90125
@@ -222,7 +222,7 @@ def test_criterion_6_carleson_suite(certified_sweep):
                 continue
             fam = build_stopping_family(g, omega)
             assert fam.packing_ok()
-            worst = max(worst, carleson_embedding_check(fam, g, omega))
+            worst = max(worst, embedding_ratios(fam, g, omega)["absolute"])
     assert worst <= 8.0
     # every trial: packing exact and embedding within the validated threshold
     for cert in certs:

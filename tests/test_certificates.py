@@ -17,7 +17,10 @@ from twoweight import (
     lebesgue,
     weighted_haar,
 )
+from twoweight import _kernels
 from twoweight.certificates import (
+    BOUND_SLACK,
+    PARTITION_RTOL,
     a_term_bound,
     boundary_terms_check,
     count_M,
@@ -26,7 +29,7 @@ from twoweight.certificates import (
     split_B,
 )
 from twoweight.exceptions import DecompositionError
-from twoweight.haar import indicator_coefficients
+from twoweight.haar import basis, indicator_coefficients
 from twoweight.localization import ewl_radius
 from twoweight.operators import (
     CoefficientSequence,
@@ -47,6 +50,112 @@ def pair(rng, grid, zero_fraction=0.0, low=0.0):
 
 def mean_zero(values, mu):
     return values - np.sum(values * mu.masses) / mu.total
+
+
+def _split_B_loop_reference(t, parts, family, r, c2, rtol=PARTITION_RTOL):
+    """split_B as a per-rectangle loop: each pairing <T(sigma h_E), 1_Q> is
+    the sparse indicator analysis of Q dotted with column E of W."""
+    grid = t.grid
+    omega = t.omega
+    fhat = parts["fhat"]
+    fnorm, gnorm = parts["fnorm"], parts["gnorm"]
+    scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
+    m_const = count_M(grid.dimension, r)
+    om_mass = omega.box_mass
+
+    gints = _kernels.box_sums(parts["g_values"] * omega.masses)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gavg = np.where(om_mass > 0, gints / np.where(om_mass > 0, om_mass, 1.0), 0.0)
+
+    depth = grid.box_depth
+    sp = family.stop_parent
+    anc_all = np.maximum(np.arange(grid.num_boxes, dtype=np.int64) >> r, 1)
+    spanc = sp[anc_all]
+
+    gs = parts["G"][parts["mask_b"]]
+    es = parts["E"][parts["mask_b"]]
+    contrib_b = parts["contrib"][parts["mask_b"]]
+    s_f = spanc[es]
+    s_g = sp[gs]
+    same = s_f == s_g
+    # no pair may put the g-side parent strictly inside the f-side parent
+    gap = depth[s_g] - depth[s_f]
+    strictly_below = (~same) & (gap > 0) & ((s_g >> np.maximum(gap, 0)) == s_f)
+    structure_ok = not bool(np.any(strictly_below))
+
+    b1 = float(np.sum(contrib_b[same]))
+    b2_direct = float(np.sum(contrib_b[~same]))
+    b1_per_s = {}
+    for s, v in zip(s_f[same], contrib_b[same]):
+        b1_per_s[int(s)] = b1_per_s.get(int(s), 0.0) + float(v)
+
+    # per-rectangle pairings against 1_{E^(r)} and 1_{pi E^(r)}
+    rect = np.arange(1, grid.num_leaves)
+    sig_charged = basis(t.sigma).charged
+    chain_cache = {}
+
+    def chain(box):
+        if box not in chain_cache:
+            chain_cache[box] = indicator_coefficients(omega, box)
+        return chain_cache[box]
+
+    members = [int(s) for s in family.members]
+    i_s = {s: 0.0 for s in members}
+    ii_s = {s: 0.0 for s in members}
+    p_norm_sq = {s: 0.0 for s in members}
+    for e in rect:
+        s = int(spanc[e])
+        fe = float(fhat[e])
+        p_norm_sq[s] += fe * fe
+        if fe == 0.0 or not sig_charged[e]:
+            continue
+        idx, val = chain(int(anc_all[e]))
+        t_anc = float(t.w[idx, e] @ val)
+        idx, val = chain(s)
+        t_stop = float(t.w[idx, e] @ val)
+        i_s[s] += fe * float(gavg[anc_all[e]]) * t_anc
+        ii_s[s] += fe * float(gavg[s]) * t_stop
+
+    b2_collapsed = float(sum(ii_s.values()))
+    b1_from_split = float(sum(i_s[s] - ii_s[s] for s in members))
+
+    # exactness residuals (relative to the pairing scale)
+    res_split = max(
+        abs(b1_per_s.get(s, 0.0) - (i_s[s] - ii_s[s])) for s in members
+    ) if members else 0.0
+    residuals = {
+        "b2_collapse": abs(b2_direct - b2_collapsed) / scale,
+        "b_s_split": res_split / scale,
+        "b1_sum": abs(b1 - b1_from_split) / scale,
+        "projection_norms": abs(sum(p_norm_sq.values()) - fnorm**2)
+        / max(fnorm**2, 1e-300),
+    }
+
+    # bound verdicts
+    sqrt_m = np.sqrt(m_const)
+    k_b1 = (2.0 * sqrt_m + 1.0) * np.sqrt(8.0)
+    atol = 1e-12 * (1.0 + scale)
+    ok_i = ok_ii = True
+    for s in members:
+        cap = np.sqrt(om_mass[s]) * family.abs_average[s] * np.sqrt(p_norm_sq[s]) * c2
+        ok_i &= abs(i_s[s]) <= 2.0 * sqrt_m * cap * (1 + BOUND_SLACK) + atol
+        ok_ii &= abs(ii_s[s]) <= cap * (1 + BOUND_SLACK) + atol
+    verdicts = {
+        "b_structure": structure_ok,
+        "b2_collapse": residuals["b2_collapse"] <= rtol,
+        "b_s_split": residuals["b_s_split"] <= rtol,
+        "b1_sum": residuals["b1_sum"] <= rtol,
+        "projection_norms": residuals["projection_norms"] <= rtol,
+        "bound_I": bool(ok_i),
+        "bound_II": bool(ok_ii),
+        "bound_B2": abs(b2_direct)
+        <= np.sqrt(8.0) * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
+        "bound_B1": abs(b1) <= k_b1 * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
+    }
+    constants = {"M": m_const, "I_factor": 2.0 * sqrt_m, "II_factor": 1.0,
+                 "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
+    per_stopping = {s: (i_s[s], ii_s[s]) for s in members}
+    return b1, b2_direct, per_stopping, verdicts, residuals, constants
 
 
 def test_count_M_values():
@@ -174,6 +283,51 @@ def test_split_B_single_stopping_rectangle_traced(rng):
     i1, ii1 = per_s[1]
     assert b1 == pytest.approx(i1 - ii1, rel=1e-10, abs=1e-12)
     assert all(verdicts.values())
+
+
+SPLIT_B_GRIDS = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("n,d", SPLIT_B_GRIDS)
+def test_split_B_matches_loop_reference(n, d, rng):
+    """The array split_B against the per-rectangle loop, on both sides."""
+    grid = build_grid(GridSpec(n, d))
+    nn = grid.num_leaves
+    checked = 0
+    for zero_fraction in (0.0, 0.3):
+        for r in range(4):
+            sigma, omega = pair(rng, grid, zero_fraction)
+            if sigma.total == 0 or omega.total == 0:
+                continue
+            t = random_ewl(r, sigma, omega, 100 * r + d)
+            rep = make_report(t, r=r, norm=False)
+            f = mean_zero(rng.standard_normal(nn), sigma)
+            g = mean_zero(rng.standard_normal(nn), omega)
+            ta = t.adjoint()
+            fam_g = build_stopping_family(g, omega)
+            cases = [(t, decompose_ABC(t, f, g, r)[3], fam_g, rep.c2),
+                     (ta, decompose_ABC(ta, g, f, r)[3], build_stopping_family(f, sigma), rep.c1),
+                     # no live rectangle: every per-S term is a float zero
+                     (t, decompose_ABC(t, np.zeros(nn), g, r)[3], fam_g, rep.c2)]
+            for op, parts, fam, const in cases:
+                got = split_B(op, parts, fam, r, const)
+                want = _split_B_loop_reference(op, parts, fam, r, const)
+                scale = max(abs(parts["pi"]), parts["fnorm"] * parts["gnorm"])
+                assert abs(got[0] - want[0]) <= 1e-13 * scale
+                assert abs(got[1] - want[1]) <= 1e-13 * scale
+                assert got[2].keys() == want[2].keys()
+                assert all(type(v) is float for terms in got[2].values() for v in terms)
+                for s, (i_s, ii_s) in want[2].items():
+                    assert abs(got[2][s][0] - i_s) <= 1e-13 * scale
+                    assert abs(got[2][s][1] - ii_s) <= 1e-13 * scale
+                assert got[3] == want[3]
+                assert got[4].keys() == want[4].keys()
+                for key, res in want[4].items():
+                    assert abs(got[4][key] - res) <= 1e-13
+                assert got[5] == want[5]
+                checked += 1
+    assert checked >= 8
+
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (1, 6), (2, 3)])

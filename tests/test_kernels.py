@@ -5,7 +5,7 @@ import pytest
 
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
-from twoweight import GridSpec, build_grid
+from twoweight import GridSpec, _kernels, build_grid
 from twoweight.haar import basis, synthesize
 from twoweight.localization import SUPPORT_TOL, ewl_radius
 from twoweight.operators import DyadicOperator, random_ewl
@@ -55,6 +55,20 @@ def test_testing_images_match_leaf_matrix_reference(rng, dimension, depth):
     want = _reference_pass(t.adjoint().leaf_matrix(), grid, sigma.masses, *none)
     for g, w in zip(got[:2], want[:2]):
         _assert_close(g, w)
+
+
+@pytest.mark.parametrize("dimension,depth", [(1, 0), (1, 5), (2, 3)])
+def test_synthesize_at_equals_synthesize_boxes(rng, dimension, depth):
+    grid = build_grid(GridSpec(dimension, depth))
+    b = basis(random_measure(grid, rng, zero_fraction=0.25))
+    n = grid.num_leaves
+    coef = rng.standard_normal((n, 3))
+    want = _kernels.synthesize_boxes(b.alpha, b.beta, coef.T, b.inv_sqrt_total)
+    boxes = np.tile(np.arange(1, 2 * n), 3)
+    cols = np.repeat(np.arange(3), 2 * n - 1)
+    got = _kernels.synthesize_at(b.alpha, b.beta, coef, boxes, cols, grid.box_depth[boxes],
+                                 b.inv_sqrt_total)
+    assert np.array_equal(got, want[cols, boxes])
 
 
 def _per_column_side_radius(grid, w, in_measure, out_measure, tol):
@@ -127,3 +141,4 @@ def test_bench_module_runs():
     assert any("testing_report" in n for n in names)
     assert any(n.startswith("wl_radius[numpy]") for n in names)
     assert "operator_norm[svd] (d=6)" in names
+    assert "full_certificate[numpy] (d=6)" in names

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from twoweight.certificates import orthant_vanishing_check
 from twoweight.orthants import (
     MultiRootGrid,
     MultiRootMeasure,
@@ -26,7 +25,7 @@ def test_cross_orthant_pairings_vanish(rng):
         op = random_multiroot_ewl(mg, sigma, omega, r, seed=5)
         f = rng.standard_normal(mg.num_leaves)
         g = rng.standard_normal(mg.num_leaves)
-        assert orthant_vanishing_check(op, f, g)
+        assert op.cross_pairings_vanish(f, g)
         p = op.orthant_pairings(f, g)
         off_diag = p[~np.eye(mg.num_roots, dtype=bool)]
         assert np.all(off_diag == 0.0)
@@ -42,4 +41,4 @@ def test_planted_cross_block_detected(rng):
     bad = op.with_block(0, 1, 0.5 * np.eye(n))
     f = rng.standard_normal(mg.num_leaves)
     g = rng.standard_normal(mg.num_leaves)
-    assert not orthant_vanishing_check(bad, f, g)
+    assert not bad.cross_pairings_vanish(f, g)

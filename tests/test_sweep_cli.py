@@ -301,3 +301,43 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
             assert {k: v for k, v in row.items() if k != "wall_ms"} == \
                 {k: v for k, v in ref.items() if k != "wall_ms"}
     assert serialize.load_json(out / "summary.json")["failures"] == summary.failures
+
+
+# A small certified sweep over every family and measure kind, recorded from
+# the per-rectangle split_B loop and the stack-built stopping families that
+# preceded the array versions: summary counts and maxima, and the verdict
+# dict and stopping-member count of every trial.
+GOLDEN_SWEEP = {
+    "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
+    "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
+    "measures": ["uniform", "iid_uniform", "iid_exponential",
+                 {"kind": "sparse_atoms", "p": 0.3}, "lacunary", "from_weights"],
+    "seed": 31, "dump_certificates": True,
+}
+GOLDEN_SUMMARY = {"trials": 144, "passes": 144, "failures": [], "cells": 144,
+                  "max_embedding_ratio": 1.599375095920924, "max_packing_slack": 0.0}
+GOLDEN_VERDICT_KEYS = [
+    "abc_partition", "b1_sum", "b2_collapse", "b_partition", "b_s_split", "b_structure",
+    "bound_A", "bound_B1", "bound_B2", "bound_I", "bound_II", "bound_total",
+    "boundary_term1", "boundary_term2", "boundary_term3", "c_b1_sum", "c_b2_collapse",
+    "c_b_s_split", "c_b_structure", "c_bound_B1", "c_bound_B2", "c_bound_I", "c_bound_II",
+    "c_is_adjoint_b", "c_projection_norms", "embedding_f", "embedding_g", "mean_reduction",
+    "packing_f", "packing_g", "partner_count", "projection_norms",
+]
+GOLDEN_MEMBERS = {"total": 457, "max": 8}
+
+
+def test_certified_sweep_output_unchanged(tmp_path):
+    run_sweep(SweepConfig.from_dict(GOLDEN_SWEEP), out_dir=str(tmp_path))
+    doc = serialize.load_json(tmp_path / "summary.json")
+    got = {key: doc[key] for key in GOLDEN_SUMMARY if key != "cells"}
+    got["cells"] = len(doc["cells"])
+    assert got == GOLDEN_SUMMARY
+    names = sorted(os.listdir(tmp_path / "certificates"))
+    assert names == [f"trial_{i:06d}.json" for i in range(144)]
+    members = []
+    for name in names:
+        cert = serialize.load_json(tmp_path / "certificates" / name)
+        assert cert["verdicts"] == dict.fromkeys(GOLDEN_VERDICT_KEYS, True), name
+        members.append(len(cert["stopping_members"]))
+    assert {"total": sum(members), "max": max(members)} == GOLDEN_MEMBERS
