@@ -344,8 +344,6 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
     """
     if r is None:
         r = ewl_radius(t)
-        if r is None:
-            r = t.grid.tree_depth
     n = t.grid.dimension
     rep = report
     if rep is None:

@@ -14,7 +14,7 @@ import sys
 
 from . import serialize
 from .localization import ewl_radius, wl_radius
-from .sweep import SweepConfig, replay_trial, run_sweep
+from .sweep import SweepConfig, replay_trial, run_sweep, worker_count
 
 USAGE_ERROR = 2
 
@@ -57,7 +57,8 @@ def _cmd_sweep(args) -> int:
         if args.dump_certificates:
             doc["dump_certificates"] = True
         config = SweepConfig.from_dict(doc)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        worker_count()
+    except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -88,13 +89,12 @@ def _cmd_classify(args) -> int:
     try:
         doc = serialize.load_json(args.operator)
         t = serialize.operator_from_dict(doc)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"operator error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"operator error in {args.operator}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    r = ewl_radius(t)
     print(f"family: {t.family}")
     print(f"claimed radius: {t.claimed_radius}")
-    print(f"ewl_radius: {'not-EWL-within-grid' if r is None else r}")
+    print(f"ewl_radius: {ewl_radius(t)}")
     radii = list(range(wl_radius(t), t.grid.tree_depth + 1))
     print(f"well-localized radii: {radii if radii else 'none up to n*d'}")
     return 0
@@ -106,8 +106,8 @@ def _cmd_report(args) -> int:
     try:
         summary = serialize.load_json(summary_path)
         rows = serialize.read_rows_csv(trials_path)
-    except OSError as exc:
-        print(f"report error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"report error in {args.in_dir}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"sweep {summary['config_digest']} (v{summary['version']}) -- "
           f"{summary['trials']} trials, {summary['passes']} passed")

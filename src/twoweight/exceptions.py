@@ -39,7 +39,3 @@ class DecompositionError(AssertionError):
         super().__init__(message)
         self.pair = pair
         self.residual = residual
-
-
-class CertificateError(AssertionError):
-    """A per-stopping-rectangle exactness check failed."""

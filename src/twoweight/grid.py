@@ -121,9 +121,6 @@ class Grid:
 
     # -- heap arithmetic ----------------------------------------------------
 
-    def parent(self, h: int) -> int:
-        return h >> 1 if h > 1 else 1
-
     def ancestor(self, h: int, r: int) -> int:
         """The box of volume 2^r |box(h)| containing box(h), clipped at Q0."""
         a = h >> r
@@ -138,9 +135,6 @@ class Grid:
 
     def box_volume(self, h: int) -> float:
         return float(self.spec.side) ** self.dimension / (1 << int(self.box_depth[h]))
-
-    def boxes_at_depth(self, m: int) -> np.ndarray:
-        return np.arange(1 << m, 1 << (m + 1), dtype=np.int64)
 
     def all_boxes(self) -> np.ndarray:
         """All boxes, root through leaf scale (heap order)."""

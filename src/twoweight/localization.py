@@ -6,7 +6,10 @@ ewl_radius finds the smallest uniform r with
 
 over every charged rectangle E, where E^(r) is the heap ancestor of volume
 2^r |E| clipped at the root.  Support is measured on leaves of positive mass
-on the respective output side, above an absolute value threshold.
+on the respective output side, above an absolute value threshold.  Every
+support lies in Q0 = E^(depth(E)), so the radius of any operator on the grid
+is at most tree_depth - 1, the depth of the smallest rectangles; a dense
+generic W attains that bound.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -34,7 +37,6 @@ from .haar import basis, synthesize
 from .operators import DyadicOperator
 
 SUPPORT_TOL = 1e-12
-NOT_LOCALIZED = None  # sentinel: no radius up to n*d satisfies the condition
 
 
 def _side_radius(grid, w, in_measure, out_measure, tol):
@@ -67,14 +69,16 @@ def _side_radius(grid, w, in_measure, out_measure, tol):
     return worst
 
 
-def ewl_radius(t: DyadicOperator, support_tol: float = SUPPORT_TOL):
-    """Smallest uniform localization radius, or NOT_LOCALIZED past n*d."""
-    grid = t.grid
-    r = max(
-        _side_radius(grid, t.w, t.sigma, t.omega, support_tol),
-        _side_radius(grid, t.w.T, t.omega, t.sigma, support_tol),
+def ewl_radius(t: DyadicOperator, support_tol: float = SUPPORT_TOL) -> int:
+    """Smallest uniform localization radius, at most tree_depth - 1.
+
+    Each rectangle's climb ends at the root at the latest, so it adds at most
+    the rectangle's depth, and rectangles sit above leaf scale.
+    """
+    return max(
+        _side_radius(t.grid, t.w, t.sigma, t.omega, support_tol),
+        _side_radius(t.grid, t.w.T, t.omega, t.sigma, support_tol),
     )
-    return r if r <= grid.tree_depth else NOT_LOCALIZED
 
 
 def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):

@@ -42,9 +42,6 @@ class LeafMeasure:
     def total(self) -> float:
         return float(self.box_mass[1])
 
-    def mass_of(self, heap: int) -> float:
-        return float(self.box_mass[heap])
-
     def charged_leaves(self) -> np.ndarray:
         return self.masses > 0
 

@@ -26,17 +26,9 @@ from ._kernels import CHUNK_FLOATS
 from .exceptions import DimensionError, GridSizeError
 from .grid import Grid
 from .haar import WeightedBasis, analyze, basis, synthesize
-from .measures import LeafFunction, LeafMeasure
+from .measures import LeafMeasure
 
 MAX_OPERATOR_LEAVES = 4096
-FAMILIES = (
-    "martingale_transform",
-    "paraproduct",
-    "haar_shift",
-    "perfect_dyadic",
-    "random_ewl",
-    "custom",
-)
 
 
 class CoefficientSequence:
@@ -101,9 +93,6 @@ class DyadicOperator:
         """Leaf values of T(sigma f); batched over leading axes."""
         coef = analyze(self.sigma, values)
         return synthesize(self.omega, coef @ self.w.T)
-
-    def apply_function(self, f: LeafFunction) -> LeafFunction:
-        return LeafFunction(self.grid, self.apply(f.values))
 
     def pairing(self, f_values: np.ndarray, g_values: np.ndarray) -> float:
         """<T(sigma f), g>_omega."""
@@ -224,6 +213,16 @@ def _slot_boxes(grid: Grid) -> np.ndarray:
     boxes = np.arange(grid.num_leaves, dtype=np.int64)
     boxes[0] = 1
     return boxes
+
+
+# The families built from a coefficient sequence b, by name: the sweep draws
+# b and serialize stores it in place of the matrix.  It stays a module-level
+# dict: perfbench's tracer times the builders by rewriting its entries.
+COEFFICIENT_BUILDERS = {
+    "martingale_transform": martingale_transform,
+    "paraproduct": paraproduct,
+    "haar_shift": haar_shift,
+}
 
 
 def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> DyadicOperator:

@@ -19,12 +19,10 @@ import numpy as np
 from .grid import Grid, GridSpec, build_grid
 from .measures import LeafFunction, LeafMeasure
 from .operators import (
+    COEFFICIENT_BUILDERS,
     CoefficientSequence,
     DyadicOperator,
     from_leaf_matrix,
-    haar_shift,
-    martingale_transform,
-    paraproduct,
     random_ewl,
 )
 from .perfect_dyadic import PerfectDyadicKernel
@@ -95,13 +93,6 @@ def function_from_dict(doc: dict, grid: Grid = None) -> LeafFunction:
 
 # -- operators -------------------------------------------------------------
 
-_COEFFICIENT_FAMILIES = {
-    "martingale_transform": martingale_transform,
-    "paraproduct": paraproduct,
-    "haar_shift": haar_shift,
-}
-
-
 def operator_to_dict(t: DyadicOperator) -> dict:
     doc = {
         "family": t.family,
@@ -110,12 +101,13 @@ def operator_to_dict(t: DyadicOperator) -> dict:
         "sigma_masses": _to_lex(t.grid, t.sigma.masses),
         "omega_masses": _to_lex(t.grid, t.omega.masses),
     }
-    if t.family in _COEFFICIENT_FAMILIES:
+    if t.family in COEFFICIENT_BUILDERS:
         coeffs = t.meta["coefficients"]
         doc["coefficients"] = {str(h): float(coeffs[h])
                                for h in np.nonzero(coeffs)[0]}
     elif t.family == "random_ewl":
-        doc["seed"] = t.meta["seed"]
+        # numpy integers, alone or in a tuple seed, as plain JSON ints
+        doc["seed"] = np.asarray(t.meta["seed"]).tolist()
     else:
         lex = t.grid.lex_to_morton
         doc["matrix"] = t.leaf_matrix()[np.ix_(lex, lex)].tolist()
@@ -123,14 +115,18 @@ def operator_to_dict(t: DyadicOperator) -> dict:
 
 
 def operator_from_dict(doc: dict) -> DyadicOperator:
+    if not isinstance(doc, dict):
+        raise ValueError(f"operator must be a JSON object, not {type(doc).__name__}")
     grid = grid_from_dict(doc["grid"])
     sigma = LeafMeasure(grid, _from_lex(grid, doc["sigma_masses"]))
     omega = LeafMeasure(grid, _from_lex(grid, doc["omega_masses"]))
     family = doc["family"]
-    if family in _COEFFICIENT_FAMILIES:
-        b = CoefficientSequence.from_dict(
-            grid, {int(h): v for h, v in doc["coefficients"].items()})
-        return _COEFFICIENT_FAMILIES[family](b, sigma, omega)
+    if family in COEFFICIENT_BUILDERS:
+        coeffs = doc["coefficients"]
+        if not isinstance(coeffs, dict):
+            raise ValueError("coefficients must map heap indices to values")
+        b = CoefficientSequence.from_dict(grid, {int(h): v for h, v in coeffs.items()})
+        return COEFFICIENT_BUILDERS[family](b, sigma, omega)
     if family == "random_ewl":
         seed = doc["seed"]
         if isinstance(seed, list):

@@ -28,13 +28,7 @@ from .exceptions import DecompositionError, NormError
 from .grid import Grid, GridSpec, build_grid
 from .localization import ewl_radius
 from .measures import LeafFunction, LeafMeasure, from_pointwise_weights
-from .operators import (
-    CoefficientSequence,
-    haar_shift,
-    martingale_transform,
-    paraproduct,
-    random_ewl,
-)
+from .operators import COEFFICIENT_BUILDERS, CoefficientSequence, random_ewl
 from .testing import testing_report
 
 NECESSITY_SLACK = 1e-9
@@ -42,11 +36,6 @@ WORKERS_ENV = "TWOWEIGHT_WORKERS"
 
 MEASURE_KINDS = ("uniform", "iid_uniform", "iid_exponential", "sparse_atoms",
                  "lacunary", "from_weights")
-FAMILY_BUILDERS = {
-    "martingale_transform": martingale_transform,
-    "paraproduct": paraproduct,
-    "haar_shift": haar_shift,
-}
 
 
 @dataclass
@@ -83,7 +72,7 @@ class SweepConfig:
         if any(r < 0 for r in self.radii):
             raise ValueError("radii must be >= 0")
         for fam in self.families:
-            if fam not in set(FAMILY_BUILDERS) | {"random_ewl"}:
+            if fam not in COEFFICIENT_BUILDERS and fam != "random_ewl":
                 raise ValueError(f"unknown family {fam!r}")
             if fam == "haar_shift" and self.dimension != 1:
                 raise ValueError("haar_shift requires dimension 1")
@@ -167,7 +156,7 @@ def _build_operator(family, r, grid, sigma, omega, rng, scale):
         return random_ewl(r, sigma, omega, rng.integers(0, 2**63 - 1))
     b = CoefficientSequence(grid, scale * rng.uniform(-1.0, 1.0, grid.num_leaves))
     b.values[0] = 0.0
-    return FAMILY_BUILDERS[family](b, sigma, omega)
+    return COEFFICIENT_BUILDERS[family](b, sigma, omega)
 
 
 def _trial_seed(config: SweepConfig, index: int):
@@ -193,8 +182,6 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
 
     t = _build_operator(family, r, grid, sigma, omega, rng, config.coefficient_scale)
     r_used = ewl_radius(t)
-    if r_used is None:
-        r_used = grid.tree_depth
     start = time.perf_counter()
     extra = (r_used + 1,) if config.certificates else ()
     report = testing_report(t, r=r_used, extra_c3_radii=extra)
@@ -278,10 +265,19 @@ class SweepSummary:
         }
 
 
+def worker_count() -> int:
+    """The worker pool size TWOWEIGHT_WORKERS sets; 1 when unset or empty."""
+    raw = os.environ.get(WORKERS_ENV) or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, not {raw!r}") from None
+
+
 def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
     params = [(config, idx, d, r, fam, kind)
               for idx, d, r, fam, kind in config.trial_params()]
-    workers = int(os.environ.get(WORKERS_ENV, "1") or 1)
+    workers = worker_count()
     rows, all_failures, certs = [], [], []
     passes = 0
     max_emb = 0.0

@@ -15,8 +15,11 @@ belongs to the rectangle system as a set):
           over pairs with 2^-r |E| <= |G| <= 2^r |E| and G meeting E^(r)
 
 plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
-are skipped.  Every constant is bounded by the operator norm, exactly; that
-necessity chain is asserted by the sweep harness and the acceptance suite.
+are skipped.  testing_report computes all of them in one image pass per
+side and returns them as the fields of one TestingReport; its radius
+defaults to ewl_radius(T), at most tree_depth - 1.  Every constant is
+bounded by the operator norm, exactly; that necessity chain is asserted by
+the sweep harness and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
 from .haar import basis
+from .localization import ewl_radius
 from .operators import DyadicOperator
 
 
@@ -229,24 +233,6 @@ def _ratio_max(num: np.ndarray, den: np.ndarray, subset=None):
     return float(ratios[arg]), arg
 
 
-def local_testing(t: DyadicOperator):
-    """(c1, c2): restricted indicator testing constants."""
-    rep = testing_report(t, r=0, norm=False)
-    return rep.c1, rep.c2
-
-
-def global_testing(t: DyadicOperator):
-    """(c1_global, c2_global): unrestricted variants; dominate the local ones."""
-    rep = testing_report(t, r=0, norm=False)
-    return rep.c1_global, rep.c2_global
-
-
-def cube_testing(t: DyadicOperator, r: int):
-    """(c1_cube, c2_cube, c3_cube): suprema over dyadic cubes only."""
-    rep = testing_report(t, r=r, norm=False)
-    return rep.c1_cube, rep.c2_cube, rep.c3_cube
-
-
 def _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, subset=None):
     den = den_e * den_g
     ok = den > 0
@@ -270,11 +256,7 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     """
     start = time.perf_counter()
     if r is None:
-        from .localization import ewl_radius
-
         r = ewl_radius(t)
-        if r is None:
-            r = t.grid.tree_depth
     grid = t.grid
     sig_mass = t.sigma.box_mass
     om_mass = t.omega.box_mass

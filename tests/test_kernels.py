@@ -130,15 +130,3 @@ def test_run_trial_runs_one_testing_pass(monkeypatch):
         row, failures, cert = sweep.run_trial(config, index, d, r, fam, kind)
         assert not failures and cert is not None
         assert calls == [(row["r"] + 1,)]
-
-
-def test_bench_module_runs():
-    from twoweight import bench
-
-    rows = bench.run(dimension=1, depth=6, repeat=2)
-    names = [name for name, _ in rows]
-    assert any("box_sums[numpy]" in n for n in names)
-    assert any("testing_report" in n for n in names)
-    assert any(n.startswith("wl_radius[numpy]") for n in names)
-    assert "operator_norm[svd] (d=6)" in names
-    assert "full_certificate[numpy] (d=6)" in names

@@ -5,7 +5,7 @@ import pytest
 
 from twoweight import GridSpec, LeafMeasure, build_grid
 from twoweight.haar import basis, indicator_coefficients
-from twoweight.localization import NOT_LOCALIZED, ewl_radius, wl_check, wl_radius
+from twoweight.localization import ewl_radius, wl_check, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
     DyadicOperator,
@@ -39,14 +39,15 @@ def test_known_radii_classic_families(rng):
     assert wl_check(p, 1)
 
 
-def test_dense_random_operator_degenerate_radius(rng):
-    # generic full supports force the maximal radius the truncated grid allows
-    grid = build_grid(GridSpec(1, 4))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dense_random_operator_degenerate_radius(n, rng):
+    # generic full supports force the bound tree_depth - 1: the smallest
+    # rectangles climb to the root
+    grid = build_grid(GridSpec(n, {1: 4, 2: 3, 3: 2}[n]))
     sigma, omega = pair(rng, grid)
     w = rng.standard_normal((grid.num_leaves, grid.num_leaves))
     t = DyadicOperator(grid, sigma, omega, w)
     assert ewl_radius(t) == grid.tree_depth - 1
-    assert ewl_radius(t) is not NOT_LOCALIZED
 
 
 def test_wl_check_monotone_in_r(rng):

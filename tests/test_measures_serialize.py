@@ -18,7 +18,8 @@ from twoweight import (
 )
 from twoweight import serialize
 from twoweight.exceptions import DomainError
-from twoweight.operators import CoefficientSequence, paraproduct
+from twoweight.operators import COEFFICIENT_BUILDERS, CoefficientSequence, random_ewl
+from twoweight.sweep import SweepConfig
 
 
 def test_from_weights_trivial_units():
@@ -89,15 +90,31 @@ def test_function_roundtrip(rng):
     assert np.array_equal(back.values, f.values)
 
 
-def test_operator_roundtrip_coefficient_family(rng):
+@pytest.mark.parametrize("family", [*COEFFICIENT_BUILDERS, "random_ewl", "random_ewl_tuple"])
+def test_operator_roundtrip_coefficient_family(family, rng):
     grid = build_grid(GridSpec(1, 3))
     sigma = LeafMeasure(grid, rng.uniform(0.1, 1, 8))
     omega = LeafMeasure(grid, rng.uniform(0.1, 1, 8))
-    t = paraproduct(CoefficientSequence.random(grid, rng), sigma, omega)
+    if family in COEFFICIENT_BUILDERS:
+        t = COEFFICIENT_BUILDERS[family](CoefficientSequence.random(grid, rng), sigma, omega)
+    else:
+        # the seed as the sweep draws it (np.int64), or as an orthant tuple
+        seed = rng.integers(0, 2**63 - 1)
+        t = random_ewl(1, sigma, omega, (seed, np.int64(3)) if family.endswith("tuple") else seed)
     doc = json.loads(json.dumps(serialize.operator_to_dict(t)))
     back = serialize.operator_from_dict(doc)
-    assert back.family == "paraproduct"
-    assert np.allclose(back.w, t.w, atol=0)
+    assert back.family == t.family
+    assert np.array_equal(back.w, t.w)
+
+
+@pytest.mark.parametrize("family", COEFFICIENT_BUILDERS)
+def test_coefficient_registry_drives_sweep_and_serialize(family, rng):
+    assert SweepConfig.from_dict({"families": [family]}).families == [family]
+    grid = build_grid(GridSpec(1, 2))
+    t = COEFFICIENT_BUILDERS[family](CoefficientSequence.random(grid, rng),
+                                     lebesgue(grid), lebesgue(grid))
+    doc = serialize.operator_to_dict(t)
+    assert "coefficients" in doc and "matrix" not in doc
 
 
 def test_operator_roundtrip_dense_matrix(rng):

@@ -164,7 +164,7 @@ def test_cli_sweep_report_classify_exit_codes(tmp_path, rng, capsys):
     assert "well-localized radii: [2, 3]" in shown
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": 2, "families": ["haar_shift"]}))
     assert main(["sweep", "--config", str(bad)]) == 2
@@ -172,6 +172,30 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "nowhere")]) == 2
     assert main(["classify", "--operator", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+    def one_line_error(argv, names):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and names in err
+
+    # malformed input from outside the program: a one-line error naming it
+    array_op = tmp_path / "array.json"
+    array_op.write_text("[1, 2]")
+    one_line_error(["classify", "--operator", str(array_op)], str(array_op))
+    list_coeffs = tmp_path / "list_coeffs.json"
+    list_coeffs.write_text(json.dumps({
+        "family": "paraproduct", "grid": {"dimension": 1, "depth": 2},
+        "sigma_masses": [1.0] * 4, "omega_masses": [1.0] * 4,
+        "coefficients": [0.5, 0.5, 0.5]}))
+    one_line_error(["classify", "--operator", str(list_coeffs)], str(list_coeffs))
+    sweep_dir = tmp_path / "sweep_out"
+    sweep_dir.mkdir()
+    (sweep_dir / "summary.json").write_text('{"trials": ')
+    one_line_error(["report", "--in", str(sweep_dir)], str(sweep_dir))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"depths": [2], "radii": [0]}))
+    monkeypatch.setenv("TWOWEIGHT_WORKERS", "two")
+    one_line_error(["sweep", "--config", str(good)], "TWOWEIGHT_WORKERS")
 
 
 def test_cli_replay(tmp_path, capsys):

@@ -9,6 +9,7 @@ from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue
 from twoweight.exceptions import NormError
 from twoweight.haar import basis
 from twoweight.operators import (
+    COEFFICIENT_BUILDERS,
     CoefficientSequence,
     DyadicOperator,
     martingale_transform,
@@ -16,9 +17,7 @@ from twoweight.operators import (
     zero_operator,
 )
 from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
-from twoweight.sweep import FAMILY_BUILDERS
 from twoweight.testing import LANCZOS_MIN_LEAVES, admissible_pairs, lanczos_norm, operator_norm
-from twoweight.testing import cube_testing, global_testing, local_testing
 from twoweight.testing import testing_report as make_report
 
 from conftest import random_measure
@@ -86,13 +85,13 @@ def test_martingale_norm_closed_form_at_1024_leaves(n, d, rng):
     assert operator_norm(t) == pytest.approx(closed, rel=1e-12)
 
 
-NORM_FAMILIES = [*FAMILY_BUILDERS, "random_ewl0", "random_ewl1", "random_ewl2", "custom"]
+NORM_FAMILIES = [*COEFFICIENT_BUILDERS, "random_ewl0", "random_ewl1", "random_ewl2", "custom"]
 
 
 def _family_operator(family, grid, sigma, omega, rng):
     """One operator of a family; "random_ewlR" has radius R, "custom" is a dense W."""
-    if family in FAMILY_BUILDERS:
-        return FAMILY_BUILDERS[family](CoefficientSequence.random(grid, rng), sigma, omega)
+    if family in COEFFICIENT_BUILDERS:
+        return COEFFICIENT_BUILDERS[family](CoefficientSequence.random(grid, rng), sigma, omega)
     if family.startswith("random_ewl"):
         return random_ewl(int(family[-1]), sigma, omega, rng.integers(2**32))
     if family == "perfect_dyadic":
@@ -286,10 +285,10 @@ def test_c1_equals_c2_of_adjoint(rng):
     grid = build_grid(GridSpec(1, 4))
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
     t = random_ewl(1, sigma, omega, 14)
-    c1, c2 = local_testing(t)
-    c1a, c2a = local_testing(t.adjoint())
-    assert c1 == pytest.approx(c2a, rel=1e-12)
-    assert c2 == pytest.approx(c1a, rel=1e-12)
+    rep = make_report(t, r=0, norm=False)
+    adj = make_report(t.adjoint(), r=0, norm=False)
+    assert rep.c1 == pytest.approx(adj.c2, rel=1e-12)
+    assert rep.c2 == pytest.approx(adj.c1, rel=1e-12)
 
 
 def test_c3_diagonal_pair_admissible(rng):
@@ -330,7 +329,7 @@ def test_global_constants_two_path(rng):
     grid = build_grid(GridSpec(1, 4))
     sigma, omega = pair(rng, grid, zero_fraction=0.25)
     t = random_ewl(1, sigma, omega, 31)
-    c1g, c2g = global_testing(t)
+    rep = make_report(t, r=0, norm=False)
     best1 = best2 = 0.0
     ta = t.adjoint()
     for e in range(1, grid.num_boxes):
@@ -342,8 +341,8 @@ def test_global_constants_two_path(rng):
         if oe > 0:
             nrm = np.sqrt(np.sum(sigma.masses * ta.apply(ind) ** 2))
             best2 = max(best2, nrm / np.sqrt(oe))
-    assert c1g == pytest.approx(best1, rel=1e-12)
-    assert c2g == pytest.approx(best2, rel=1e-12)
+    assert rep.c1_global == pytest.approx(best1, rel=1e-12)
+    assert rep.c2_global == pytest.approx(best2, rel=1e-12)
 
 
 def test_local_below_global_below_norm(rng):
@@ -374,7 +373,7 @@ def test_cube_testing_2d_brute_force(rng):
     grid = build_grid(GridSpec(2, 2))
     sigma, omega = pair(rng, grid, low=0.1)
     t = random_ewl(1, sigma, omega, 6)
-    c1c, c2c, c3c = cube_testing(t, 1)
+    rep = make_report(t, r=1, norm=False)
     cubes = [h for h in range(1, grid.num_boxes) if grid.is_cube(h)]
     assert len(cubes) == 1 + 4 + 16
     best = 0.0
@@ -385,8 +384,8 @@ def test_cube_testing_2d_brute_force(rng):
         ind = indicator(grid, q).values
         img = t.apply(ind) * ind
         best = max(best, np.sqrt(np.sum(omega.masses * img**2) / sq))
-    assert c1c == pytest.approx(best, rel=1e-12)
-    assert c1c <= make_report(t, r=1, norm=False).c1 * (1 + 1e-12)
+    assert rep.c1_cube == pytest.approx(best, rel=1e-12)
+    assert rep.c1_cube <= rep.c1 * (1 + 1e-12)
 
 
 def _admissible_pairs_loop(grid, r):
