@@ -15,21 +15,32 @@ HAVE_NUMBA = False  # no compiled kernels; the benchmark's environment record re
 CHUNK_FLOATS = 1 << 15
 
 
+def subtree_sums(heap):
+    """Add into every heap slot the values of all the boxes below it, in place.
+
+    heap: (..., 2N); afterwards heap[..., H] is the sum of the input over
+    box H and its descendants, added one level of parents at a time from
+    the leaves up.  Slot 0 is left as it is.  Returns heap.
+    """
+    h = heap.shape[-1] >> 2
+    while h >= 1:
+        heap[..., h : 2 * h] += heap[..., 2 * h : 4 * h : 2] + heap[..., 2 * h + 1 : 4 * h : 2]
+        h >>= 1
+    return heap
+
+
 def box_sums(leaf):
     """Sum leaf values over every heap box.
 
     leaf: (..., N) in Morton order. Returns (..., 2N) with out[..., H] the sum
-    over the leaves of box H; slot 0 unused.
+    over the leaves of box H; slot 0 is 0.
     """
     n_leaves = leaf.shape[-1]
     out = np.zeros(leaf.shape[:-1] + (2 * n_leaves,), dtype=np.float64)
+    # -0.0 is the exact additive identity: a sum of -0.0 leaves stays -0.0
+    out[..., 1:n_leaves] = -0.0
     out[..., n_leaves:] = leaf
-    h = n_leaves >> 1
-    while h >= 1:
-        lo, hi = h, 2 * h
-        out[..., lo:hi] = out[..., 2 * lo : 2 * hi : 2] + out[..., 2 * lo + 1 : 2 * hi : 2]
-        h >>= 1
-    return out
+    return subtree_sums(out)
 
 
 def analyze(alpha, beta, weighted_sums, inv_sqrt_total):
@@ -70,25 +81,21 @@ def synthesize_boxes(alpha, beta, coef, inv_sqrt_total):
     return acc
 
 
-def synthesize_at(alpha, beta, coef, boxes, cols, depth, inv_sqrt_total):
+def synthesize_at(factor, coef, boxes, cols, depth, inv_sqrt_total):
     """synthesize_boxes(alpha, beta, coef[:, c], inv_sqrt_total)[q] per pair.
 
-    coef: (N, M) whitened coefficients, one function per column; boxes,
-    cols, depth: (P,) the box q, the column c and q's heap depth of each
-    pair.  Only each box's root path is walked, top-down with the
-    recurrence of synthesize_boxes, so the values are the same bit for bit
-    at O(P * tree depth) instead of O(M * N).
+    factor: the basis' WeightedBasis.factor table; coef: (N, M) whitened
+    coefficients, one function per column; boxes, cols, depth: (P,) the box
+    q, the column c and q's heap depth of each pair.  Only each box's root
+    path is walked, top-down with the recurrence of synthesize_boxes
+    (x - b*c and x + (-b)*c round alike), so the values are the same bit for
+    bit at O(P * tree depth) instead of O(M * N).
     """
-    n = alpha.shape[-1]
-    # factor of the parent's component on each child box: -beta on the
-    # lower half, +alpha on the upper (x - b*c and x + (-b)*c round alike)
-    factor = np.zeros(2 * n)
-    factor[2::2] = -beta[1:]
-    factor[3::2] = alpha[1:]
     val = coef[0, cols] * inv_sqrt_total
     for k in range(int(depth.max()) if depth.size else 0):
-        node = boxes >> np.maximum(depth - k - 1, 0)  # the path's box at depth k + 1
-        val = np.where(k < depth, val + factor[node] * coef[node >> 1, cols], val)
+        live = np.flatnonzero(depth > k)
+        node = boxes[live] >> (depth[live] - k - 1)  # the path's box at depth k + 1
+        val[live] += factor[node] * coef[node >> 1, cols[live]]
     return val
 
 

@@ -167,19 +167,16 @@ def decompose_ABC(t: DyadicOperator, f_values, g_values, r: int,
     fhat[0] = 0.0
     ghat[0] = 0.0
 
-    depth = grid.box_depth
     tiny = 1e-13 * (1.0 + t.frobenius())
     gs, es = np.nonzero(np.abs(t.w) > tiny)
     keep = (gs >= 1) & (es >= 1)
     gs, es = gs[keep], es[keep]
     contrib = t.w[gs, es] * ghat[gs] * fhat[es]
 
-    de, dg = depth[es], depth[gs]
-    mask_a = np.abs(de - dg) <= r
-    gap_b = de - dg
-    mask_b = (gap_b > r) & ((es >> np.maximum(gap_b, 0)) == gs)
-    gap_c = dg - de
-    mask_c = (gap_c > r) & ((gs >> np.maximum(gap_c, 0)) == es)
+    gap = grid.box_depth[es] - grid.box_depth[gs]
+    mask_a = np.abs(gap) <= r
+    mask_b = (gap > r) & grid.contains(gs, es)
+    mask_c = (-gap > r) & grid.contains(es, gs)
     mask_x = ~(mask_a | mask_b | mask_c)
 
     a = float(np.sum(contrib[mask_a]))
@@ -242,13 +239,10 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     om_mass = omega.box_mass
     num_boxes = grid.num_boxes
 
-    gints = _kernels.box_sums(parts["g_values"] * omega.masses)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gavg = np.where(om_mass > 0, gints / np.where(om_mass > 0, om_mass, 1.0), 0.0)
+    gavg = omega.averages(parts["g_values"])
 
-    depth = grid.box_depth
     sp = family.stop_parent
-    anc_all = np.maximum(np.arange(num_boxes, dtype=np.int64) >> r, 1)
+    anc_all = grid.ancestor(np.arange(num_boxes, dtype=np.int64), r)
     spanc = sp[anc_all]
 
     gs = parts["G"][parts["mask_b"]]
@@ -258,9 +252,7 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     s_g = sp[gs]
     same = s_f == s_g
     # no pair may put the g-side parent strictly inside the f-side parent
-    gap = depth[s_g] - depth[s_f]
-    strictly_below = (~same) & (gap > 0) & ((s_g >> np.maximum(gap, 0)) == s_f)
-    structure_ok = not bool(np.any(strictly_below))
+    structure_ok = not bool(np.any(~same & grid.contains(s_f, s_g)))
 
     b1 = float(np.sum(contrib_b[same]))
     b2_direct = float(np.sum(contrib_b[~same]))
@@ -274,7 +266,7 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     b = basis(omega)
     boxes = np.concatenate((anc, stop))
     values = om_mass[boxes] * _kernels.synthesize_at(
-        b.alpha, b.beta, t.w, boxes, np.concatenate((live, live)), depth[boxes],
+        b.factor, t.w, boxes, np.concatenate((live, live)), grid.box_depth[boxes],
         b.inv_sqrt_total)
     t_anc, t_stop = values[: live.size], values[live.size :]
     f_live = fhat[live]
@@ -318,6 +310,25 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
                  "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
     per_stopping = dict(zip(members.tolist(), zip(i_m.tolist(), ii_m.tolist())))
     return b1, b2_direct, per_stopping, verdicts, residuals, constants
+
+
+def _stopping_side(t: DyadicOperator, parts: dict, values, mu: LeafMeasure, r: int,
+                   c: float, rtol: float, side: str, prefix: str):
+    """The stopping family of |values| on mu, its embedding and packing, and
+    split_B of t over it: (b1, b2, per_stopping, members), the side's verdicts,
+    residuals and constants (split_B's keys behind prefix), split_B's constants."""
+    family = build_stopping_family(values, mu)
+    emb = embedding_ratios(family, values, mu)
+    b1, b2, per_stopping, v, res, const = split_B(t, parts, family, r, c, rtol)
+    slack, ratio = family.packing_slack()
+    verdicts = {f"packing_{side}": family.packing_ok(),
+                f"embedding_{side}": emb["absolute"] <= EMBEDDING_LIMIT,
+                **{prefix + k: x for k, x in v.items()}}
+    constants = {f"embedding_ratio_{side}": emb["absolute"],
+                 f"embedding_signed_{side}": emb["signed"],
+                 f"packing_slack_{side}": slack, f"packing_ratio_{side}": ratio}
+    residuals = {prefix + k: x for k, x in res.items()}
+    return (b1, b2, per_stopping, family.members), verdicts, residuals, constants, const
 
 
 def a_term_bound(a_value: float, n: int, r: int, c3_next: float,
@@ -368,14 +379,11 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
     verdicts["mean_reduction"] = residuals["mean_reduction"] <= rtol
     verdicts["partner_count"] = parts["max_partners"] <= count_M(n, r)
 
-    family_g = build_stopping_family(g0, t.omega)
-    emb_g = embedding_ratios(family_g, g0, t.omega)
-    verdicts["packing_g"] = family_g.packing_ok()
-    verdicts["embedding_g"] = emb_g["absolute"] <= EMBEDDING_LIMIT
-
-    b1, b2, per_stopping, v_b, res_b, const_b = split_B(t, parts, family_g, r, c2, rtol)
-    verdicts.update(v_b)
-    residuals.update({f"{k}": v for k, v in res_b.items()})
+    # forward side on (g, omega) with c2; the C side runs it on (t*, f, sigma) with c1
+    (b1, b2, per_stopping, members), v_g, res_g, const_g, const_b = _stopping_side(
+        t, parts, g0, t.omega, r, c2, rtol, "g", "")
+    verdicts.update(v_g)
+    residuals.update(res_g)
     residuals["b_partition"] = abs(b - (b1 + b2)) / scale
     verdicts["b_partition"] = residuals["b_partition"] <= rtol
 
@@ -384,13 +392,10 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
     a2, b2_adj, c2_adj, parts_adj = decompose_ABC(ta, g0, f0, r, rtol=rtol)
     residuals["c_is_adjoint_b"] = abs(c - b2_adj) / scale
     verdicts["c_is_adjoint_b"] = residuals["c_is_adjoint_b"] <= rtol
-    family_f = build_stopping_family(f0, t.sigma)
-    emb_f = embedding_ratios(family_f, f0, t.sigma)
-    verdicts["packing_f"] = family_f.packing_ok()
-    verdicts["embedding_f"] = emb_f["absolute"] <= EMBEDDING_LIMIT
-    cb1, cb2, c_per_stop, v_c, res_c, _ = split_B(ta, parts_adj, family_f, r, c1, rtol)
-    verdicts.update({f"c_{k}": v for k, v in v_c.items()})
-    residuals.update({f"c_{k}": v for k, v in res_c.items()})
+    (cb1, cb2, c_per_stop, _), v_f, res_f, const_f, _ = _stopping_side(
+        ta, parts_adj, f0, t.sigma, r, c1, rtol, "f", "c_")
+    verdicts.update(v_f)
+    residuals.update(res_f)
 
     a_check = a_term_bound(a, n, r, c3_next, parts["fnorm"], parts["gnorm"])
     verdicts["bound_A"] = a_check["ok"]
@@ -404,17 +409,11 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
     verdicts["bound_total"] = abs(pi_full) <= total_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + scale)
     k_total = total_bound / (csum * fnorm * gnorm) if csum > 0 and fnorm * gnorm > 0 else 0.0
 
-    slack_g = family_g.packing_slack()
-    slack_f = family_f.packing_slack()
     bound_constants = {
         "r": int(r), "M": m_const, "c1": c1, "c2": c2, "c3": c3,
         "c3_enumeration_radius": int(r + 1), "c3_next": c3_next,
         "A_factor": 4.0 * m_const, "K_total": float(k_total),
-        "embedding_ratio_g": emb_g["absolute"], "embedding_ratio_f": emb_f["absolute"],
-        "embedding_signed_g": emb_g["signed"], "embedding_signed_f": emb_f["signed"],
-        "packing_slack_g": slack_g[0], "packing_ratio_g": slack_g[1],
-        "packing_slack_f": slack_f[0], "packing_ratio_f": slack_f[1],
-        **const_b,
+        **const_g, **const_f, **const_b,
     }
     return BilinearCertificate(
         pi_total=parts["pi"], a_term=a, b_term=b, c_term=c,
@@ -424,5 +423,5 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
         residuals={k: float(v) for k, v in residuals.items()},
         c_side={"b1": cb1, "b2": cb2,
                 "per_stopping": {str(k): list(v) for k, v in c_per_stop.items()}},
-        stopping_members=[int(s) for s in family_g.members],
+        stopping_members=[int(s) for s in members],
     )

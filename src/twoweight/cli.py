@@ -106,28 +106,27 @@ def _cmd_report(args) -> int:
     try:
         summary = serialize.load_json(summary_path)
         rows = serialize.read_rows_csv(trials_path)
-    except (OSError, ValueError) as exc:
-        print(f"report error in {args.in_dir}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(f"sweep {summary['config_digest']} (v{summary['version']}) -- "
-          f"{summary['trials']} trials, {summary['passes']} passed")
-    print(f"max embedding ratio: {summary['max_embedding_ratio']:.4f}")
-    header = f"{'cell':58s} {'trials':>6s} {'max':>9s} {'median':>9s}"
-    print(header)
-    for key, stats in sorted(summary["cells"].items()):
-        print(f"{key:58s} {stats['trials']:6d} {stats['max_ratio_sum']:9.4f} "
-              f"{stats['median_ratio_sum']:9.4f}")
-    worst = sorted(rows, key=lambda r: -float(r["ratio_sum"]))[:5]
-    if worst:
-        print("largest norm/(c1+c2+c3) trials:")
+        lines = [f"sweep {summary['config_digest']} (v{summary['version']}) -- "
+                 f"{summary['trials']} trials, {summary['passes']} passed",
+                 f"max embedding ratio: {summary['max_embedding_ratio']:.4f}",
+                 f"{'cell':58s} {'trials':>6s} {'max':>9s} {'median':>9s}"]
+        for key, stats in sorted(summary["cells"].items()):
+            lines.append(f"{key:58s} {stats['trials']:6d} {stats['max_ratio_sum']:9.4f} "
+                         f"{stats['median_ratio_sum']:9.4f}")
+        worst = sorted(rows, key=lambda r: -float(r["ratio_sum"]))[:5]
+        if worst:
+            lines.append("largest norm/(c1+c2+c3) trials:")
         for row in worst:
-            print(f"  seed {row['seed']} n={row['n']} d={row['d']} r={row['r']} "
-                  f"{row['family']}: {float(row['ratio_sum']):.4f}")
-    if summary["failures"]:
-        for failure in summary["failures"]:
-            print(f"FAIL {failure}", file=sys.stderr)
-        return 1
-    return 0
+            lines.append(f"  seed {row['seed']} n={row['n']} d={row['d']} r={row['r']} "
+                         f"{row['family']}: {float(row['ratio_sum']):.4f}")
+        failures = list(summary["failures"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"report error in {args.in_dir}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    print("\n".join(lines))
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:

@@ -120,15 +120,30 @@ class Grid:
         self.leaf_volume = float(spec.side) ** n / num_leaves
 
     # -- heap arithmetic ----------------------------------------------------
+    # The one home of the tree relations; each takes heap boxes (and shifts)
+    # as ints or as arrays, which broadcast together.
 
-    def ancestor(self, h: int, r: int) -> int:
+    def ancestor(self, h, r):
         """The box of volume 2^r |box(h)| containing box(h), clipped at Q0."""
-        a = h >> r
-        return a if a >= 1 else 1
+        return np.maximum(h >> r, 1)
 
-    def contains(self, outer: int, inner: int) -> bool:
-        gap = self.box_depth[inner] - self.box_depth[outer]
-        return gap >= 0 and (inner >> gap) == outer
+    def contains(self, outer, inner):
+        """box(inner) inside box(outer); heap boxes nest exactly when their
+        leaf intervals do."""
+        lo, hi = self.box_lo, self.box_hi
+        return (lo[outer] <= lo[inner]) & (hi[inner] <= hi[outer])
+
+    def meets(self, a, b):
+        """box(a) and box(b) overlap, i.e. one holds the other."""
+        lo, hi = self.box_lo, self.box_hi
+        return (lo[a] < hi[b]) & (lo[b] < hi[a])
+
+    def lca_depth(self, a, b):
+        """Heap depth of the smallest box holding both box(a) and box(b)."""
+        da, db = self.box_depth[a], self.box_depth[b]
+        k = np.minimum(da, db)
+        split = (a >> (da - k)) ^ (b >> (db - k))  # the two depth-k boxes
+        return k - np.frexp(split)[1]  # less the bit length of their difference
 
     def is_cube(self, h: int) -> bool:
         return self.box_depth[h] % self.dimension == 0
@@ -311,4 +326,4 @@ def ancestor_rectangle(rect: HaarRectangle, r: int) -> HaarRectangle:
     """The rectangle of volume 2^r |E| containing E; clips at the root cube."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return HaarRectangle(rect.grid, rect.grid.ancestor(rect.heap, r))
+    return HaarRectangle(rect.grid, int(rect.grid.ancestor(rect.heap, r)))

@@ -52,6 +52,11 @@ class WeightedBasis:
         self.beta = beta
         self.charged = np.zeros(n, dtype=bool)
         self.charged[1:] = charged
+        # factor of the parent's component on each child box along a root
+        # path: -beta on the lower half, +alpha on the upper
+        self.factor = np.zeros(2 * n)
+        self.factor[2::2] = -beta[1:]
+        self.factor[3::2] = alpha[1:]
         total = float(bm[1])
         self.sqrt_total = np.sqrt(total)
         self.inv_sqrt_total = 1.0 / self.sqrt_total if total > 0 else 0.0
@@ -61,6 +66,21 @@ class WeightedBasis:
         slots = self.charged.copy()
         slots[0] = self.mu.total > 0
         return slots
+
+    def average_coefficients(self, boxes):
+        """Flat arrays (i, A, c): <f>^mu_Q = sum of c fhat(A) for Q = boxes[i],
+        over the constant slot A = 0 (c = 1/sqrt(mu(Q0))) and Q's strict
+        ancestors A (c = factor of A's child on Q's root path).  Times mu(Q),
+        the entries of indicator_coefficients(mu, Q), zeros included."""
+        boxes = np.asarray(boxes, dtype=np.int64)
+        idx, node = np.arange(boxes.size), boxes
+        parts = [(idx, np.zeros_like(boxes), np.full(boxes.size, self.inv_sqrt_total))]
+        while node.size:
+            up = node > 1
+            idx, node = idx[up], node[up]
+            parts.append((idx, node >> 1, self.factor[node]))
+            node = node >> 1
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def basis(mu: LeafMeasure) -> WeightedBasis:

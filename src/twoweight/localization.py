@@ -39,46 +39,39 @@ from .operators import DyadicOperator
 SUPPORT_TOL = 1e-12
 
 
-def _side_radius(grid, w, in_measure, out_measure, tol):
+def _side_radius(grid, w, in_measure, out_measure):
     """Max over charged rectangles of the minimal containing-ancestor gap.
 
-    The columns of w are synthesized a block at a time; per column the
-    support bounds and the climb to the first ancestor box holding both are
-    vectorized over the block.
+    The columns of w are synthesized a block at a time; per column the gap
+    from the rectangle up to the smallest box holding it and its support
+    leaves is vectorized over the block.
     """
     n = grid.num_leaves
     rects = np.nonzero(basis(in_measure).charged)[0]
     out_charged = out_measure.charged_leaves()
-    lo_all, hi_all = grid.box_lo, grid.box_hi
     rows = max(1, CHUNK_FLOATS // n)
     worst = 0
     for c in range(0, rects.size, rows):
         hs = rects[c : c + rows]
-        supp = out_charged & (np.abs(synthesize(out_measure, w[:, hs].T)) > tol)
+        supp = out_charged & (np.abs(synthesize(out_measure, w[:, hs].T)) > SUPPORT_TOL)
         hit = supp.any(axis=1)
         hs, supp = hs[hit], supp[hit]
-        lo = np.argmax(supp, axis=1)
-        hi = n - 1 - np.argmax(supp[:, ::-1], axis=1)
-        anc, r = hs.copy(), 0
-        outside = ~((lo_all[anc] <= lo) & (hi < hi_all[anc]))
-        while np.any(outside):
-            anc[outside] >>= 1
-            r += 1
-            outside = ~((lo_all[anc] <= lo) & (hi < hi_all[anc]))
-        worst = max(worst, r)
+        first = n + np.argmax(supp, axis=1)  # the outermost support leaves
+        last = 2 * n - 1 - np.argmax(supp[:, ::-1], axis=1)
+        top = np.minimum(grid.lca_depth(hs, first), grid.lca_depth(hs, last))
+        worst = max(worst, int((grid.box_depth[hs] - top).max(initial=0)))
     return worst
 
 
-def ewl_radius(t: DyadicOperator, support_tol: float = SUPPORT_TOL) -> int:
+def ewl_radius(t: DyadicOperator) -> int:
     """Smallest uniform localization radius, at most tree_depth - 1.
 
-    Each rectangle's climb ends at the root at the latest, so it adds at most
-    the rectangle's depth, and rectangles sit above leaf scale.
+    The smallest box holding a rectangle and its support is the root at the
+    largest, a gap of at most the rectangle's depth, and rectangles sit
+    above leaf scale.
     """
-    return max(
-        _side_radius(t.grid, t.w, t.sigma, t.omega, support_tol),
-        _side_radius(t.grid, t.w.T, t.omega, t.sigma, support_tol),
-    )
+    return max(_side_radius(t.grid, t.w, t.sigma, t.omega),
+               _side_radius(t.grid, t.w.T, t.omega, t.sigma))
 
 
 def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):
@@ -109,12 +102,8 @@ def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):
             continue
         r_box, q_box = rs[ri], qi + 1
         dr, dq = depth[r_box], depth[q_box]
-        k = np.minimum(dr, dq)
-        split = (r_box >> (dr - k)) ^ (q_box >> (dq - k))
-        below_lca = np.frexp(split)[1]  # bit length: levels under the common ancestor
-        # R is inside Q iff split == 0 with d(R) >= d(Q); for d(R) < d(Q)
-        # the second term is <= 0 either way
-        need = np.maximum(dq - k + below_lca, np.where(split != 0, dr - dq + 1, 0))
+        need = np.maximum(dq - grid.lca_depth(r_box, q_box),
+                          np.where(grid.contains(q_box, r_box), 0, dr - dq + 1))
         worst = max(worst, int(need.max()))
     return worst
 

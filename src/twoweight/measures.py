@@ -38,6 +38,13 @@ class LeafMeasure:
             self._box_mass.flags.writeable = False
         return self._box_mass
 
+    def averages(self, values) -> np.ndarray:
+        """Heap array (..., 2N): mu-average of leaf values over every box, 0 on
+        massless boxes; batched over leading axes."""
+        sums = _kernels.box_sums(np.asarray(values, dtype=np.float64) * self.masses)
+        bm = self.box_mass
+        return np.divide(sums, bm, out=np.zeros_like(sums), where=bm > 0)
+
     @property
     def total(self) -> float:
         return float(self.box_mass[1])

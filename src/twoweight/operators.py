@@ -169,22 +169,10 @@ def paraproduct(b: CoefficientSequence, sigma: LeafMeasure,
     """
     grid = b.grid
     n = grid.num_leaves
-    bs = basis(sigma)
     w = np.zeros((n, n))
-    sig_mass = sigma.box_mass
-    for h in range(1, n):
-        coeff = b.values[h]
-        if coeff == 0.0 or sig_mass[h] == 0.0:
-            continue
-        w[h, 0] += coeff * bs.inv_sqrt_total
-        node = h
-        while node > 1:
-            parent = node >> 1
-            if node & 1:
-                w[h, parent] += coeff * bs.alpha[parent]
-            else:
-                w[h, parent] -= coeff * bs.beta[parent]
-            node = parent
+    rows = np.flatnonzero((b.values[1:] != 0.0) & (sigma.box_mass[1:n] != 0.0)) + 1
+    i, slot, c = basis(sigma).average_coefficients(rows)
+    w[rows[i], slot] += b.values[rows[i]] * c
     return DyadicOperator(grid, sigma, omega, w, family="paraproduct",
                           claimed_radius=0, meta={"coefficients": b.values})
 
@@ -248,23 +236,19 @@ def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> Dyad
     grid = sigma.grid
     n = grid.num_leaves
     boxes = _slot_boxes(grid)
-    depth = grid.box_depth[boxes]
-    anc = np.maximum(boxes >> np.minimum(r, depth), 1)
+    anc = grid.ancestor(boxes, r)
 
     rng = np.random.default_rng(rng_seed)
     w = np.zeros((n, n))
     out_charged = basis(omega).charged_slots()
     in_charged = basis(sigma).charged_slots()
-    # window[e, g]: box(g) inside anc(e) and box(e) inside anc(g); heap boxes
-    # nest exactly when their leaf intervals do.  Draws run column by column,
-    # rows ascending: the C order of w.T, built a block of columns at a time.
-    lo_b, hi_b = grid.box_lo[boxes], grid.box_hi[boxes]
-    lo_a, hi_a = grid.box_lo[anc], grid.box_hi[anc]
+    # window[e, g]: box(g) inside anc(e) and box(e) inside anc(g).  Draws run
+    # column by column, rows ascending: the C order of w.T, built a block of
+    # columns at a time.
     cols = max(1, CHUNK_FLOATS // n)
     for c in range(0, n, cols):
         e = slice(c, c + cols)
-        window = ((lo_a[e, None] <= lo_b) & (hi_b <= hi_a[e, None])
-                  & (lo_a <= lo_b[e, None]) & (hi_b[e, None] <= hi_a))
+        window = grid.contains(anc[e, None], boxes) & grid.contains(anc, boxes[e, None])
         window &= in_charged[e, None] & out_charged
         w.T[e][window] = rng.uniform(-1.0, 1.0, np.count_nonzero(window))
     _add_mean_components(w, omega, anc, in_charged, rng)
@@ -279,23 +263,15 @@ def _add_mean_components(w: np.ndarray, mu: LeafMeasure, anc: np.ndarray,
     every column e >= 1 that is charged and has mu(anc(e)) > 0.
 
     One uniform draw u_e per such column, columns ascending.  The entries are
-    those of ``haar.indicator_coefficients(mu, anc(e))``: the constant slot,
-    then each strict ancestor with a nonzero coefficient, found by one climb
-    over all columns at once.
+    those of ``haar.indicator_coefficients(mu, anc(e))``, from the root paths
+    of all the columns at once.
     """
-    b = basis(mu)
     cols = np.flatnonzero(charged[1:] & (mu.box_mass[anc[1:]] > 0)) + 1
     mass = mu.box_mass[anc[cols]]
     u = rng.uniform(-1.0, 1.0, cols.size)
     root = np.sqrt(mass)
-    w[0, cols] += u * (mass * b.inv_sqrt_total) / root
-    h = anc[cols]
-    live = h > 1
-    while live.any():
-        cols, mass, u, root, h = cols[live], mass[live], u[live], root[live], h[live]
-        parent = h >> 1
-        v = np.where(h & 1, b.alpha[parent] * mass, -b.beta[parent] * mass)
-        nz = v != 0.0
-        w[parent[nz], cols[nz]] += u[nz] * v[nz] / root[nz]
-        h = parent
-        live = h > 1
+    i, slot, c = basis(mu).average_coefficients(anc[cols])
+    v = c * mass[i]
+    nz = v != 0.0
+    i, slot, v = i[nz], slot[nz], v[nz]
+    w[slot, cols[i]] += u[i] * v / root[i]

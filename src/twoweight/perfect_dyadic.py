@@ -3,14 +3,16 @@ r"""Kernels constant on separated dyadic cube pairs, and their operators.
 A kernel table K over leaf pairs is (essentially) perfect dyadic with radius
 r when |K(x, y)| <= 1 / dist(x, y) off the diagonal and K is constant on
 I x J for every pair of dyadic cubes with I^(r) /\ J = 0 and J^(r) /\ I = 0
-(heap ancestors, clipped at the root).  In dimension 1 such operators are
-essentially well localized with radius <= r for any pair of measures: for a
-leaf x outside E^(r), the same-depth box containing x forms a separated pair
-with E, so the kernel row is constant on E and the weighted Haar function
-integrates to zero against it.  The argument needs E to be a dyadic cube,
-which every box is only when n = 1; for n >= 2 the radius bound does not
-hold in general (a random n=2, d=3 kernel of radius 1, benchmark reference
-key ``kernel:perfect_dyadic:n2d3@e576a51b011c``, has ewl_radius 2).
+(heap ancestors, clipped at the root).  Such operators are essentially well
+localized with ewl_radius <= r + n - 1 for any pair of measures.  A box E
+lies in the dyadic cube C at depth n floor(depth(E) / n), at most n - 1 heap
+levels up.  For a leaf x outside C^(r), the box at C's depth containing x is
+a cube J with C^(r) /\ J = 0 and J^(r) /\ C = 0 (same-depth boxes with
+different r-ancestors), so the kernel row at x is constant on C, which holds
+E, and the weighted Haar function of E integrates to zero against it:
+T(sigma h_E) vanishes outside C^(r) = E^(r + depth(E) - depth(C)), and
+T*(omega h_E) likewise.  For n = 1 every box is a cube and the bound is r;
+random kernels attain r + n - 1 in every dimension sampled (n = 1, 2, 3).
 
 dist(x, y) is the Euclidean distance between leaf centers (the discrete
 reading of the pointwise size bound on a leaf-constant kernel).
@@ -57,11 +59,7 @@ def _leaf_distances(grid: Grid) -> np.ndarray:
 def _separated_pairs(grid: Grid, radius: int):
     """Heap arrays (I, J) of the separated cube pairs, row-major over cubes."""
     cubes = grid.cubes()
-    depth = grid.box_depth
-    anc = np.maximum(cubes >> np.minimum(radius, depth[cubes]), 1)
-    lo, hi = grid.box_lo, grid.box_hi
-    # two dyadic boxes meet iff their leaf intervals overlap (one holds the other)
-    meet = (lo[anc][:, None] < hi[cubes]) & (lo[cubes] < hi[anc][:, None])
+    meet = grid.meets(grid.ancestor(cubes, radius)[:, None], cubes)  # [I, J]: I^(r) meets J
     a, b = np.nonzero(~meet & ~meet.T)
     return cubes[a], cubes[b]
 

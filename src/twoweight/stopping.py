@@ -84,7 +84,7 @@ class StoppingFamily:
             child_slack = float((kid_mass[has_kids] - 0.5 * bm[has_kids]).max())
         stop_mass = np.zeros(bm.size)
         stop_mass[self.members] = bm[self.members]
-        total = _member_subtree_sums(stop_mass)
+        total = _kernels.subtree_sums(stop_mass)
         ratios = np.divide(total, bm, out=np.zeros(bm.size), where=bm > 0)
         return child_slack, float(ratios.max())
 
@@ -92,19 +92,6 @@ class StoppingFamily:
         child_slack, ratio = self.packing_slack()
         scale = self.omega.total
         return child_slack <= PACKING_RTOL * scale and ratio <= 2.0 + PACKING_RTOL
-
-
-def _member_subtree_sums(node_values: np.ndarray) -> np.ndarray:
-    """out[H] = sum of node_values over all boxes inside box H (H included).
-
-    node_values: (2N,) heap array; one level of parents per step, leaves up.
-    """
-    out = node_values.copy()
-    h = out.shape[-1] >> 2
-    while h >= 1:
-        out[h : 2 * h] += out[2 * h : 4 * h : 2] + out[2 * h + 1 : 4 * h : 2]
-        h >>= 1
-    return out
 
 
 def build_stopping_family(g_values: np.ndarray, omega: LeafMeasure) -> StoppingFamily:
@@ -115,8 +102,7 @@ def build_stopping_family(g_values: np.ndarray, omega: LeafMeasure) -> StoppingF
     """
     grid = omega.grid
     bm = omega.box_mass
-    absint = _kernels.box_sums(np.abs(np.asarray(g_values, dtype=np.float64)) * omega.masses)
-    avg = np.divide(absint, bm, out=np.zeros(bm.size), where=bm > 0)
+    avg = omega.averages(np.abs(np.asarray(g_values, dtype=np.float64)))
     threshold = 2.0 * avg
     boxes = np.arange(bm.size)
     stop_parent = np.zeros(bm.size, dtype=np.int64)
@@ -147,7 +133,7 @@ def embedding_ratios(family: StoppingFamily, g_values: np.ndarray,
     # has mass by construction: no member divides by zero
     members = family.members
     m = omega.box_mass[members]
-    signed = _kernels.box_sums(g_values * omega.masses)[members] / m
+    signed = omega.averages(g_values)[members]
     abs_sum = (m * family.abs_average[members] ** 2).cumsum()[-1]
     signed_sum = (m * signed**2).cumsum()[-1]
     return {"absolute": float(abs_sum) / norm_sq, "signed": float(signed_sum) / norm_sq}

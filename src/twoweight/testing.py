@@ -125,7 +125,7 @@ def admissible_pairs(grid: Grid, r: int):
     """CSR pair list: for every box E the partners G with volume within
     2^{+-r} of E and G meeting the clipped r-ancestor of E.
 
-    The clipped ancestor A = max(E >> r, 1) sits at depth max(depth(E) - r, 0),
+    The clipped ancestor A = grid.ancestor(E, r) sits at depth max(depth(E) - r, 0),
     so no strict ancestor of A is close enough in volume: the partners are the
     descendants of A (A included) down to depth min(tree_depth, depth(E) + r),
     listed level by level in heap order.  That is the breadth-first order of
@@ -134,7 +134,7 @@ def admissible_pairs(grid: Grid, r: int):
     """
     depth = grid.box_depth
     boxes = np.arange(grid.num_boxes, dtype=np.int64)
-    anc = np.maximum(boxes >> r, 1)
+    anc = grid.ancestor(boxes, r)
     levels = np.minimum(grid.tree_depth, depth + r) - depth[anc] + 1
     counts = (np.int64(1) << levels) - 1
     counts[0] = 0  # heap slot 0 is not a box
@@ -168,16 +168,8 @@ def _indicator_pass(wt, in_measure, out_measure, pair_offsets, pair_partner):
 def _pair_mask(grid: Grid, boxes_e: np.ndarray, partners: np.ndarray, r: int):
     """Admissibility at radius r of pairs drawn from a wider enumeration."""
     depth = grid.box_depth
-    de, dg = depth[boxes_e], depth[partners]
-    window = np.abs(de - dg) <= r
-    anc = np.maximum(boxes_e >> r, 1)
-    gap = dg - depth[anc]
-    meets = np.where(
-        gap >= 0,
-        (partners >> np.maximum(gap, 0)) == anc,
-        (anc >> np.maximum(-gap, 0)) == partners,
-    )
-    return window & meets
+    window = np.abs(depth[boxes_e] - depth[partners]) <= r
+    return window & grid.meets(partners, grid.ancestor(boxes_e, r))
 
 
 @dataclass

@@ -191,3 +191,51 @@ def test_exact_geometry_with_shifted_root():
     rect = HaarRectangle(grid, 2)  # left half of the root
     assert rect.box() == [(Fraction(-1, 2), Fraction(1, 2))]
     assert rect.volume == pytest.approx(1.0)
+
+
+def geometric_leaf_sets(grid):
+    """Per heap box, the leaves whose centers lie in its exact box() intervals:
+    no leaf range or heap shift involved."""
+    centers = [tuple(Fraction(x) for x in c) for c in grid.leaf_centers]
+    sets = [frozenset()]
+    for h in range(1, grid.num_boxes):
+        box = grid.box(h)
+        sets.append(frozenset(i for i, c in enumerate(centers)
+                              if all(lo <= x < hi for x, (lo, hi) in zip(c, box))))
+    return sets
+
+
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 2), (3, 1)])
+def test_tree_relations_brute_force(n, d):
+    grid = build_grid(GridSpec(n, d))
+    leaves = geometric_leaf_sets(grid)
+    boxes = range(1, grid.num_boxes)
+    depth = {h: grid.tree_depth - (len(leaves[h]).bit_length() - 1) for h in boxes}
+    contains = np.zeros((grid.num_boxes,) * 2, dtype=bool)
+    meets = np.zeros_like(contains)
+    lca = np.zeros(contains.shape, dtype=np.int64)
+    for a in boxes:
+        for b in boxes:
+            contains[a, b] = leaves[b] <= leaves[a]
+            meets[a, b] = bool(leaves[a] & leaves[b])
+            lca[a, b] = max(depth[c] for c in boxes if leaves[a] | leaves[b] <= leaves[c])
+    ancestor = {}
+    for h in boxes:
+        for r in range(grid.tree_depth + 2):
+            m = max(depth[h] - r, 0)
+            (ancestor[h, r],) = [c for c in boxes if depth[c] == m and leaves[h] <= leaves[c]]
+
+    for a in boxes:  # scalar arguments
+        for r in range(grid.tree_depth + 2):
+            assert grid.ancestor(a, r) == ancestor[a, r]
+        for b in boxes:
+            assert grid.contains(a, b) == contains[a, b]
+            assert grid.meets(a, b) == meets[a, b]
+            assert grid.lca_depth(a, b) == lca[a, b]
+    h = np.arange(1, grid.num_boxes)  # array arguments, broadcast
+    rs = np.arange(grid.tree_depth + 2)
+    want = [[ancestor[a, r] for r in rs] for a in h]
+    assert np.array_equal(grid.ancestor(h[:, None], rs), want)
+    assert np.array_equal(grid.contains(h[:, None], h), contains[1:, 1:])
+    assert np.array_equal(grid.meets(h[:, None], h), meets[1:, 1:])
+    assert np.array_equal(grid.lca_depth(h[:, None], h), lca[1:, 1:])

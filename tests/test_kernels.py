@@ -66,9 +66,30 @@ def test_synthesize_at_equals_synthesize_boxes(rng, dimension, depth):
     want = _kernels.synthesize_boxes(b.alpha, b.beta, coef.T, b.inv_sqrt_total)
     boxes = np.tile(np.arange(1, 2 * n), 3)
     cols = np.repeat(np.arange(3), 2 * n - 1)
-    got = _kernels.synthesize_at(b.alpha, b.beta, coef, boxes, cols, grid.box_depth[boxes],
+    got = _kernels.synthesize_at(b.factor, coef, boxes, cols, grid.box_depth[boxes],
                                  b.inv_sqrt_total)
     assert np.array_equal(got, want[cols, boxes])
+
+
+@pytest.mark.parametrize("num_leaves", [1, 2, 8, 32])
+def test_subtree_sums_match_loop(rng, num_leaves):
+    heap = rng.standard_normal((2, 2 * num_leaves))
+    heap[:, 2:5] = -0.0
+    want = heap.copy()
+    for row in want:
+        for h in range(num_leaves - 1, 0, -1):  # children before parents
+            row[h] += row[2 * h] + row[2 * h + 1]
+    got = _kernels.subtree_sums(heap.copy())
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # box_sums is subtree_sums over the leaves alone, bit for bit and sign of zero
+    leaf = heap[:, num_leaves:]
+    sums = _kernels.box_sums(leaf)
+    want = np.zeros_like(heap)
+    want[:, num_leaves:] = leaf
+    for row in want:
+        for h in range(num_leaves - 1, 0, -1):
+            row[h] = row[2 * h] + row[2 * h + 1]
+    assert np.array_equal(np.signbit(sums), np.signbit(want)) and np.array_equal(sums, want)
 
 
 def _per_column_side_radius(grid, w, in_measure, out_measure, tol):

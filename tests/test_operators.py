@@ -117,6 +117,43 @@ def test_paraproduct_single_term_rank_one(rng):
     assert np.allclose(p.apply(f), want, atol=1e-12)
 
 
+def _paraproduct_loop(b, sigma, omega):
+    """Per-rectangle loop construction of paraproduct, kept as its reference."""
+    grid = b.grid
+    n = grid.num_leaves
+    bs = basis(sigma)
+    w = np.zeros((n, n))
+    sig_mass = sigma.box_mass
+    for h in range(1, n):
+        coeff = b.values[h]
+        if coeff == 0.0 or sig_mass[h] == 0.0:
+            continue
+        w[h, 0] += coeff * bs.inv_sqrt_total
+        node = h
+        while node > 1:
+            parent = node >> 1
+            if node & 1:
+                w[h, parent] += coeff * bs.alpha[parent]
+            else:
+                w[h, parent] -= coeff * bs.beta[parent]
+            node = parent
+    return DyadicOperator(grid, sigma, omega, w)
+
+
+@pytest.mark.parametrize("n,d", [(1, 6), (2, 3), (3, 2)])
+def test_paraproduct_matches_loop_reference(n, d, rng):
+    grid = build_grid(GridSpec(n, d))
+    for zero_fraction in (0.0, 0.3):
+        sigma, omega = _measure_pair(rng, grid, zero_fraction)
+        assert zero_fraction == 0.0 or not sigma.masses.all()
+        b = CoefficientSequence.random(grid, rng)
+        b.values[rng.random(grid.num_leaves) < 0.3] = 0.0
+        got = paraproduct(b, sigma, omega).w
+        want = _paraproduct_loop(b, sigma, omega).w
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_haar_shift_identity_and_supports(rng):
     grid = build_grid(GridSpec(1, 4))
     sigma, omega = _measure_pair(rng, grid)

@@ -42,6 +42,21 @@ def test_random_kernels_validate_and_classify(radius, rng):
         assert ewl_radius(t) <= radius
 
 
+# ewl_radius <= r + n - 1 in every dimension (see the module docstring); random
+# kernels attain it.  At most 64 leaves: random_kernel is slow above that.
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_random_kernel_radius_bound_every_dimension(n, d, radius, rng):
+    grid = build_grid(GridSpec(n, d))
+    radii = []
+    for seed in range(2):
+        sigma = random_measure(grid, rng, zero_fraction=0.2)
+        omega = random_measure(grid, rng, zero_fraction=0.2)
+        t = perfect_dyadic_operator(random_kernel(grid, radius, seed), sigma, omega)
+        radii.append(ewl_radius(t))
+    assert max(radii) == radius + n - 1
+
+
 def test_constant_kernel_annihilates_haar(rng):
     grid = build_grid(GridSpec(1, 4))
     sigma = random_measure(grid, rng, low=0.1)

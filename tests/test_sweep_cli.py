@@ -192,6 +192,10 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     sweep_dir.mkdir()
     (sweep_dir / "summary.json").write_text('{"trials": ')
     one_line_error(["report", "--in", str(sweep_dir)], str(sweep_dir))
+    (sweep_dir / "trials.csv").write_text("seed,ratio_sum\n")
+    for not_a_summary in ("[]", '{"trials": 1}'):  # valid JSON, not a sweep summary
+        (sweep_dir / "summary.json").write_text(not_a_summary)
+        one_line_error(["report", "--in", str(sweep_dir)], str(sweep_dir))
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"depths": [2], "radii": [0]}))
     monkeypatch.setenv("TWOWEIGHT_WORKERS", "two")
