@@ -70,6 +70,19 @@ def separated_cube_pairs(grid: Grid, radius: int):
     return list(zip(i.tolist(), j.tolist()))
 
 
+def _depth_pair_blocks(grid: Grid, i: np.ndarray, j: np.ndarray):
+    """Yield (sel, shape, bi, bj) per (depth I, depth J) group of the pairs
+    (i, j): the cubes of one depth tile the leaves, so table.reshape(shape)
+    has the block I x J of pair sel[t] at [bi[t], :, bj[t], :]."""
+    n = grid.num_leaves
+    levels = grid.tree_depth + 1
+    group = grid.box_depth[i] * levels + grid.box_depth[j]
+    for key in np.unique(group):
+        sel = np.nonzero(group == key)[0]
+        mi, mj = divmod(int(key), levels)
+        yield sel, (1 << mi, n >> mi, 1 << mj, n >> mj), i[sel] - (1 << mi), j[sel] - (1 << mj)
+
+
 def validate_kernel(kernel: PerfectDyadicKernel):
     """Raise KernelValidationError at the first violated condition."""
     grid = kernel.grid
@@ -85,19 +98,11 @@ def validate_kernel(kernel: PerfectDyadicKernel):
             cube_pair=(int(grid.leaf_heap(x)), int(grid.leaf_heap(y))),
         )
     i, j = _separated_pairs(grid, kernel.radius)
-    n = grid.num_leaves
-    levels = grid.tree_depth + 1
-    group = grid.box_depth[i] * levels + grid.box_depth[j]
     broken = np.zeros(i.size, dtype=bool)
-    # the cubes of one depth tile the leaves, so the blocks of all the pairs
-    # of one (depth I, depth J) group are the cells of one reshape of the table
-    for key in np.unique(group):
-        sel = np.nonzero(group == key)[0]
-        mi, mj = divmod(int(key), levels)
-        blocks = k.reshape(1 << mi, n >> mi, 1 << mj, n >> mj)
+    for sel, shape, bi, bj in _depth_pair_blocks(grid, i, j):
+        blocks = k.reshape(shape)
         spread = np.ptp(blocks, axis=(1, 3))
         peak = np.max(np.abs(blocks), axis=(1, 3))
-        bi, bj = i[sel] - (1 << mi), j[sel] - (1 << mj)
         broken[sel] = spread[bi, bj] > CONSTANCY_ATOL * (1.0 + peak[bi, bj])
     if np.any(broken):
         first = int(np.argmax(broken))
@@ -109,49 +114,45 @@ def validate_kernel(kernel: PerfectDyadicKernel):
 
 
 def _constancy_classes(grid: Grid, radius: int) -> np.ndarray:
-    """Union-find partition of ordered leaf pairs forced to share one value."""
+    """Class label of each ordered leaf pair (key x * num_leaves + y).
+
+    The pairs of one block I x J of a separated cube pair must share a value;
+    a class is a set of pairs joined through such blocks, labelled by its
+    smallest key.  Setting every separated block to its smallest label until
+    nothing changes reaches those labels: labels only decrease and stay keys
+    of the class, and at the fixed point each block is constant.
+    """
     n = grid.num_leaves
-    parent = np.arange(n * n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    lo, hi = grid.box_lo, grid.box_hi
-    for i, j in separated_cube_pairs(grid, radius):
-        xs = range(lo[i], hi[i])
-        ys = range(lo[j], hi[j])
-        first = None
-        for x in xs:
-            for y in ys:
-                key = x * n + y
-                if first is None:
-                    first = find(key)
-                else:
-                    parent[find(key)] = first
-    roots = np.fromiter((find(a) for a in range(n * n)), dtype=np.int64)
-    return roots
+    labels = np.arange(n * n).reshape(n, n)
+    views = []
+    for _, shape, bi, bj in _depth_pair_blocks(grid, *_separated_pairs(grid, radius)):
+        separated = np.zeros((shape[0], 1, shape[2], 1), dtype=bool)
+        separated[bi, 0, bj, 0] = True
+        views.append((labels.reshape(shape), separated))
+    while True:
+        before = labels.copy()
+        for blocks, separated in views:
+            np.copyto(blocks, blocks.min(axis=(1, 3), keepdims=True), where=separated)
+        if np.array_equal(labels, before):
+            return labels.ravel()
 
 
 def random_kernel(grid: Grid, radius: int, seed) -> PerfectDyadicKernel:
     """Random valid kernel: one uniform value per constancy class, scaled to
-    the tightest size bound inside the class; diagonal zero."""
+    the tightest size bound inside the class; diagonal zero.  Classes draw in
+    the order of their labels."""
     rng = np.random.default_rng(seed)
     n = grid.num_leaves
-    roots = _constancy_classes(grid, radius)
     dist = _leaf_distances(grid)
     with np.errstate(divide="ignore"):
         bound = np.where(dist > 0, 1.0 / dist, 0.0).ravel()
-    values = np.zeros(n * n)
-    for root in np.unique(roots):
-        members = np.nonzero(roots == root)[0]
-        b = np.min(bound[members])
-        if b == 0.0:  # class touching the diagonal: keep zero
-            continue
-        values[members] = rng.uniform(-1.0, 1.0) * b
-    k = values.reshape(n, n)
+    keys, cls = np.unique(_constancy_classes(grid, radius), return_inverse=True)
+    tightest = np.full(keys.size, np.inf)
+    np.minimum.at(tightest, cls, bound)
+    live = tightest != 0.0  # a class touching the diagonal keeps zero
+    value = np.zeros(keys.size)
+    value[live] = rng.uniform(-1.0, 1.0, np.count_nonzero(live)) * tightest[live]
+    k = value[cls].reshape(n, n)
     np.fill_diagonal(k, 0.0)
     return PerfectDyadicKernel(grid, k, radius)
 

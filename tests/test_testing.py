@@ -108,12 +108,18 @@ def _svd_norm(t):
 LANCZOS_GRIDS = [(1, 9), (1, 10), (2, 5)]  # 512 and 1024 leaves
 
 
+def _lanczos_families(n, d):
+    """NORM_FAMILIES, plus perfect-dyadic operators but at n=1 d=10: there one
+    takes about 5 s to build, with 11 x 11 cube depth pairs (6 x 6 at n=2 d=5)."""
+    return NORM_FAMILIES if (n, d) == (1, 10) else [*NORM_FAMILIES, "perfect_dyadic"]
+
+
 @pytest.mark.parametrize("n,d", LANCZOS_GRIDS)
 def test_lanczos_norm_matches_svd_every_family(n, d, rng):
     grid = build_grid(GridSpec(n, d))
     assert grid.num_leaves >= LANCZOS_MIN_LEAVES
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
-    for family in NORM_FAMILIES:
+    for family in _lanczos_families(n, d):
         if family == "haar_shift" and n > 1:
             continue
         t = _family_operator(family, grid, sigma, omega, rng)
@@ -203,7 +209,7 @@ def test_lanczos_norm_top_cluster_at_exhaustion(d, rng):
 def test_lanczos_norm_repeatable_and_adjoint_invariant(n, d, rng):
     grid = build_grid(GridSpec(n, d))
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
-    for family in NORM_FAMILIES:
+    for family in _lanczos_families(n, d):
         if family == "haar_shift" and n > 1:
             continue
         t = _family_operator(family, grid, sigma, omega, rng)
