@@ -20,6 +20,14 @@ and B2 = sum_S II_S exactly (the collapsed form: II_S collects precisely the
 pairs whose g-side rectangle leaves S).  The C-side runs the same machinery
 on the adjoint with the roles of (f, sigma) and (g, omega) swapped.
 
+Every term is a bilinear form in the whitened coefficients of f, g and their
+mean-zero parts f0, g0.  full_certificate analyzes and norms each once into
+one Analyzed record per function (prepare), which every stage reads; the
+stopping family of |g0| carries the signed averages that split_B and
+embedding_ratios share.  The adjoint side reuses the records (same functions,
+same measures) but builds its own pair list from the adjoint's matrix, so
+C = B(T*) still compares two independently classified sums.
+
 Every inequality of the chain carries an explicit constant, recorded in
 bound_constants and pre-validated by the exhaustive small-instance tests:
 
@@ -43,7 +51,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import DecompositionError
-from .haar import analyze, basis
+from .haar import analyze, basis, synthesize
 from .localization import ewl_radius
 from .measures import LeafMeasure
 from .operators import DyadicOperator
@@ -92,52 +100,54 @@ class BilinearCertificate:
         return sorted(k for k, v in self.verdicts.items() if not v)
 
     def as_dict(self) -> dict:
-        return {
-            "pi_total": self.pi_total,
-            "a_term": self.a_term,
-            "b_term": self.b_term,
-            "c_term": self.c_term,
-            "b1_term": self.b1_term,
-            "b2_term": self.b2_term,
-            "per_stopping": {str(k): list(v) for k, v in self.per_stopping.items()},
-            "boundary_terms": list(self.boundary_terms),
-            "bound_constants": self.bound_constants,
-            "verdicts": self.verdicts,
-            "residuals": self.residuals,
-            "c_side": self.c_side,
-            "stopping_members": [int(s) for s in self.stopping_members],
-        }
+        return {**vars(self),
+                "per_stopping": {str(k): list(v) for k, v in self.per_stopping.items()},
+                "boundary_terms": list(self.boundary_terms)}
 
 
-def _mean_zero(values, mu: LeafMeasure):
+@dataclass
+class Analyzed:
+    """A function f on mu, analyzed once for a certificate: the whitened
+    coefficients (haar.analyze) and L^2(mu) norm of f, its mean, and the leaf
+    values, coefficients and norm of its mean-zero part f0 = f - mean."""
+
+    mu: LeafMeasure
+    coef: np.ndarray
+    norm: float
+    mean: float
+    values0: np.ndarray
+    coef0: np.ndarray
+    norm0: float
+
+
+def prepare(values, mu: LeafMeasure) -> Analyzed:
+    """The Analyzed record of leaf values on mu: two analyses, two norms."""
     values = np.asarray(values, dtype=np.float64)
     total = mu.total
     mean = float(np.sum(values * mu.masses)) / total if total > 0 else 0.0
-    return values - mean, mean
+    values0 = values - mean
+    if not basis(mu).charged.any():
+        # mu charges one leaf at most: f equals its mean mu-a.e. and f0 is
+        # zero, not the rounding error the subtraction leaves behind
+        values0 = np.zeros_like(values)
+    return Analyzed(mu, analyze(mu, values), mu.norm(values),
+                    mean, values0, analyze(mu, values0), mu.norm(values0))
 
 
-def _norm(values, mu: LeafMeasure) -> float:
-    return float(np.sqrt(np.sum(mu.masses * np.asarray(values, float) ** 2)))
-
-
-def boundary_terms_check(t: DyadicOperator, f_values, g_values, c1: float, c2: float):
+def boundary_terms_check(t: DyadicOperator, f: Analyzed, g: Analyzed, c1: float, c2: float):
     """The three mean-part pairings of the reduction and their bounds.
 
     term1 pairs the Haar part of f against the mean of g (bound c2), term2
     the mean of f against the Haar part of g (bound c1), term3 mean against
     mean (bound c1), each with constant 1 times ||f|| ||g||.
     """
-    sigma, omega = t.sigma, t.omega
-    f0, fmean = _mean_zero(f_values, sigma)
-    g0, gmean = _mean_zero(g_values, omega)
-    fnorm = _norm(f_values, sigma)
-    gnorm = _norm(g_values, omega)
-    t_f0 = t.apply(f0)
+    omega = t.omega
+    t_f0 = synthesize(omega, f.coef0 @ t.w.T)  # t.apply(f0) from f0's coefficients
     t_ones = t.apply(np.ones(t.grid.num_leaves))
-    term1 = gmean * float(np.sum(t_f0 * omega.masses))
-    term2 = fmean * float(np.sum(t_ones * g0 * omega.masses))
-    term3 = fmean * gmean * float(np.sum(t_ones * omega.masses))
-    scale = fnorm * gnorm
+    term1 = g.mean * float(np.sum(t_f0 * omega.masses))
+    term2 = f.mean * float(np.sum(t_ones * g.values0 * omega.masses))
+    term3 = f.mean * g.mean * float(np.sum(t_ones * omega.masses))
+    scale = f.norm * g.norm
     atol = 1e-12 * (1.0 + scale) * (1.0 + t.frobenius())
     verdicts = {
         "boundary_term1": abs(term1) <= c2 * scale * (1 + BOUND_SLACK) + atol,
@@ -147,29 +157,21 @@ def boundary_terms_check(t: DyadicOperator, f_values, g_values, c1: float, c2: f
     return (term1, term2, term3), verdicts
 
 
-def decompose_ABC(t: DyadicOperator, f_values, g_values, r: int,
+def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int,
                   rtol: float = PARTITION_RTOL):
-    """Split Pi(f, g) into the A/B/C classes; f, g must be mean-zero.
+    """Split Pi(f0, g0) of the mean-zero parts into the A/B/C classes.
 
     Returns (a, b, c, parts); parts carries the classified pair arrays for
     split_B.  Raises DecompositionError when Pi - (A + B + C) exceeds
-    rtol ||f|| ||g|| ||T||_F, naming the largest excluded pair.
+    rtol ||f0|| ||g0|| ||T||_F, naming the largest excluded pair.
     """
     grid = t.grid
-    f_values = np.asarray(f_values, dtype=np.float64)
-    g_values = np.asarray(g_values, dtype=np.float64)
-    fhat = analyze(t.sigma, f_values)
-    ghat = analyze(t.omega, g_values)
-    fnorm = _norm(f_values, t.sigma)
-    gnorm = _norm(g_values, t.omega)
-    if abs(fhat[0]) > 1e-8 * (fnorm + 1e-300) or abs(ghat[0]) > 1e-8 * (gnorm + 1e-300):
-        raise ValueError("decompose_ABC needs mean-zero inputs")
-    fhat[0] = 0.0
-    ghat[0] = 0.0
+    fhat, ghat = f.coef0, g.coef0
+    fnorm, gnorm = f.norm0, g.norm0
 
     tiny = 1e-13 * (1.0 + t.frobenius())
     gs, es = np.nonzero(np.abs(t.w) > tiny)
-    keep = (gs >= 1) & (es >= 1)
+    keep = (gs >= 1) & (es >= 1)  # the constant slots of f0, g0 are rounding
     gs, es = gs[keep], es[keep]
     contrib = t.w[gs, es] * ghat[gs] * fhat[es]
 
@@ -182,7 +184,7 @@ def decompose_ABC(t: DyadicOperator, f_values, g_values, r: int,
     a = float(np.sum(contrib[mask_a]))
     b = float(np.sum(contrib[mask_b]))
     c = float(np.sum(contrib[mask_c]))
-    pi = t.pairing(f_values, g_values)
+    pi = float(ghat @ (t.w @ fhat))  # t.pairing(f0, g0)
     residual = pi - (a + b + c)
     if abs(residual) > rtol * max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300):
         pair = None
@@ -199,12 +201,9 @@ def decompose_ABC(t: DyadicOperator, f_values, g_values, r: int,
         _, counts = np.unique(es[mask_a], return_counts=True)
         max_partners = int(np.max(counts))
 
-    parts = {
-        "fhat": fhat, "ghat": ghat, "fnorm": fnorm, "gnorm": gnorm,
-        "g_values": g_values, "G": gs, "E": es, "contrib": contrib,
-        "mask_b": mask_b, "pi": pi, "residual": residual,
-        "max_partners": max_partners,
-    }
+    parts = {"fhat": fhat, "fnorm": fnorm, "gnorm": gnorm, "G": gs, "E": es,
+             "contrib": contrib, "mask_b": mask_b, "pi": pi, "residual": residual,
+             "max_partners": max_partners}
     return a, b, c, parts
 
 
@@ -218,6 +217,8 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
             c2: float, rtol: float = PARTITION_RTOL):
     """Exact B1/B2 split with per-S I/II terms and all bound verdicts.
 
+    family is the stopping family of g0 (the g of parts), whose signed
+    averages <g0>_Q enter I_S and II_S.
     I_S and II_S need <T(sigma h_E), 1_Q>_omega for Q = E^(r) and
     Q = pi(E^(r)).  For any box Q that pairing is omega(Q) S_E[Q], where
     S_E = synthesize_boxes(alpha_omega, beta_omega, W[:, E], 1/sqrt(omega(Q0)))
@@ -238,8 +239,7 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     m_const = count_M(grid.dimension, r)
     om_mass = omega.box_mass
     num_boxes = grid.num_boxes
-
-    gavg = omega.averages(parts["g_values"])
+    gavg = family.average
 
     sp = family.stop_parent
     anc_all = grid.ancestor(np.arange(num_boxes, dtype=np.int64), r)
@@ -312,13 +312,13 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     return b1, b2_direct, per_stopping, verdicts, residuals, constants
 
 
-def _stopping_side(t: DyadicOperator, parts: dict, values, mu: LeafMeasure, r: int,
+def _stopping_side(t: DyadicOperator, parts: dict, g: Analyzed, r: int,
                    c: float, rtol: float, side: str, prefix: str):
-    """The stopping family of |values| on mu, its embedding and packing, and
-    split_B of t over it: (b1, b2, per_stopping, members), the side's verdicts,
-    residuals and constants (split_B's keys behind prefix), split_B's constants."""
-    family = build_stopping_family(values, mu)
-    emb = embedding_ratios(family, values, mu)
+    """The stopping family of |g0|, its embedding and packing, and split_B of t
+    over it: (b1, b2, per_stopping, members), the side's verdicts, residuals
+    and constants (split_B's keys behind prefix), split_B's constants."""
+    family = build_stopping_family(g.values0, g.mu)
+    emb = embedding_ratios(family, g.values0, g.mu)
     b1, b2, per_stopping, v, res, const = split_B(t, parts, family, r, c, rtol)
     slack, ratio = family.packing_slack()
     verdicts = {f"packing_{side}": family.packing_ok(),
@@ -351,26 +351,29 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
     The C-term is certified by applying the B machinery to the adjoint with
     f and g (and their measures) swapped; the stopping family on that side
     is built from |f|.  ``report`` is a testing report of t at radius r with
-    c3 at r + 1 in its c3_extra; without one it is computed here.
+    c3 at r + 1 in its c3_extra; without one it is computed here.  f and g
+    are analyzed once (prepare) and every stage reads those records.
     """
     if r is None:
         r = ewl_radius(t)
     n = t.grid.dimension
-    rep = report
-    if rep is None:
-        rep = testing_report(t, r=r, norm=False, extra_c3_radii=(r + 1,))
-    c1, c2, c3 = rep.c1, rep.c2, rep.c3
-    c3_next = rep.c3_extra[r + 1]
+    if report is None:
+        report = testing_report(t, r=r, norm=False, extra_c3_radii=(r + 1,))
+    elif report.r_used != r or r + 1 not in report.c3_extra:
+        raise ValueError(f"a certificate at radius {r} needs c3 at radius {r + 1}; got "
+                         f"a report at radius {report.r_used} with c3 at radii "
+                         f"{sorted(report.c3_extra)}")
+    c1, c2, c3 = report.c1, report.c2, report.c3
+    c3_next = report.c3_extra[r + 1]
 
-    fnorm = _norm(f_values, t.sigma)
-    gnorm = _norm(g_values, t.omega)
-    boundary, verdicts = boundary_terms_check(t, f_values, g_values, c1, c2)
-    f0, _ = _mean_zero(f_values, t.sigma)
-    g0, _ = _mean_zero(g_values, t.omega)
+    f = prepare(f_values, t.sigma)
+    g = prepare(g_values, t.omega)
+    fnorm, gnorm = f.norm, g.norm
+    boundary, verdicts = boundary_terms_check(t, f, g, c1, c2)
 
-    a, b, c, parts = decompose_ABC(t, f0, g0, r, rtol=rtol)
+    a, b, c, parts = decompose_ABC(t, f, g, r, rtol=rtol)
     scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
-    pi_full = t.pairing(np.asarray(f_values, float), np.asarray(g_values, float))
+    pi_full = float(g.coef @ (t.w @ f.coef))  # t.pairing(f, g)
     residuals = {
         "abc_partition": abs(parts["residual"]) / scale,
         "mean_reduction": abs(pi_full - (parts["pi"] + sum(boundary))) / scale,
@@ -381,7 +384,7 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
 
     # forward side on (g, omega) with c2; the C side runs it on (t*, f, sigma) with c1
     (b1, b2, per_stopping, members), v_g, res_g, const_g, const_b = _stopping_side(
-        t, parts, g0, t.omega, r, c2, rtol, "g", "")
+        t, parts, g, r, c2, rtol, "g", "")
     verdicts.update(v_g)
     residuals.update(res_g)
     residuals["b_partition"] = abs(b - (b1 + b2)) / scale
@@ -389,23 +392,23 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
 
     # symmetric side through the adjoint
     ta = t.adjoint()
-    a2, b2_adj, c2_adj, parts_adj = decompose_ABC(ta, g0, f0, r, rtol=rtol)
+    a2, b2_adj, c2_adj, parts_adj = decompose_ABC(ta, g, f, r, rtol=rtol)
     residuals["c_is_adjoint_b"] = abs(c - b2_adj) / scale
     verdicts["c_is_adjoint_b"] = residuals["c_is_adjoint_b"] <= rtol
     (cb1, cb2, c_per_stop, _), v_f, res_f, const_f, _ = _stopping_side(
-        ta, parts_adj, f0, t.sigma, r, c1, rtol, "f", "c_")
+        ta, parts_adj, f, r, c1, rtol, "f", "c_")
     verdicts.update(v_f)
     residuals.update(res_f)
 
-    a_check = a_term_bound(a, n, r, c3_next, parts["fnorm"], parts["gnorm"])
+    a_check = a_term_bound(a, n, r, c3_next, f.norm0, g.norm0)
     verdicts["bound_A"] = a_check["ok"]
 
     m_const = a_check["M"]
     k_b1 = const_b["K_B1"]
     csum = c1 + c2 + c3
     total_bound = ((c2 + 2 * c1) * fnorm * gnorm
-                   + 4 * m_const * c3_next * parts["fnorm"] * parts["gnorm"]
-                   + (np.sqrt(8.0) + k_b1) * (c1 + c2) * parts["fnorm"] * parts["gnorm"])
+                   + 4 * m_const * c3_next * f.norm0 * g.norm0
+                   + (np.sqrt(8.0) + k_b1) * (c1 + c2) * f.norm0 * g.norm0)
     verdicts["bound_total"] = abs(pi_full) <= total_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + scale)
     k_total = total_bound / (csum * fnorm * gnorm) if csum > 0 and fnorm * gnorm > 0 else 0.0
 

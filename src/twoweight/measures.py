@@ -45,6 +45,10 @@ class LeafMeasure:
         bm = self.box_mass
         return np.divide(sums, bm, out=np.zeros_like(sums), where=bm > 0)
 
+    def norm(self, values) -> float:
+        """L^2(mu) norm of leaf values."""
+        return float(np.sqrt(np.sum(self.masses * np.asarray(values, dtype=np.float64) ** 2)))
+
     @property
     def total(self) -> float:
         return float(self.box_mass[1])
@@ -67,7 +71,7 @@ class LeafFunction:
         self.values = values
 
     def norm(self, mu: LeafMeasure) -> float:
-        return float(np.sqrt(np.sum(mu.masses * self.values**2)))
+        return mu.norm(self.values)
 
     def __repr__(self):
         return f"LeafFunction(leaves={self.grid.num_leaves})"

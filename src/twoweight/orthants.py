@@ -104,8 +104,8 @@ class MultiRootOperator:
             for j in range(self.mgrid.num_roots):
                 if i == j:
                     continue
-                fn = np.sqrt(np.sum(self.sigma.parts[j].masses * f_parts[j] ** 2))
-                gn = np.sqrt(np.sum(self.omega.parts[i].masses * g_parts[i] ** 2))
+                fn = self.sigma.parts[j].norm(f_parts[j])
+                gn = self.omega.parts[i].norm(g_parts[i])
                 if abs(p[i, j]) > tol * fro * (1.0 + fn * gn):
                     return False
         return True

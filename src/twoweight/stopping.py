@@ -39,12 +39,13 @@ EMBEDDING_LIMIT = 8.0
 
 @dataclass
 class StoppingFamily:
-    """Members, stopping parents and the omega-averages of |g|."""
+    """Members, stopping parents and the omega-averages of |g| and of g."""
 
     grid: Grid
     members: np.ndarray  # heap indices, sorted; members[0] is the root
     stop_parent: np.ndarray  # (2N,) minimal member containing each box
     abs_average: np.ndarray  # (2N,) <|g|>^omega_B for every box B, 0 if omega(B) = 0
+    average: np.ndarray  # (2N,) signed <g>^omega_B, read by split_B and embedding_ratios
     omega: LeafMeasure = field(repr=False)
 
     def parent_of(self, heap: int) -> int:
@@ -102,7 +103,7 @@ def build_stopping_family(g_values: np.ndarray, omega: LeafMeasure) -> StoppingF
     """
     grid = omega.grid
     bm = omega.box_mass
-    avg = omega.averages(np.abs(np.asarray(g_values, dtype=np.float64)))
+    avg = omega.averages(np.abs(g_values))
     threshold = 2.0 * avg
     boxes = np.arange(bm.size)
     stop_parent = np.zeros(bm.size, dtype=np.int64)
@@ -114,16 +115,17 @@ def build_stopping_family(g_values: np.ndarray, omega: LeafMeasure) -> StoppingF
                                             boxes[lo : 2 * lo], above)
         lo <<= 1
     members = (stop_parent[1:] == boxes[1:]).nonzero()[0] + 1
-    return StoppingFamily(grid, members, stop_parent, avg, omega)
+    return StoppingFamily(grid, members, stop_parent, avg, omega.averages(g_values), omega)
 
 
 def embedding_ratios(family: StoppingFamily, g_values: np.ndarray,
                      omega: LeafMeasure) -> dict:
     """sum_S omega(S) <.>_S^2 / ||g||^2 with the absolute and the signed averages.
 
-    Both are zero when g vanishes in L^2(omega); the absolute averages
-    dominate the signed ones.  The sums run left to right over the sorted
-    members (cumsum), as a plain accumulation loop would.
+    family is the stopping family of this g on omega and carries both
+    averages.  Both ratios are zero when g vanishes in L^2(omega); the
+    absolute averages dominate the signed ones.  The sums run left to right
+    over the sorted members (cumsum), as a plain accumulation loop would.
     """
     g_values = np.asarray(g_values, dtype=np.float64)
     norm_sq = float((omega.masses * g_values**2).sum())
@@ -133,7 +135,7 @@ def embedding_ratios(family: StoppingFamily, g_values: np.ndarray,
     # has mass by construction: no member divides by zero
     members = family.members
     m = omega.box_mass[members]
-    signed = omega.averages(g_values)[members]
+    signed = family.average[members]
     abs_sum = (m * family.abs_average[members] ** 2).cumsum()[-1]
     signed_sum = (m * signed**2).cumsum()[-1]
     return {"absolute": float(abs_sum) / norm_sq, "signed": float(signed_sum) / norm_sq}

@@ -252,17 +252,7 @@ class SweepSummary:
         return 1 if self.failures else 0
 
     def as_dict(self) -> dict:
-        return {
-            "cells": self.cells,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "max_embedding_ratio": self.max_embedding_ratio,
-            "max_packing_slack": self.max_packing_slack,
-            "config_digest": self.config_digest,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def worker_count() -> int:

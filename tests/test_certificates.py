@@ -6,8 +6,11 @@ randomized sign grids at depth 3, and a worst-case singular-vector check for
 the comparable-scale bound.
 """
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twoweight import (
     GridSpec,
@@ -17,7 +20,7 @@ from twoweight import (
     lebesgue,
     weighted_haar,
 )
-from twoweight import _kernels
+from twoweight import _kernels, haar
 from twoweight.certificates import (
     BOUND_SLACK,
     PARTITION_RTOL,
@@ -26,6 +29,7 @@ from twoweight.certificates import (
     count_M,
     decompose_ABC,
     full_certificate,
+    prepare,
     split_B,
 )
 from twoweight.exceptions import DecompositionError
@@ -52,9 +56,10 @@ def mean_zero(values, mu):
     return values - np.sum(values * mu.masses) / mu.total
 
 
-def _split_B_loop_reference(t, parts, family, r, c2, rtol=PARTITION_RTOL):
+def _split_B_loop_reference(t, parts, g, family, r, c2, rtol=PARTITION_RTOL):
     """split_B as a per-rectangle loop: each pairing <T(sigma h_E), 1_Q> is
-    the sparse indicator analysis of Q dotted with column E of W."""
+    the sparse indicator analysis of Q dotted with column E of W, and the
+    averages of g0 (g the prepared record on t.omega) are summed here."""
     grid = t.grid
     omega = t.omega
     fhat = parts["fhat"]
@@ -63,7 +68,7 @@ def _split_B_loop_reference(t, parts, family, r, c2, rtol=PARTITION_RTOL):
     m_const = count_M(grid.dimension, r)
     om_mass = omega.box_mass
 
-    gints = _kernels.box_sums(parts["g_values"] * omega.masses)
+    gints = _kernels.box_sums(g.values0 * omega.masses)
     with np.errstate(invalid="ignore", divide="ignore"):
         gavg = np.where(om_mass > 0, gints / np.where(om_mass > 0, om_mass, 1.0), 0.0)
 
@@ -173,7 +178,7 @@ def test_martingale_transform_pure_A(rng):
     t = martingale_transform(CoefficientSequence.random(grid, rng), sigma, omega)
     f = mean_zero(rng.standard_normal(grid.num_leaves), sigma)
     g = mean_zero(rng.standard_normal(grid.num_leaves), omega)
-    a, b, c, parts = decompose_ABC(t, f, g, 0)
+    a, b, c, parts = decompose_ABC(t, prepare(f, sigma), prepare(g, omega), 0)
     assert b == 0.0 and c == 0.0
     assert a == pytest.approx(parts["pi"], abs=1e-12 * t.frobenius())
 
@@ -184,7 +189,7 @@ def test_single_haar_pair_reduces_to_one_term(rng):
     t = martingale_transform(CoefficientSequence.random(grid, rng), sigma, omega)
     f = weighted_haar(HaarRectangle(grid, 5), sigma).values
     g = weighted_haar(HaarRectangle(grid, 5), omega).values
-    a, b, c, parts = decompose_ABC(t, f, g, 0)
+    a, b, c, parts = decompose_ABC(t, prepare(f, sigma), prepare(g, omega), 0)
     assert b == c == 0.0
     assert a == pytest.approx(t.pairing(f, g), abs=1e-13 * max(t.frobenius(), 1))
 
@@ -200,7 +205,7 @@ def test_partition_residual_sweep(r, rng):
         t = random_ewl(r, sigma, omega, seed)
         f = mean_zero(rng.standard_normal(grid.num_leaves), sigma)
         g = mean_zero(rng.standard_normal(grid.num_leaves), omega)
-        a, b, c, parts = decompose_ABC(t, f, g, r)
+        a, b, c, parts = decompose_ABC(t, prepare(f, sigma), prepare(g, omega), r)
         scale = parts["fnorm"] * parts["gnorm"] * max(t.frobenius(), 1.0)
         assert abs(parts["residual"]) <= 1e-11 * max(scale, 1e-300)
         assert parts["max_partners"] <= count_M(1, r)
@@ -217,7 +222,7 @@ def test_decomposition_error_names_pair(rng):
     f = mean_zero(rng.standard_normal(8), sigma)
     g = mean_zero(rng.standard_normal(8), omega)
     with pytest.raises(DecompositionError) as err:
-        decompose_ABC(t, f, g, 0)
+        decompose_ABC(t, prepare(f, sigma), prepare(g, omega), 0)
     assert err.value.pair is not None
 
 
@@ -231,20 +236,23 @@ def test_boundary_terms_cases(rng):
     # mean-zero f and g: all three terms vanish
     f = mean_zero(rng.standard_normal(n), sigma)
     g = mean_zero(rng.standard_normal(n), omega)
-    terms, verdicts = boundary_terms_check(t, f, g, rep.c1, rep.c2)
+    terms, verdicts = boundary_terms_check(t, prepare(f, sigma), prepare(g, omega),
+                                           rep.c1, rep.c2)
     assert np.allclose(terms, 0.0, atol=1e-12 * t.frobenius())
     assert all(verdicts.values())
 
     # constant g: term1 is the whole Haar-vs-mean pairing, bounded by c2
     g_const = np.ones(n)
-    terms, verdicts = boundary_terms_check(t, f, g_const, rep.c1, rep.c2)
+    terms, verdicts = boundary_terms_check(t, prepare(f, sigma), prepare(g_const, omega),
+                                           rep.c1, rep.c2)
     fn = np.sqrt(np.sum(sigma.masses * f**2))
     gn = np.sqrt(omega.total)
     assert abs(terms[0]) <= rep.c2 * fn * gn * (1 + 1e-9) + 1e-12
     assert all(verdicts.values())
 
     # f = g = 1: only term3 survives, bounded through c1
-    terms, verdicts = boundary_terms_check(t, np.ones(n), np.ones(n), rep.c1, rep.c2)
+    terms, verdicts = boundary_terms_check(t, prepare(np.ones(n), sigma),
+                                           prepare(np.ones(n), omega), rep.c1, rep.c2)
     assert terms[0] == pytest.approx(0.0, abs=1e-12 * t.frobenius())
     assert terms[1] == pytest.approx(0.0, abs=1e-12 * t.frobenius())
     assert abs(terms[2]) <= rep.c1 * np.sqrt(sigma.total * omega.total) * (1 + 1e-9)
@@ -257,8 +265,9 @@ def test_split_B_zero_for_radius_zero_martingale(rng):
     t = martingale_transform(CoefficientSequence.random(grid, rng), sigma, omega)
     f = mean_zero(rng.standard_normal(8), sigma)
     g = mean_zero(rng.standard_normal(8), omega)
-    _, b, _, parts = decompose_ABC(t, f, g, 0)
-    fam = build_stopping_family(g, omega)
+    g = prepare(g, omega)
+    _, b, _, parts = decompose_ABC(t, prepare(f, sigma), g, 0)
+    fam = build_stopping_family(g.values0, omega)
     rep = make_report(t, r=0, norm=False)
     b1, b2, per_s, verdicts, residuals, _ = split_B(t, parts, fam, 0, rep.c2)
     assert b == b1 == b2 == 0.0
@@ -273,8 +282,9 @@ def test_split_B_single_stopping_rectangle_traced(rng):
     t = random_ewl(1, sigma, omega, 11)
     f = mean_zero(rng.standard_normal(4), sigma)
     g = mean_zero(np.array([1.0, 1.1, 0.9, 1.05]), omega)  # near-constant
-    _, b, _, parts = decompose_ABC(t, f, g, 1)
-    fam = build_stopping_family(g, omega)
+    g = prepare(g, omega)
+    _, b, _, parts = decompose_ABC(t, prepare(f, sigma), g, 1)
+    fam = build_stopping_family(g.values0, omega)
     assert list(fam.members) == [1]
     rep = make_report(t, r=1, norm=False)
     b1, b2, per_s, verdicts, residuals, _ = split_B(t, parts, fam, 1, rep.c2)
@@ -301,17 +311,19 @@ def test_split_B_matches_loop_reference(n, d, rng):
                 continue
             t = random_ewl(r, sigma, omega, 100 * r + d)
             rep = make_report(t, r=r, norm=False)
-            f = mean_zero(rng.standard_normal(nn), sigma)
-            g = mean_zero(rng.standard_normal(nn), omega)
+            f = prepare(rng.standard_normal(nn), sigma)
+            g = prepare(rng.standard_normal(nn), omega)
             ta = t.adjoint()
-            fam_g = build_stopping_family(g, omega)
-            cases = [(t, decompose_ABC(t, f, g, r)[3], fam_g, rep.c2),
-                     (ta, decompose_ABC(ta, g, f, r)[3], build_stopping_family(f, sigma), rep.c1),
+            fam_g = build_stopping_family(g.values0, omega)
+            fam_f = build_stopping_family(f.values0, sigma)
+            zero = prepare(np.zeros(nn), sigma)
+            cases = [(t, decompose_ABC(t, f, g, r)[3], g, fam_g, rep.c2),
+                     (ta, decompose_ABC(ta, g, f, r)[3], f, fam_f, rep.c1),
                      # no live rectangle: every per-S term is a float zero
-                     (t, decompose_ABC(t, np.zeros(nn), g, r)[3], fam_g, rep.c2)]
-            for op, parts, fam, const in cases:
+                     (t, decompose_ABC(t, zero, g, r)[3], g, fam_g, rep.c2)]
+            for op, parts, g_side, fam, const in cases:
                 got = split_B(op, parts, fam, r, const)
-                want = _split_B_loop_reference(op, parts, fam, r, const)
+                want = _split_B_loop_reference(op, parts, g_side, fam, r, const)
                 scale = max(abs(parts["pi"]), parts["fnorm"] * parts["gnorm"])
                 assert abs(got[0] - want[0]) <= 1e-13 * scale
                 assert abs(got[1] - want[1]) <= 1e-13 * scale
@@ -345,6 +357,104 @@ def test_full_certificate_random_sweep(n, d, rng):
             cert.a_term + cert.b_term + cert.c_term,
             abs=1e-10 * max(1.0, t.frobenius()))
         assert cert.b_term == pytest.approx(cert.b1_term + cert.b2_term, abs=1e-12)
+
+
+def test_full_certificate_rejects_a_report_at_another_radius():
+    rng = np.random.default_rng(5)
+    grid = build_grid(GridSpec(1, 4))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    t = random_ewl(1, sigma, omega, 3)
+    f, g = rng.standard_normal((2, grid.num_leaves))
+    # c3 differs by radius (1.105 at r=0, 1.566 at r=1): a report at the
+    # wrong radius would certify against the wrong constants
+    at_zero = make_report(t, r=0, norm=False, extra_c3_radii=(2,))
+    with pytest.raises(ValueError, match="at radius 1 needs .* a report at radius 0"):
+        full_certificate(t, f, g, r=1, report=at_zero)
+    without_next = make_report(t, r=1, norm=False)
+    with pytest.raises(ValueError, match="c3 at radius 2; got a report at radius 1 "):
+        full_certificate(t, f, g, r=1, report=without_next)
+    matching = make_report(t, r=1, norm=False, extra_c3_radii=(2,))
+    assert (full_certificate(t, f, g, r=1, report=matching).as_dict()
+            == full_certificate(t, f, g, r=1).as_dict())
+
+
+def test_full_certificate_analyzes_each_function_once(rng, monkeypatch):
+    """f, g, f0, g0 and T(sigma 1) are analyzed once each; the other box
+    sums are one signed and one absolute average per stopping side."""
+    grid = build_grid(GridSpec(1, 4))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    t = random_ewl(1, sigma, omega, 3)
+    rep = make_report(t, r=1, norm=False, extra_c3_radii=(2,))
+    f, g = rng.standard_normal((2, grid.num_leaves))
+    calls = {"analyze": 0, "box_sums": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    original = haar.analyze
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twoweight") and getattr(module, "analyze", None) is original:
+            monkeypatch.setattr(module, "analyze", counted("analyze", original))
+    monkeypatch.setattr(_kernels, "box_sums", counted("box_sums", _kernels.box_sums))
+    full_certificate(t, f, g, r=1, report=rep)
+    assert calls == {"analyze": 5, "box_sums": 9}
+
+
+@st.composite
+def certified_cases(draw):
+    """(t, f, g, r): random_ewl at radius r <= 2 on n = 1 (d <= 5) or n = 2
+    (d <= 3) with some massless leaves; both measures charge the grid."""
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 5 if n == 1 else 3))
+    r = draw(st.integers(0, 2))
+    zero_fraction = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, zero_fraction)
+    assume(sigma.total > 0 and omega.total > 0)
+    f, g = rng.standard_normal((2, grid.num_leaves))
+    return random_ewl(r, sigma, omega, seed), f, g, r
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(certified_cases())
+def test_certificate_duality_under_the_adjoint(case):
+    """The B side of the certificate of (T*, g, f) is the C side of (T, f, g)
+    and back, exactly; verdicts agree and Pi, A and B(T*) = C(T) agree to
+    rounding."""
+    t, f, g, r = case
+    cert = full_certificate(t, f, g, r=r)
+    dual = full_certificate(t.adjoint(), g, f, r=r)
+    for one, other in ((cert, dual), (dual, cert)):
+        b_side = one.as_dict()
+        assert {k: b_side[k] for k in ("b1_term", "b2_term", "per_stopping")} == {
+            "b1_term": other.c_side["b1"], "b2_term": other.c_side["b2"],
+            "per_stopping": other.c_side["per_stopping"]}
+    assert cert.passed == dual.passed
+    assert dual.pi_total == pytest.approx(cert.pi_total, rel=1e-12)
+    assert dual.a_term == pytest.approx(cert.a_term, rel=1e-12)
+    assert dual.b_term == pytest.approx(cert.c_term, rel=1e-12)
+
+
+def test_certificate_on_a_measure_charging_one_leaf(rng):
+    # L^2 of a one-leaf measure holds only constants: the mean-zero part is
+    # exactly zero on that side, not the rounding left by subtracting the mean
+    grid = build_grid(GridSpec(1, 3))
+    masses = np.zeros(8)
+    masses[5] = 0.7
+    atom = LeafMeasure(grid, masses)
+    spread = random_measure(grid, rng, low=0.1)
+    for sigma, omega in ((atom, spread), (spread, atom)):
+        for r in (0, 1):
+            t = random_ewl(r, sigma, omega, r)
+            for f, g in rng.standard_normal((4, 2, 8)):
+                cert = full_certificate(t, f, g, r=r)
+                assert cert.passed, cert.failures()
+                assert cert.pi_total == cert.a_term == cert.b_term == cert.c_term == 0.0
 
 
 def test_certificate_degenerate_half_mass(rng):

@@ -1,6 +1,7 @@
 """Sweep harness determinism, measure generators, CLI exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -334,7 +335,8 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
 # A small certified sweep over every family and measure kind, recorded from
 # the per-rectangle split_B loop and the stack-built stopping families that
 # preceded the array versions: summary counts and maxima, and the verdict
-# dict and stopping-member count of every trial.
+# dict and stopping-member count of every trial.  GOLDEN_CERT_SHA256 hashes
+# every certificate document (JSON, sorted keys) in trial order.
 GOLDEN_SWEEP = {
     "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
     "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
@@ -353,6 +355,7 @@ GOLDEN_VERDICT_KEYS = [
     "packing_f", "packing_g", "partner_count", "projection_norms",
 ]
 GOLDEN_MEMBERS = {"total": 457, "max": 8}
+GOLDEN_CERT_SHA256 = "e6cd9a0a3152138303ce50e1dee892b3b6d212861fa68a58e1c2d513e9c1a3f7"
 
 
 def test_certified_sweep_output_unchanged(tmp_path):
@@ -364,8 +367,11 @@ def test_certified_sweep_output_unchanged(tmp_path):
     names = sorted(os.listdir(tmp_path / "certificates"))
     assert names == [f"trial_{i:06d}.json" for i in range(144)]
     members = []
+    digest = hashlib.sha256()
     for name in names:
         cert = serialize.load_json(tmp_path / "certificates" / name)
         assert cert["verdicts"] == dict.fromkeys(GOLDEN_VERDICT_KEYS, True), name
         members.append(len(cert["stopping_members"]))
+        digest.update(json.dumps(cert, sort_keys=True).encode())
     assert {"total": sum(members), "max": max(members)} == GOLDEN_MEMBERS
+    assert digest.hexdigest() == GOLDEN_CERT_SHA256
