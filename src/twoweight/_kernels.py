@@ -104,29 +104,26 @@ def synthesize(alpha, beta, coef, inv_sqrt_total):
     return synthesize_boxes(alpha, beta, coef, inv_sqrt_total)[..., alpha.shape[-1]:]
 
 
-def testing_images(wt, in_basis, in_mass, alpha, beta, inv_sqrt_total, mass,
-                   lo, hi, pair_offsets, pair_partner):
+def testing_images(images, in_mass, alpha, beta, inv_sqrt_total, mass,
+                   depth, lo, hi, pair_offsets, pair_partner):
     """Per-box indicator images and the statistics the testing module needs.
 
     For each box B (heap order, 1..2N-1): image = T applied to the indicator
-    of B.  ``wt`` is the TRANSPOSED whitened matrix (input slot, output slot);
-    any strides will do.  Returns per box the output-measure norm^2
-    restricted to B's own leaf range, the global norm^2, and for the box's
-    slice of the admissible pair list the pairings <T(sigma 1_B), 1_G>.
+    of B.  ``images`` is the input stage haar.synthesize_rows (output slot,
+    input leaf), scaled here in place by the input leaf masses in_mass: that
+    gives the output coefficients of T(sigma 1_leaf).  Returns per box the
+    output-measure norm^2 restricted to B's own leaf range, the global
+    norm^2, and for the box's slice of the admissible pair list the pairings
+    <T(sigma 1_B), 1_G>.
 
     The image is linear in B, so the pass builds the N leaf images once and
-    sums sibling rows level by level, O(N^2) in all:
+    sums sibling rows level by level, O(N^2) in all: output-side synthesis
+    gives the leaf images a block of input leaves at a time; a block is
+    summed up to its root box, and the block roots on up to the grid root.
 
-    * input-side synthesis of every output slot's row of W, scaled by the
-      input leaf masses, gives the output coefficients of T(sigma 1_leaf);
-    * output-side synthesis of those, a block of input leaves at a time,
-      gives the leaf images; a block is summed up to its root box, and the
-      block roots are summed on up to the grid root.
-
-    in_basis: (alpha, beta, inv_sqrt_total) of the input measure; in_mass:
-    (N,) input leaf masses.  alpha/beta/inv_sqrt_total, mass: the same for
-    the output measure.  pair_offsets: (2N+1,) CSR offsets into pair_partner
-    per box.
+    alpha/beta/inv_sqrt_total, mass: the output basis and leaf masses.
+    depth, lo, hi: the heap depth and leaf range of every box.
+    pair_offsets: (2N+1,) CSR offsets into pair_partner per box.
     """
     n = mass.shape[0]
     n2 = lo.shape[0]
@@ -134,25 +131,19 @@ def testing_images(wt, in_basis, in_mass, alpha, beta, inv_sqrt_total, mass,
     glob = np.zeros(n2)
     pair_vals = np.zeros(pair_partner.shape[0])
     rows = max(1, min(n, CHUNK_FLOATS // n))
-
-    in_alpha, in_beta, in_inv = in_basis
-    w = wt.T  # (output slot, input slot)
-    leaf_coef = np.empty((n, n))  # (output slot, input leaf)
-    for a in range(0, n, rows):
-        leaf_coef[a : a + rows] = in_mass * synthesize(in_alpha, in_beta, w[a : a + rows],
-                                                       in_inv)
+    images *= in_mass
 
     def visit(img, heap0):
         """Statistics of consecutive same-level boxes heap0, heap0+1, ..."""
-        size = hi[heap0] - lo[heap0]
+        level = depth[heap0]
         for c in range(0, img.shape[0], rows):
             block = img[c : c + rows]
             boxes = np.arange(heap0 + c, heap0 + c + block.shape[0])
             wv = block * mass
             sq = wv * block
             glob[boxes] = sq.sum(axis=1)
-            own = sq.reshape(block.shape[0], n // size, size)
-            restricted[boxes] = own[np.arange(block.shape[0]), lo[boxes] // size].sum(axis=1)
+            own = sq.reshape(block.shape[0], 1 << level, n >> level)
+            restricted[boxes] = own[np.arange(boxes.size), boxes - (1 << level)].sum(axis=1)
             start, stop = pair_offsets[boxes[0]], pair_offsets[boxes[-1] + 1]
             if stop > start:
                 cs = np.zeros((block.shape[0], n + 1))
@@ -174,7 +165,7 @@ def testing_images(wt, in_basis, in_mass, alpha, beta, inv_sqrt_total, mass,
 
     tops = np.empty((n // rows, n))  # images of the block root boxes
     for a in range(0, n, rows):
-        img = synthesize(alpha, beta, np.ascontiguousarray(leaf_coef[:, a : a + rows].T),
+        img = synthesize(alpha, beta, np.ascontiguousarray(images[:, a : a + rows].T),
                          inv_sqrt_total)
         tops[a // rows] = sum_up(img, n + a)
     if tops.shape[0] > 1:

@@ -52,7 +52,6 @@ import numpy as np
 from . import _kernels
 from .exceptions import DecompositionError
 from .haar import analyze, basis, synthesize
-from .localization import ewl_radius
 from .measures import LeafMeasure
 from .operators import DyadicOperator
 from .stopping import EMBEDDING_LIMIT, StoppingFamily, build_stopping_family, embedding_ratios
@@ -351,20 +350,19 @@ def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
     The C-term is certified by applying the B machinery to the adjoint with
     f and g (and their measures) swapped; the stopping family on that side
     is built from |f|.  ``report`` is a testing report of t at radius r with
-    c3 at r + 1 in its c3_extra; without one it is computed here.  f and g
+    its c3_next; without one it is computed here.  r defaults to the
+    report's radius, which defaults to the operator's EWL radius.  f and g
     are analyzed once (prepare) and every stage reads those records.
     """
-    if r is None:
-        r = ewl_radius(t)
-    n = t.grid.dimension
     if report is None:
-        report = testing_report(t, r=r, norm=False, extra_c3_radii=(r + 1,))
-    elif report.r_used != r or r + 1 not in report.c3_extra:
+        report = testing_report(t, r=r, norm=False, c3_next=True)
+    r = report.r_used if r is None else r
+    if report.r_used != r or report.c3_next is None:
         raise ValueError(f"a certificate at radius {r} needs c3 at radius {r + 1}; got "
-                         f"a report at radius {report.r_used} with c3 at radii "
-                         f"{sorted(report.c3_extra)}")
-    c1, c2, c3 = report.c1, report.c2, report.c3
-    c3_next = report.c3_extra[r + 1]
+                         f"a report at radius {report.r_used} with c3_next "
+                         f"{report.c3_next}")
+    n = t.grid.dimension
+    c1, c2, c3, c3_next = report.c1, report.c2, report.c3, report.c3_next
 
     f = prepare(f_values, t.sigma)
     g = prepare(g_values, t.omega)

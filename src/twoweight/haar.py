@@ -103,6 +103,19 @@ def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
                                b.inv_sqrt_total)
 
 
+def synthesize_rows(mu: LeafMeasure, w: np.ndarray) -> np.ndarray:
+    """synthesize(mu, w) for an (M, N) matrix, a block of rows at a time: the
+    input stage of the testing pass and of ewl_radius (row R of W over the
+    input measure is T*(nu h_R) on its leaves, nu the output measure)."""
+    b = basis(mu)
+    rows = max(1, _kernels.CHUNK_FLOATS // w.shape[1])
+    out = np.empty(w.shape)
+    for a in range(0, w.shape[0], rows):
+        out[a : a + rows] = _kernels.synthesize(b.alpha, b.beta, w[a : a + rows],
+                                                b.inv_sqrt_total)
+    return out
+
+
 def indicator_coefficients(mu: LeafMeasure, heap: int):
     """Sparse whitened analysis of the indicator of a box.
 

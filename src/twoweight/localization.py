@@ -9,7 +9,9 @@ over every charged rectangle E, where E^(r) is the heap ancestor of volume
 on the respective output side, above an absolute value threshold.  Every
 support lies in Q0 = E^(depth(E)), so the radius of any operator on the grid
 is at most tree_depth - 1, the depth of the smallest rectangles; a dense
-generic W attains that bound.
+generic W attains that bound.  The images are the input stages of the
+testing pass (haar.synthesize_rows), so testing_report reads the radius
+from its own stages by support_gap, as ewl_radius does.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -33,27 +35,30 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import CHUNK_FLOATS, synthesize_boxes
-from .haar import basis, synthesize
+from .haar import basis, synthesize_rows
 from .operators import DyadicOperator
 
 SUPPORT_TOL = 1e-12
 
 
-def _side_radius(grid, w, in_measure, out_measure):
+def support_gap(images, rect_measure, leaf_measure) -> int:
     """Max over charged rectangles of the minimal containing-ancestor gap.
 
-    The columns of w are synthesized a block at a time; per column the gap
-    from the rectangle up to the smallest box holding it and its support
-    leaves is vectorized over the block.
+    images: one unscaled input stage (synthesize_rows over leaf_measure),
+    row E for rect_measure's rectangle E.  Support is taken on the charged
+    leaves above SUPPORT_TOL.  Rows are reduced a block at a time; per row
+    the gap from E up to the smallest box holding E and its support leaves
+    is vectorized over the block.
     """
+    grid = leaf_measure.grid
     n = grid.num_leaves
-    rects = np.nonzero(basis(in_measure).charged)[0]
-    out_charged = out_measure.charged_leaves()
+    rects = np.nonzero(basis(rect_measure).charged)[0]
+    charged = leaf_measure.charged_leaves()
     rows = max(1, CHUNK_FLOATS // n)
     worst = 0
     for c in range(0, rects.size, rows):
         hs = rects[c : c + rows]
-        supp = out_charged & (np.abs(synthesize(out_measure, w[:, hs].T)) > SUPPORT_TOL)
+        supp = charged & (np.abs(images[hs]) > SUPPORT_TOL)
         hit = supp.any(axis=1)
         hs, supp = hs[hit], supp[hit]
         first = n + np.argmax(supp, axis=1)  # the outermost support leaves
@@ -66,12 +71,13 @@ def _side_radius(grid, w, in_measure, out_measure):
 def ewl_radius(t: DyadicOperator) -> int:
     """Smallest uniform localization radius, at most tree_depth - 1.
 
-    The smallest box holding a rectangle and its support is the root at the
-    largest, a gap of at most the rectangle's depth, and rectangles sit
-    above leaf scale.
+    The columns of W over omega are T(sigma h_E), its rows over sigma
+    T*(omega h_R).  The smallest box holding a rectangle and its support is
+    the root at the largest, a gap of at most the rectangle's depth, and
+    rectangles sit above leaf scale.
     """
-    return max(_side_radius(t.grid, t.w, t.sigma, t.omega),
-               _side_radius(t.grid, t.w.T, t.omega, t.sigma))
+    return max(support_gap(synthesize_rows(t.omega, t.w.T), t.sigma, t.omega),
+               support_gap(synthesize_rows(t.sigma, t.w), t.omega, t.sigma))
 
 
 def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):

@@ -26,7 +26,6 @@ from . import __version__, serialize
 from .certificates import full_certificate
 from .exceptions import DecompositionError, NormError
 from .grid import Grid, GridSpec, build_grid
-from .localization import ewl_radius
 from .measures import LeafFunction, LeafMeasure, from_pointwise_weights
 from .operators import COEFFICIENT_BUILDERS, CoefficientSequence, random_ewl
 from .testing import testing_report
@@ -181,10 +180,9 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
         return row, failures, cert_doc
 
     t = _build_operator(family, r, grid, sigma, omega, rng, config.coefficient_scale)
-    r_used = ewl_radius(t)
     start = time.perf_counter()
-    extra = (r_used + 1,) if config.certificates else ()
-    report = testing_report(t, r=r_used, extra_c3_radii=extra)
+    report = testing_report(t, c3_next=config.certificates)
+    r_used = report.r_used
 
     if max(report.c1, report.c2, report.c3) > report.norm * (1 + NECESSITY_SLACK):
         failures.append(f"necessity: max testing constant above norm (trial {index})")

@@ -16,8 +16,9 @@ belongs to the rectangle system as a set):
 
 plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
-side and returns them as the fields of one TestingReport; its radius
-defaults to ewl_radius(T), at most tree_depth - 1.  Every constant is
+side and returns them as the fields of one TestingReport.  Its radius
+defaults to ewl_radius(T), at most tree_depth - 1, read from the support
+gaps of the passes' own input stages.  Every constant is
 bounded by the operator norm, exactly; that necessity chain is asserted by
 the sweep harness and the acceptance suite.
 """
@@ -32,8 +33,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis
-from .localization import ewl_radius
+from .haar import basis, synthesize_rows
+from .localization import support_gap
 from .operators import DyadicOperator
 
 
@@ -149,19 +150,19 @@ def admissible_pairs(grid: Grid, r: int):
     return offsets, partners
 
 
-def _indicator_pass(wt, in_measure, out_measure, pair_offsets, pair_partner):
+def _output_stage(images, in_measure, out_measure, pair_offsets, pair_partner):
     """Restricted/global image norms and pairings for all boxes at once.
 
-    wt is the transposed whitened matrix of the map being probed (input
-    slot, output slot); a transposed view is fine.
+    images is the input stage synthesize_rows(in_measure, w) of the map
+    being probed, w its whitened matrix (output slot, input slot); the
+    pass scales it in place.
     """
     grid = in_measure.grid
-    ib = basis(in_measure)
     ob = basis(out_measure)
     return _kernels.testing_images(
-        wt, (ib.alpha, ib.beta, ib.inv_sqrt_total), in_measure.masses,
-        ob.alpha, ob.beta, ob.inv_sqrt_total, out_measure.masses,
-        grid.box_lo, grid.box_hi, pair_offsets, pair_partner,
+        images, in_measure.masses, ob.alpha, ob.beta, ob.inv_sqrt_total,
+        out_measure.masses, grid.box_depth, grid.box_lo, grid.box_hi,
+        pair_offsets, pair_partner,
     )
 
 
@@ -190,26 +191,12 @@ class TestingReport:
     ratio_max: float
     witnesses: dict = field(default_factory=dict)
     wall_ms: float = 0.0
-    c3_extra: dict = field(default_factory=dict)  # radius -> c3 at that radius
+    c3_next: float = None  # c3 at radius r_used + 1, when asked for
 
     def as_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c1_global": self.c1_global,
-            "c2_global": self.c2_global,
-            "c1_cube": self.c1_cube,
-            "c2_cube": self.c2_cube,
-            "c3_cube": self.c3_cube,
-            "r_used": self.r_used,
-            "ratio_sum": self.ratio_sum,
-            "ratio_max": self.ratio_max,
-            "witnesses": {k: list(map(int, v)) if isinstance(v, tuple) else int(v)
-                          for k, v in self.witnesses.items()},
-            "wall_ms": self.wall_ms,
-        }
+        return {**vars(self),
+                "witnesses": {k: list(map(int, v)) if isinstance(v, tuple) else int(v)
+                              for k, v in self.witnesses.items()}}
 
 
 def _ratio_max(num: np.ndarray, den: np.ndarray, subset=None):
@@ -239,25 +226,33 @@ def _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, subset=None):
 
 
 def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
-                   extra_c3_radii=()) -> TestingReport:
-    """Full testing profile; r defaults to the operator's measured radius.
+                   c3_next: bool = False) -> TestingReport:
+    """Full testing profile; r defaults to the operator's EWL radius.
 
-    With norm=False the (possibly expensive) operator norm and ratio fields
-    are skipped.  extra_c3_radii requests c3 at further enumeration radii
-    from the same image pass (report.c3_extra).
+    The adjoint side runs first (input stage, support gap, output stage),
+    then the forward side (input stage, gap, r, pairs, output stage), so one
+    N x N input stage is held at a time.  With norm=False the (possibly
+    expensive) operator norm and ratio fields are skipped.  c3_next also
+    computes c3 at radius r + 1 from the same image pass (report.c3_next).
     """
     start = time.perf_counter()
-    if r is None:
-        r = ewl_radius(t)
     grid = t.grid
     sig_mass = t.sigma.box_mass
     om_mass = t.omega.box_mass
 
-    enum_r = max([r, *extra_c3_radii])
-    offsets, partners = admissible_pairs(grid, enum_r)
-    restricted, glob, pair_vals = _indicator_pass(t.w.T, t.sigma, t.omega, offsets, partners)
+    # adjoint: the columns of W over omega, T(sigma h_E) on the omega leaves
+    images = synthesize_rows(t.omega, t.w.T)
+    gap = support_gap(images, t.sigma, t.omega) if r is None else 0
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    restricted2, glob2, _ = _indicator_pass(t.w, t.omega, t.sigma, *empty)
+    restricted2, glob2, _ = _output_stage(images, t.omega, t.sigma, *empty)
+    del images
+    # forward: the rows of W over sigma, T*(omega h_R) on the sigma leaves
+    images = synthesize_rows(t.sigma, t.w)
+    if r is None:
+        r = max(gap, support_gap(images, t.omega, t.sigma))
+    offsets, partners = admissible_pairs(grid, r + 1 if c3_next else r)
+    restricted, glob, pair_vals = _output_stage(images, t.sigma, t.omega, offsets, partners)
+    del images
 
     c1, w1 = _ratio_max(restricted, sig_mass)
     c1g, w1g = _ratio_max(glob, sig_mass)
@@ -271,12 +266,9 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     # pair constants: normalize |<T(sigma 1_E), 1_G>| by sqrt(sigma(E) omega(G))
     boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
     den_e, den_g = sig_mass[boxes_e], om_mass[partners]
-    at_r = _pair_mask(grid, boxes_e, partners, r) if enum_r > r else None
+    at_r = _pair_mask(grid, boxes_e, partners, r) if c3_next else None
     c3, w3 = _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, at_r)
-    c3_extra = {}
-    for rr in extra_c3_radii:
-        sub = _pair_mask(grid, boxes_e, partners, rr) if rr < enum_r else None
-        c3_extra[int(rr)], _ = _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, sub)
+    c3n = _pair_sup(pair_vals, den_e, den_g, boxes_e, partners)[0] if c3_next else None
     cubes = cube_mask[boxes_e] & cube_mask[partners]
     if at_r is not None:
         cubes = cubes & at_r
@@ -293,7 +285,7 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
             "c1": w1, "c2": w2, "c3": w3, "c1_global": w1g, "c2_global": w2g,
             "c1_cube": w1c, "c2_cube": w2c, "c3_cube": w3c,
         },
-        c3_extra=c3_extra,
+        c3_next=c3n,
     )
     report.wall_ms = (time.perf_counter() - start) * 1e3
     return report

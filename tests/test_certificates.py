@@ -367,13 +367,14 @@ def test_full_certificate_rejects_a_report_at_another_radius():
     f, g = rng.standard_normal((2, grid.num_leaves))
     # c3 differs by radius (1.105 at r=0, 1.566 at r=1): a report at the
     # wrong radius would certify against the wrong constants
-    at_zero = make_report(t, r=0, norm=False, extra_c3_radii=(2,))
+    at_zero = make_report(t, r=0, norm=False, c3_next=True)
     with pytest.raises(ValueError, match="at radius 1 needs .* a report at radius 0"):
         full_certificate(t, f, g, r=1, report=at_zero)
     without_next = make_report(t, r=1, norm=False)
-    with pytest.raises(ValueError, match="c3 at radius 2; got a report at radius 1 "):
+    with pytest.raises(ValueError, match="c3 at radius 2; got a report at radius 1 "
+                                         "with c3_next None"):
         full_certificate(t, f, g, r=1, report=without_next)
-    matching = make_report(t, r=1, norm=False, extra_c3_radii=(2,))
+    matching = make_report(t, r=1, norm=False, c3_next=True)
     assert (full_certificate(t, f, g, r=1, report=matching).as_dict()
             == full_certificate(t, f, g, r=1).as_dict())
 
@@ -384,7 +385,7 @@ def test_full_certificate_analyzes_each_function_once(rng, monkeypatch):
     grid = build_grid(GridSpec(1, 4))
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
     t = random_ewl(1, sigma, omega, 3)
-    rep = make_report(t, r=1, norm=False, extra_c3_radii=(2,))
+    rep = make_report(t, r=1, norm=False, c3_next=True)
     f, g = rng.standard_normal((2, grid.num_leaves))
     calls = {"analyze": 0, "box_sums": 0}
 

@@ -1,15 +1,17 @@
 """The batched testing pass and ewl_radius against direct references."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
-from twoweight import GridSpec, _kernels, build_grid
-from twoweight.haar import basis, synthesize
+from twoweight import GridSpec, _kernels, build_grid, haar, localization, testing
+from twoweight.haar import basis, synthesize, synthesize_rows
 from twoweight.localization import SUPPORT_TOL, ewl_radius
 from twoweight.operators import DyadicOperator, random_ewl
-from twoweight.testing import _indicator_pass, admissible_pairs
+from twoweight.testing import _output_stage, admissible_pairs
 
 from conftest import random_measure
 
@@ -44,14 +46,14 @@ def test_testing_images_match_leaf_matrix_reference(rng, dimension, depth):
     assert np.any(sigma.masses == 0) and np.any(omega.masses == 0)
     t = random_ewl(1, sigma, omega, 5)
     offsets, partners = admissible_pairs(grid, 2)
-    got = _indicator_pass(t.w.T, sigma, omega, offsets, partners)
+    got = _output_stage(synthesize_rows(sigma, t.w), sigma, omega, offsets, partners)
     want = _reference_pass(t.leaf_matrix(), grid, omega.masses, offsets, partners)
     for g, w in zip(got, want):
         _assert_close(g, w)
 
     # adjoint pass: the transposed matrix, measures swapped, no pairs
     none = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    got = _indicator_pass(t.w, omega, sigma, *none)
+    got = _output_stage(synthesize_rows(omega, t.w.T), omega, sigma, *none)
     want = _reference_pass(t.adjoint().leaf_matrix(), grid, sigma.masses, *none)
     for g, w in zip(got[:2], want[:2]):
         _assert_close(g, w)
@@ -130,24 +132,55 @@ def test_ewl_radius_matches_per_column_reference(rng, dimension, depth):
             _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, SUPPORT_TOL),
         )
         assert ewl_radius(t) == want <= bound
+        # the testing pass reads the same radius from its own input stages
+        assert testing.testing_report(t, norm=False).r_used == want
+        measured = vars(testing.testing_report(t))
+        given = vars(testing.testing_report(t, r=ewl_radius(t)))
+        measured.pop("wall_ms"), given.pop("wall_ms")
+        assert measured == given
 
 
-def test_run_trial_runs_one_testing_pass(monkeypatch):
-    calls = []
-    original = sweep.testing_report
+@pytest.mark.parametrize("certify", [True, False])
+def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
+    """One testing pass per trial, two input stages (one per side), no
+    ewl_radius and no other synthesis outside the certificate."""
+    calls = {"testing_report": [], "synthesize_rows": 0, "synthesize": 0, "ewl_radius": 0}
+    in_certificate = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("extra_c3_radii", ()))
-        return original(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "testing_report":
+                calls[name].append(kwargs.get("c3_next"))
+            elif not (name == "synthesize" and in_certificate):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sweep, "testing_report", counted)
-    monkeypatch.setattr(certificates, "testing_report", counted)
+    def certificate(*args, **kwargs):
+        in_certificate.append(True)
+        try:
+            return original_certificate(*args, **kwargs)
+        finally:
+            in_certificate.pop()
+
+    original_certificate = certificates.full_certificate
+    monkeypatch.setattr(sweep, "full_certificate", certificate)
+    for module, name in [(testing, "testing_report"), (haar, "synthesize_rows"),
+                         (haar, "synthesize"), (localization, "ewl_radius")]:
+        original = getattr(module, name)
+        for held in list(sys.modules.values()):
+            if (held is not None and held.__name__.startswith("twoweight")
+                    and getattr(held, name, None) is original):
+                monkeypatch.setattr(held, name, counted(name, original))
     config = sweep.SweepConfig.from_dict({
         "dimension": 1, "depths": [4], "radii": [1], "trials": 2,
         "families": ["random_ewl", "haar_shift"], "measures": ["iid_uniform"], "seed": 3,
+        "certificates": certify,
     })
     for index, d, r, fam, kind in config.trial_params():
-        calls.clear()
+        for key in calls:
+            calls[key] = [] if key == "testing_report" else 0
         row, failures, cert = sweep.run_trial(config, index, d, r, fam, kind)
-        assert not failures and cert is not None
-        assert calls == [(row["r"] + 1,)]
+        assert not failures and (cert is not None) == certify
+        assert calls == {"testing_report": [certify], "synthesize_rows": 2,
+                         "synthesize": 0, "ewl_radius": 0}

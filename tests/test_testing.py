@@ -8,6 +8,7 @@ import pytest
 from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue
 from twoweight.exceptions import NormError
 from twoweight.haar import basis
+from twoweight.localization import ewl_radius
 from twoweight.operators import (
     COEFFICIENT_BUILDERS,
     CoefficientSequence,
@@ -295,6 +296,10 @@ def test_c1_equals_c2_of_adjoint(rng):
     adj = make_report(t.adjoint(), r=0, norm=False)
     assert rep.c1 == pytest.approx(adj.c2, rel=1e-12)
     assert rep.c2 == pytest.approx(adj.c1, rel=1e-12)
+    # with the radius measured, T and T* read the same one
+    assert ewl_radius(t) == ewl_radius(t.adjoint())
+    rep, adj = make_report(t, norm=False), make_report(t.adjoint(), norm=False)
+    assert rep.r_used == adj.r_used
 
 
 def test_c3_diagonal_pair_admissible(rng):
