@@ -109,7 +109,7 @@ def testing_images(images, in_mass, alpha, beta, inv_sqrt_total, mass,
     """Per-box indicator images and the statistics the testing module needs.
 
     For each box B (heap order, 1..2N-1): image = T applied to the indicator
-    of B.  ``images`` is the input stage haar.synthesize_rows (output slot,
+    of B.  ``images`` is the input stage haar.synthesize(W) (output slot,
     input leaf), scaled here in place by the input leaf masses in_mass: that
     gives the output coefficients of T(sigma 1_leaf).  Returns per box the
     output-measure norm^2 restricted to B's own leaf range, the global

@@ -28,8 +28,9 @@ embedding_ratios share.  The adjoint side reuses the records (same functions,
 same measures) but builds its own pair list from the adjoint's matrix, so
 C = B(T*) still compares two independently classified sums.
 
-Every inequality of the chain carries an explicit constant, recorded in
-bound_constants and pre-validated by the exhaustive small-instance tests:
+Every inequality of the chain carries an explicit constant, built once by
+bound_factors, recorded in bound_constants and pre-validated by the
+exhaustive small-instance tests:
 
     |A|    <= 4 M(r, n) c3' ||f|| ||g||     (c3' enumerated at radius r+1:
                                              half pairs of admissible Haar
@@ -61,11 +62,15 @@ PARTITION_RTOL = 1e-10
 BOUND_SLACK = 1e-9
 
 
-def count_M(n: int, r: int) -> int:
-    """Partner-count bound M(r, n) = (2^{n(2r+1)} - 1) / (2^n - 1)."""
+def bound_factors(n: int, r: int) -> dict:
+    """The partner-count bound M(r, n) = (2^{n(2r+1)} - 1) / (2^n - 1) and the
+    factors of the A, I, II, B2 and B1 bounds built from it."""
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    return ((1 << (n * (2 * r + 1))) - 1) // ((1 << n) - 1)
+    m = ((1 << (n * (2 * r + 1))) - 1) // ((1 << n) - 1)
+    sqrt_m = np.sqrt(m)
+    return {"M": m, "A_factor": 4.0 * m, "I_factor": 2.0 * sqrt_m, "II_factor": 1.0,
+            "B2_factor": np.sqrt(8.0), "K_B1": (2.0 * sqrt_m + 1.0) * np.sqrt(8.0)}
 
 
 @dataclass
@@ -156,13 +161,12 @@ def boundary_terms_check(t: DyadicOperator, f: Analyzed, g: Analyzed, c1: float,
     return (term1, term2, term3), verdicts
 
 
-def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int,
-                  rtol: float = PARTITION_RTOL):
+def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int):
     """Split Pi(f0, g0) of the mean-zero parts into the A/B/C classes.
 
     Returns (a, b, c, parts); parts carries the classified pair arrays for
     split_B.  Raises DecompositionError when Pi - (A + B + C) exceeds
-    rtol ||f0|| ||g0|| ||T||_F, naming the largest excluded pair.
+    PARTITION_RTOL ||f0|| ||g0|| ||T||_F, naming the largest excluded pair.
     """
     grid = t.grid
     fhat, ghat = f.coef0, g.coef0
@@ -185,7 +189,7 @@ def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int,
     c = float(np.sum(contrib[mask_c]))
     pi = float(ghat @ (t.w @ fhat))  # t.pairing(f0, g0)
     residual = pi - (a + b + c)
-    if abs(residual) > rtol * max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300):
+    if abs(residual) > PARTITION_RTOL * max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300):
         pair = None
         if np.any(mask_x):
             worst = int(np.argmax(np.abs(contrib[mask_x])))
@@ -212,8 +216,7 @@ def _sums_by(index, weights, size):
     return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
-def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
-            c2: float, rtol: float = PARTITION_RTOL):
+def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int, c2: float):
     """Exact B1/B2 split with per-S I/II terms and all bound verdicts.
 
     family is the stopping family of g0 (the g of parts), whose signed
@@ -228,14 +231,14 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     two boxes by walking only Q's root path, and the per-S sums are
     bincounts over S = pi(E^(r)).
 
-    Returns (b1, b2, per_stopping, verdicts, residuals, constants).
+    The bound verdicts read bound_factors(n, r).
+    Returns (b1, b2, per_stopping, verdicts, residuals).
     """
     grid = t.grid
     omega = t.omega
     fhat = parts["fhat"]
     fnorm, gnorm = parts["fnorm"], parts["gnorm"]
     scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
-    m_const = count_M(grid.dimension, r)
     om_mass = omega.box_mass
     num_boxes = grid.num_boxes
     gavg = family.average
@@ -288,37 +291,33 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int,
     }
 
     # bound verdicts
-    sqrt_m = np.sqrt(m_const)
-    k_b1 = (2.0 * sqrt_m + 1.0) * np.sqrt(8.0)
+    factors = bound_factors(grid.dimension, r)
     atol = 1e-12 * (1.0 + scale)
     cap = (np.sqrt(om_mass[members]) * family.abs_average[members]
            * np.sqrt(p_norm_sq[members]) * c2)
     verdicts = {
         "b_structure": structure_ok,
-        "b2_collapse": residuals["b2_collapse"] <= rtol,
-        "b_s_split": residuals["b_s_split"] <= rtol,
-        "b1_sum": residuals["b1_sum"] <= rtol,
-        "projection_norms": residuals["projection_norms"] <= rtol,
-        "bound_I": bool(np.all(np.abs(i_m) <= 2.0 * sqrt_m * cap * (1 + BOUND_SLACK) + atol)),
+        **{key: res <= PARTITION_RTOL for key, res in residuals.items()},
+        "bound_I": bool(np.all(np.abs(i_m)
+                               <= factors["I_factor"] * cap * (1 + BOUND_SLACK) + atol)),
         "bound_II": bool(np.all(np.abs(ii_m) <= cap * (1 + BOUND_SLACK) + atol)),
         "bound_B2": abs(b2_direct)
-        <= np.sqrt(8.0) * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
-        "bound_B1": abs(b1) <= k_b1 * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
+        <= factors["B2_factor"] * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
+        "bound_B1": abs(b1)
+        <= factors["K_B1"] * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
     }
-    constants = {"M": m_const, "I_factor": 2.0 * sqrt_m, "II_factor": 1.0,
-                 "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
     per_stopping = dict(zip(members.tolist(), zip(i_m.tolist(), ii_m.tolist())))
-    return b1, b2_direct, per_stopping, verdicts, residuals, constants
+    return b1, b2_direct, per_stopping, verdicts, residuals
 
 
 def _stopping_side(t: DyadicOperator, parts: dict, g: Analyzed, r: int,
-                   c: float, rtol: float, side: str, prefix: str):
+                   c: float, side: str, prefix: str):
     """The stopping family of |g0|, its embedding and packing, and split_B of t
     over it: (b1, b2, per_stopping, members), the side's verdicts, residuals
-    and constants (split_B's keys behind prefix), split_B's constants."""
+    (split_B's keys behind prefix) and constants."""
     family = build_stopping_family(g.values0, g.mu)
     emb = embedding_ratios(family, g.values0, g.mu)
-    b1, b2, per_stopping, v, res, const = split_B(t, parts, family, r, c, rtol)
+    b1, b2, per_stopping, v, res = split_B(t, parts, family, r, c)
     slack, ratio = family.packing_slack()
     verdicts = {f"packing_{side}": family.packing_ok(),
                 f"embedding_{side}": emb["absolute"] <= EMBEDDING_LIMIT,
@@ -327,94 +326,89 @@ def _stopping_side(t: DyadicOperator, parts: dict, g: Analyzed, r: int,
                  f"embedding_signed_{side}": emb["signed"],
                  f"packing_slack_{side}": slack, f"packing_ratio_{side}": ratio}
     residuals = {prefix + k: x for k, x in res.items()}
-    return (b1, b2, per_stopping, family.members), verdicts, residuals, constants, const
+    return (b1, b2, per_stopping, family.members), verdicts, residuals, constants
 
 
 def a_term_bound(a_value: float, n: int, r: int, c3_next: float,
                  fnorm: float, gnorm: float) -> dict:
     """|A| <= 4 M(r, n) c3' ||f|| ||g|| with c3' at enumeration radius r+1."""
-    m = count_M(n, r)
-    bound = 4.0 * m * c3_next * fnorm * gnorm
+    factors = bound_factors(n, r)
+    bound = factors["A_factor"] * c3_next * fnorm * gnorm
     return {
         "value": a_value,
         "bound": bound,
-        "M": m,
+        "M": factors["M"],
         "ok": abs(a_value) <= bound * (1 + BOUND_SLACK) + 1e-12 * (1 + fnorm * gnorm),
     }
 
 
-def full_certificate(t: DyadicOperator, f_values, g_values, r: int = None,
-                     rtol: float = PARTITION_RTOL, report=None) -> BilinearCertificate:
+def full_certificate(t: DyadicOperator, f_values, g_values, report=None) -> BilinearCertificate:
     """Run the entire decomposition on (T, f, g) and verify every estimate.
 
     The C-term is certified by applying the B machinery to the adjoint with
     f and g (and their measures) swapped; the stopping family on that side
-    is built from |f|.  ``report`` is a testing report of t at radius r with
-    its c3_next; without one it is computed here.  r defaults to the
-    report's radius, which defaults to the operator's EWL radius.  f and g
+    is built from |f|.  ``report`` is a testing report of t with its
+    c3_next, and the certificate runs at its radius r_used; without one it is
+    computed here at the operator's EWL radius.  To certify at another
+    radius r, pass testing_report(t, r=r, norm=False, c3_next=True).  f and g
     are analyzed once (prepare) and every stage reads those records.
     """
     if report is None:
-        report = testing_report(t, r=r, norm=False, c3_next=True)
-    r = report.r_used if r is None else r
-    if report.r_used != r or report.c3_next is None:
+        report = testing_report(t, norm=False, c3_next=True)
+    r = report.r_used
+    if report.c3_next is None:
         raise ValueError(f"a certificate at radius {r} needs c3 at radius {r + 1}; got "
-                         f"a report at radius {report.r_used} with c3_next "
-                         f"{report.c3_next}")
+                         f"a report at radius {r} with c3_next None")
     n = t.grid.dimension
     c1, c2, c3, c3_next = report.c1, report.c2, report.c3, report.c3_next
+    factors = bound_factors(n, r)
 
     f = prepare(f_values, t.sigma)
     g = prepare(g_values, t.omega)
     fnorm, gnorm = f.norm, g.norm
     boundary, verdicts = boundary_terms_check(t, f, g, c1, c2)
 
-    a, b, c, parts = decompose_ABC(t, f, g, r, rtol=rtol)
+    a, b, c, parts = decompose_ABC(t, f, g, r)
     scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
     pi_full = float(g.coef @ (t.w @ f.coef))  # t.pairing(f, g)
     residuals = {
         "abc_partition": abs(parts["residual"]) / scale,
         "mean_reduction": abs(pi_full - (parts["pi"] + sum(boundary))) / scale,
     }
-    verdicts["abc_partition"] = residuals["abc_partition"] <= rtol
-    verdicts["mean_reduction"] = residuals["mean_reduction"] <= rtol
-    verdicts["partner_count"] = parts["max_partners"] <= count_M(n, r)
+    verdicts["partner_count"] = parts["max_partners"] <= factors["M"]
 
     # forward side on (g, omega) with c2; the C side runs it on (t*, f, sigma) with c1
-    (b1, b2, per_stopping, members), v_g, res_g, const_g, const_b = _stopping_side(
-        t, parts, g, r, c2, rtol, "g", "")
+    (b1, b2, per_stopping, members), v_g, res_g, const_g = _stopping_side(
+        t, parts, g, r, c2, "g", "")
     verdicts.update(v_g)
     residuals.update(res_g)
     residuals["b_partition"] = abs(b - (b1 + b2)) / scale
-    verdicts["b_partition"] = residuals["b_partition"] <= rtol
 
     # symmetric side through the adjoint
     ta = t.adjoint()
-    a2, b2_adj, c2_adj, parts_adj = decompose_ABC(ta, g, f, r, rtol=rtol)
+    a2, b2_adj, c2_adj, parts_adj = decompose_ABC(ta, g, f, r)
     residuals["c_is_adjoint_b"] = abs(c - b2_adj) / scale
-    verdicts["c_is_adjoint_b"] = residuals["c_is_adjoint_b"] <= rtol
-    (cb1, cb2, c_per_stop, _), v_f, res_f, const_f, _ = _stopping_side(
-        ta, parts_adj, f, r, c1, rtol, "f", "c_")
+    (cb1, cb2, c_per_stop, _), v_f, res_f, const_f = _stopping_side(
+        ta, parts_adj, f, r, c1, "f", "c_")
     verdicts.update(v_f)
     residuals.update(res_f)
+    for key in ("abc_partition", "mean_reduction", "b_partition", "c_is_adjoint_b"):
+        verdicts[key] = residuals[key] <= PARTITION_RTOL
 
     a_check = a_term_bound(a, n, r, c3_next, f.norm0, g.norm0)
     verdicts["bound_A"] = a_check["ok"]
 
-    m_const = a_check["M"]
-    k_b1 = const_b["K_B1"]
     csum = c1 + c2 + c3
     total_bound = ((c2 + 2 * c1) * fnorm * gnorm
-                   + 4 * m_const * c3_next * f.norm0 * g.norm0
-                   + (np.sqrt(8.0) + k_b1) * (c1 + c2) * f.norm0 * g.norm0)
+                   + factors["A_factor"] * c3_next * f.norm0 * g.norm0
+                   + (factors["B2_factor"] + factors["K_B1"]) * (c1 + c2) * f.norm0 * g.norm0)
     verdicts["bound_total"] = abs(pi_full) <= total_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + scale)
     k_total = total_bound / (csum * fnorm * gnorm) if csum > 0 and fnorm * gnorm > 0 else 0.0
 
     bound_constants = {
-        "r": int(r), "M": m_const, "c1": c1, "c2": c2, "c3": c3,
+        "r": int(r), "c1": c1, "c2": c2, "c3": c3,
         "c3_enumeration_radius": int(r + 1), "c3_next": c3_next,
-        "A_factor": 4.0 * m_const, "K_total": float(k_total),
-        **const_g, **const_f, **const_b,
+        "K_total": float(k_total), **factors, **const_g, **const_f,
     }
     return BilinearCertificate(
         pi_total=parts["pi"], a_term=a, b_term=b, c_term=c,

@@ -75,14 +75,14 @@ class Grid:
     boundary via ``lex_to_morton``/``morton_to_lex``.
     """
 
-    def __init__(self, spec: GridSpec, leaf_cap: int = DEFAULT_LEAF_CAP):
+    def __init__(self, spec: GridSpec):
         n, d = spec.dimension, spec.depth
         if n * d >= 63:
             raise GridSizeError(f"2^{n * d} leaves overflows the address space")
         num_leaves = 1 << (n * d)
-        if num_leaves > leaf_cap:
+        if num_leaves > DEFAULT_LEAF_CAP:
             raise GridSizeError(
-                f"grid needs {num_leaves} leaves, above the cap {leaf_cap}"
+                f"grid needs {num_leaves} leaves, above the cap {DEFAULT_LEAF_CAP}"
             )
         self.spec = spec
         self.dimension = n
@@ -204,8 +204,8 @@ class Grid:
         return f"Grid(n={self.dimension}, d={self.depth}, leaves={self.num_leaves})"
 
 
-def build_grid(spec: GridSpec, leaf_cap: int = DEFAULT_LEAF_CAP) -> Grid:
-    return Grid(spec, leaf_cap=leaf_cap)
+def build_grid(spec: GridSpec) -> Grid:
+    return Grid(spec)
 
 
 @dataclass(frozen=True)

@@ -97,23 +97,19 @@ def analyze(mu: LeafMeasure, values: np.ndarray) -> np.ndarray:
 
 
 def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
-    """Leaf values from whitened coefficients (mu-a.e. inverse of analyze)."""
+    """Leaf values from whitened coefficients (mu-a.e. inverse of analyze);
+    batched over leading axes, CHUNK_FLOATS // N rows at a time.  Row R of
+    W over the input measure is T*(nu h_R) on its leaves, nu the output
+    measure: the input stage of the testing pass and of ewl_radius."""
     b = basis(mu)
-    return _kernels.synthesize(b.alpha, b.beta, np.asarray(coef, dtype=np.float64),
-                               b.inv_sqrt_total)
-
-
-def synthesize_rows(mu: LeafMeasure, w: np.ndarray) -> np.ndarray:
-    """synthesize(mu, w) for an (M, N) matrix, a block of rows at a time: the
-    input stage of the testing pass and of ewl_radius (row R of W over the
-    input measure is T*(nu h_R) on its leaves, nu the output measure)."""
-    b = basis(mu)
-    rows = max(1, _kernels.CHUNK_FLOATS // w.shape[1])
-    out = np.empty(w.shape)
-    for a in range(0, w.shape[0], rows):
-        out[a : a + rows] = _kernels.synthesize(b.alpha, b.beta, w[a : a + rows],
-                                                b.inv_sqrt_total)
-    return out
+    coef = np.asarray(coef, dtype=np.float64)
+    rows = coef.reshape(-1, coef.shape[-1])
+    block = max(1, _kernels.CHUNK_FLOATS // rows.shape[1])
+    out = np.empty(rows.shape)
+    for a in range(0, rows.shape[0], block):
+        out[a : a + block] = _kernels.synthesize(b.alpha, b.beta, rows[a : a + block],
+                                                 b.inv_sqrt_total)
+    return out.reshape(coef.shape)
 
 
 def indicator_coefficients(mu: LeafMeasure, heap: int):

@@ -10,8 +10,8 @@ on the respective output side, above an absolute value threshold.  Every
 support lies in Q0 = E^(depth(E)), so the radius of any operator on the grid
 is at most tree_depth - 1, the depth of the smallest rectangles; a dense
 generic W attains that bound.  The images are the input stages of the
-testing pass (haar.synthesize_rows), so testing_report reads the radius
-from its own stages by support_gap, as ewl_radius does.
+testing pass (haar.synthesize of W and of W^T), so testing_report reads the
+radius from its own stages by support_gap, as ewl_radius does.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import CHUNK_FLOATS, synthesize_boxes
-from .haar import basis, synthesize_rows
+from .haar import basis, synthesize
 from .operators import DyadicOperator
 
 SUPPORT_TOL = 1e-12
@@ -44,7 +44,7 @@ SUPPORT_TOL = 1e-12
 def support_gap(images, rect_measure, leaf_measure) -> int:
     """Max over charged rectangles of the minimal containing-ancestor gap.
 
-    images: one unscaled input stage (synthesize_rows over leaf_measure),
+    images: one unscaled input stage (synthesize over leaf_measure),
     row E for rect_measure's rectangle E.  Support is taken on the charged
     leaves above SUPPORT_TOL.  Rows are reduced a block at a time; per row
     the gap from E up to the smallest box holding E and its support leaves
@@ -76,8 +76,8 @@ def ewl_radius(t: DyadicOperator) -> int:
     the root at the largest, a gap of at most the rectangle's depth, and
     rectangles sit above leaf scale.
     """
-    return max(support_gap(synthesize_rows(t.omega, t.w.T), t.sigma, t.omega),
-               support_gap(synthesize_rows(t.sigma, t.w), t.omega, t.sigma))
+    return max(support_gap(synthesize(t.omega, t.w.T), t.sigma, t.omega),
+               support_gap(synthesize(t.sigma, t.w), t.omega, t.sigma))
 
 
 def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):

@@ -35,6 +35,7 @@ WORKERS_ENV = "TWOWEIGHT_WORKERS"
 
 MEASURE_KINDS = ("uniform", "iid_uniform", "iid_exponential", "sparse_atoms",
                  "lacunary", "from_weights")
+MEASURE_PARAMS = {"sparse_atoms": {"p"}}  # the keys a dict entry may add to "kind"
 
 
 @dataclass
@@ -48,7 +49,6 @@ class SweepConfig:
     seed: int = 0
     certificates: bool = True
     dump_certificates: bool = False
-    partition_rtol: float = 1e-10
     coefficient_scale: float = 1.0
 
     @classmethod
@@ -76,9 +76,14 @@ class SweepConfig:
             if fam == "haar_shift" and self.dimension != 1:
                 raise ValueError("haar_shift requires dimension 1")
         for kind in self.measures:
-            name = kind["kind"] if isinstance(kind, dict) else kind
+            if isinstance(kind, dict) and "kind" not in kind:
+                raise ValueError(f"measure entry {kind!r} has no 'kind'")
+            name, params = _measure_kind(kind)
             if name not in MEASURE_KINDS:
                 raise ValueError(f"unknown measure kind {name!r}")
+            unknown = set(params) - MEASURE_PARAMS.get(name, set())
+            if unknown:
+                raise ValueError(f"measure kind {name!r} takes no {sorted(unknown)}")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -182,7 +187,6 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
     t = _build_operator(family, r, grid, sigma, omega, rng, config.coefficient_scale)
     start = time.perf_counter()
     report = testing_report(t, c3_next=config.certificates)
-    r_used = report.r_used
 
     if max(report.c1, report.c2, report.c3) > report.norm * (1 + NECESSITY_SLACK):
         failures.append(f"necessity: max testing constant above norm (trial {index})")
@@ -195,8 +199,7 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
         f = rng.standard_normal(grid.num_leaves)
         g = rng.standard_normal(grid.num_leaves)
         try:
-            cert = full_certificate(t, f, g, r=r_used, rtol=config.partition_rtol,
-                                    report=report)
+            cert = full_certificate(t, f, g, report=report)
         except (DecompositionError, NormError) as exc:
             failures.append(f"certificate error (trial {index}): {exc}")
             cert = None
@@ -208,7 +211,7 @@ def run_trial(config: SweepConfig, index: int, d: int, r: int, family, kind):
             cert_doc["trial"] = index
 
     report.wall_ms = (time.perf_counter() - start) * 1e3
-    row = serialize.trial_row(child_seed, config.dimension, d, r_used, family, report)
+    row = serialize.trial_row(child_seed, config.dimension, d, report.r_used, family, report)
     return row, failures, cert_doc
 
 

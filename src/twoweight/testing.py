@@ -25,7 +25,6 @@ the sweep harness and the acceptance suite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,16 +32,18 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis, synthesize_rows
+from .haar import basis, synthesize
 from .localization import support_gap
 from .operators import DyadicOperator
 
 
 # Grids with at least this many leaves take the Lanczos path of operator_norm.
-# The dense SVD costs O(N^3): with one BLAS thread it takes 4-6 ms per
-# operator at 256 leaves, where Lanczos ties or loses on every family, and
-# 38-46 ms at 512, where Lanczos takes 5-10 ms on paraproducts and random
-# EWL operators, 39 ms on a Haar shift and 124 ms on a martingale transform.
+# The dense SVD costs O(N^3).  With one BLAS thread (n = 1, best of 7, three
+# draws per family) it takes 4-7 ms at 256 leaves, where Lanczos takes 1-4 ms
+# on paraproducts and random EWL operators but 6-26 ms on Haar shifts and
+# martingale transforms, and 33-49 ms at 512, where Lanczos takes 3-12 ms on
+# paraproducts and random EWL operators, 25-72 ms on Haar shifts and
+# 121-247 ms on martingale transforms.
 LANCZOS_MIN_LEAVES = 512
 
 
@@ -153,7 +154,7 @@ def admissible_pairs(grid: Grid, r: int):
 def _output_stage(images, in_measure, out_measure, pair_offsets, pair_partner):
     """Restricted/global image norms and pairings for all boxes at once.
 
-    images is the input stage synthesize_rows(in_measure, w) of the map
+    images is the input stage synthesize(in_measure, w) of the map
     being probed, w its whitened matrix (output slot, input slot); the
     pass scales it in place.
     """
@@ -190,7 +191,7 @@ class TestingReport:
     ratio_sum: float
     ratio_max: float
     witnesses: dict = field(default_factory=dict)
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0  # the sweep's timing of the trial
     c3_next: float = None  # c3 at radius r_used + 1, when asked for
 
     def as_dict(self) -> dict:
@@ -235,19 +236,18 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     expensive) operator norm and ratio fields are skipped.  c3_next also
     computes c3 at radius r + 1 from the same image pass (report.c3_next).
     """
-    start = time.perf_counter()
     grid = t.grid
     sig_mass = t.sigma.box_mass
     om_mass = t.omega.box_mass
 
     # adjoint: the columns of W over omega, T(sigma h_E) on the omega leaves
-    images = synthesize_rows(t.omega, t.w.T)
+    images = synthesize(t.omega, t.w.T)
     gap = support_gap(images, t.sigma, t.omega) if r is None else 0
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
     restricted2, glob2, _ = _output_stage(images, t.omega, t.sigma, *empty)
     del images
     # forward: the rows of W over sigma, T*(omega h_R) on the sigma leaves
-    images = synthesize_rows(t.sigma, t.w)
+    images = synthesize(t.sigma, t.w)
     if r is None:
         r = max(gap, support_gap(images, t.omega, t.sigma))
     offsets, partners = admissible_pairs(grid, r + 1 if c3_next else r)
@@ -276,7 +276,7 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
 
     nrm = operator_norm(t) if norm else 0.0
     csum = c1 + c2 + c3
-    report = TestingReport(
+    return TestingReport(
         norm=nrm, c1=c1, c2=c2, c3=c3, c1_global=c1g, c2_global=c2g,
         c1_cube=c1c, c2_cube=c2c, c3_cube=c3c, r_used=int(r),
         ratio_sum=(nrm / csum if csum > 0 else 0.0),
@@ -287,5 +287,3 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
         },
         c3_next=c3n,
     )
-    report.wall_ms = (time.perf_counter() - start) * 1e3
-    return report

@@ -39,6 +39,7 @@ from twoweight.perfect_dyadic import (
 from twoweight.serialize import read_rows_csv
 from twoweight.stopping import build_stopping_family, embedding_ratios
 from twoweight.sweep import SweepConfig, run_sweep
+from twoweight.testing import testing_report as make_report
 
 RNG_SEED = 90125
 
@@ -254,8 +255,9 @@ def test_criterion_7_per_term_bounds(certified_sweep):
 
         ts = DyadicOperator(grid, sigma, omega, w_signed.astype(float),
                             claimed_radius=r)
+        report = make_report(ts, r=max(r, ewl_radius(ts)), norm=False, c3_next=True)
         cert = full_certificate(ts, rng.standard_normal(8), rng.standard_normal(8),
-                                r=max(r, ewl_radius(ts)))
+                                report=report)
         bad = [k for k in cert.failures() if k.startswith(("bound", "c_bound"))]
         assert not bad, bad
     for cert in certs:

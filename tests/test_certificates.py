@@ -25,8 +25,8 @@ from twoweight.certificates import (
     BOUND_SLACK,
     PARTITION_RTOL,
     a_term_bound,
+    bound_factors,
     boundary_terms_check,
-    count_M,
     decompose_ABC,
     full_certificate,
     prepare,
@@ -56,7 +56,12 @@ def mean_zero(values, mu):
     return values - np.sum(values * mu.masses) / mu.total
 
 
-def _split_B_loop_reference(t, parts, g, family, r, c2, rtol=PARTITION_RTOL):
+def report_at(t, r):
+    """The testing report a certificate of t at radius r reads."""
+    return make_report(t, r=r, norm=False, c3_next=True)
+
+
+def _split_B_loop_reference(t, parts, g, family, r, c2):
     """split_B as a per-rectangle loop: each pairing <T(sigma h_E), 1_Q> is
     the sparse indicator analysis of Q dotted with column E of W, and the
     averages of g0 (g the prepared record on t.omega) are summed here."""
@@ -65,7 +70,8 @@ def _split_B_loop_reference(t, parts, g, family, r, c2, rtol=PARTITION_RTOL):
     fhat = parts["fhat"]
     fnorm, gnorm = parts["fnorm"], parts["gnorm"]
     scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
-    m_const = count_M(grid.dimension, r)
+    n = grid.dimension
+    m_const = ((1 << (n * (2 * r + 1))) - 1) // ((1 << n) - 1)  # M(r, n)
     om_mass = omega.box_mass
 
     gints = _kernels.box_sums(g.values0 * omega.masses)
@@ -147,29 +153,29 @@ def _split_B_loop_reference(t, parts, g, family, r, c2, rtol=PARTITION_RTOL):
         ok_ii &= abs(ii_s[s]) <= cap * (1 + BOUND_SLACK) + atol
     verdicts = {
         "b_structure": structure_ok,
-        "b2_collapse": residuals["b2_collapse"] <= rtol,
-        "b_s_split": residuals["b_s_split"] <= rtol,
-        "b1_sum": residuals["b1_sum"] <= rtol,
-        "projection_norms": residuals["projection_norms"] <= rtol,
+        "b2_collapse": residuals["b2_collapse"] <= PARTITION_RTOL,
+        "b_s_split": residuals["b_s_split"] <= PARTITION_RTOL,
+        "b1_sum": residuals["b1_sum"] <= PARTITION_RTOL,
+        "projection_norms": residuals["projection_norms"] <= PARTITION_RTOL,
         "bound_I": bool(ok_i),
         "bound_II": bool(ok_ii),
         "bound_B2": abs(b2_direct)
         <= np.sqrt(8.0) * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
         "bound_B1": abs(b1) <= k_b1 * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
     }
-    constants = {"M": m_const, "I_factor": 2.0 * sqrt_m, "II_factor": 1.0,
-                 "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
+    constants = {"M": m_const, "A_factor": 4.0 * m_const, "I_factor": 2.0 * sqrt_m,
+                 "II_factor": 1.0, "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
     per_stopping = {s: (i_s[s], ii_s[s]) for s in members}
     return b1, b2_direct, per_stopping, verdicts, residuals, constants
 
 
 def test_count_M_values():
-    assert count_M(1, 0) == 1
-    assert count_M(1, 1) == 7
-    assert count_M(2, 1) == 21
-    assert count_M(1, 2) == 31
+    assert bound_factors(1, 0)["M"] == 1
+    assert bound_factors(1, 1)["M"] == 7
+    assert bound_factors(2, 1)["M"] == 21
+    assert bound_factors(1, 2)["M"] == 31
     with pytest.raises(ValueError):
-        count_M(0, 1)
+        bound_factors(0, 1)
 
 
 def test_martingale_transform_pure_A(rng):
@@ -208,7 +214,7 @@ def test_partition_residual_sweep(r, rng):
         a, b, c, parts = decompose_ABC(t, prepare(f, sigma), prepare(g, omega), r)
         scale = parts["fnorm"] * parts["gnorm"] * max(t.frobenius(), 1.0)
         assert abs(parts["residual"]) <= 1e-11 * max(scale, 1e-300)
-        assert parts["max_partners"] <= count_M(1, r)
+        assert parts["max_partners"] <= bound_factors(1, r)["M"]
         passes += 1
     assert passes >= 45
 
@@ -269,7 +275,7 @@ def test_split_B_zero_for_radius_zero_martingale(rng):
     _, b, _, parts = decompose_ABC(t, prepare(f, sigma), g, 0)
     fam = build_stopping_family(g.values0, omega)
     rep = make_report(t, r=0, norm=False)
-    b1, b2, per_s, verdicts, residuals, _ = split_B(t, parts, fam, 0, rep.c2)
+    b1, b2, per_s, verdicts, residuals = split_B(t, parts, fam, 0, rep.c2)
     assert b == b1 == b2 == 0.0
     assert all(verdicts.values())
 
@@ -287,7 +293,7 @@ def test_split_B_single_stopping_rectangle_traced(rng):
     fam = build_stopping_family(g.values0, omega)
     assert list(fam.members) == [1]
     rep = make_report(t, r=1, norm=False)
-    b1, b2, per_s, verdicts, residuals, _ = split_B(t, parts, fam, 1, rep.c2)
+    b1, b2, per_s, verdicts, residuals = split_B(t, parts, fam, 1, rep.c2)
     assert b2 == 0.0
     assert b1 == pytest.approx(b, abs=1e-14 * max(1.0, t.frobenius()))
     i1, ii1 = per_s[1]
@@ -336,7 +342,7 @@ def test_split_B_matches_loop_reference(n, d, rng):
                 assert got[4].keys() == want[4].keys()
                 for key, res in want[4].items():
                     assert abs(got[4][key] - res) <= 1e-13
-                assert got[5] == want[5]
+                assert bound_factors(n, r) == want[5]
                 checked += 1
     assert checked >= 8
 
@@ -365,18 +371,15 @@ def test_full_certificate_rejects_a_report_at_another_radius():
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
     t = random_ewl(1, sigma, omega, 3)
     f, g = rng.standard_normal((2, grid.num_leaves))
-    # c3 differs by radius (1.105 at r=0, 1.566 at r=1): a report at the
-    # wrong radius would certify against the wrong constants
-    at_zero = make_report(t, r=0, norm=False, c3_next=True)
-    with pytest.raises(ValueError, match="at radius 1 needs .* a report at radius 0"):
-        full_certificate(t, f, g, r=1, report=at_zero)
+    # the certificate runs at the report's radius, and its A bound needs c3
+    # at the next one: a report without it is rejected
     without_next = make_report(t, r=1, norm=False)
     with pytest.raises(ValueError, match="c3 at radius 2; got a report at radius 1 "
                                          "with c3_next None"):
-        full_certificate(t, f, g, r=1, report=without_next)
-    matching = make_report(t, r=1, norm=False, c3_next=True)
-    assert (full_certificate(t, f, g, r=1, report=matching).as_dict()
-            == full_certificate(t, f, g, r=1).as_dict())
+        full_certificate(t, f, g, report=without_next)
+    matching = report_at(t, 1)  # 1 is the EWL radius, the default
+    assert (full_certificate(t, f, g, report=matching).as_dict()
+            == full_certificate(t, f, g).as_dict())
 
 
 def test_full_certificate_analyzes_each_function_once(rng, monkeypatch):
@@ -400,7 +403,7 @@ def test_full_certificate_analyzes_each_function_once(rng, monkeypatch):
         if name.startswith("twoweight") and getattr(module, "analyze", None) is original:
             monkeypatch.setattr(module, "analyze", counted("analyze", original))
     monkeypatch.setattr(_kernels, "box_sums", counted("box_sums", _kernels.box_sums))
-    full_certificate(t, f, g, r=1, report=rep)
+    full_certificate(t, f, g, report=rep)
     assert calls == {"analyze": 5, "box_sums": 9}
 
 
@@ -428,8 +431,8 @@ def test_certificate_duality_under_the_adjoint(case):
     and back, exactly; verdicts agree and Pi, A and B(T*) = C(T) agree to
     rounding."""
     t, f, g, r = case
-    cert = full_certificate(t, f, g, r=r)
-    dual = full_certificate(t.adjoint(), g, f, r=r)
+    cert = full_certificate(t, f, g, report=report_at(t, r))
+    dual = full_certificate(t.adjoint(), g, f, report=report_at(t.adjoint(), r))
     for one, other in ((cert, dual), (dual, cert)):
         b_side = one.as_dict()
         assert {k: b_side[k] for k in ("b1_term", "b2_term", "per_stopping")} == {
@@ -453,7 +456,7 @@ def test_certificate_on_a_measure_charging_one_leaf(rng):
         for r in (0, 1):
             t = random_ewl(r, sigma, omega, r)
             for f, g in rng.standard_normal((4, 2, 8)):
-                cert = full_certificate(t, f, g, r=r)
+                cert = full_certificate(t, f, g, report=report_at(t, r))
                 assert cert.passed, cert.failures()
                 assert cert.pi_total == cert.a_term == cert.b_term == cert.c_term == 0.0
 
@@ -504,8 +507,8 @@ def _sign_structured_operator(grid, sigma, omega, window_signs, mu_signs, nu_sig
     return DyadicOperator(grid, sigma, omega, w, family="custom", claimed_radius=r)
 
 
-def _bounds_hold_for(t, r, f, g, rtol=1e-9):
-    cert = full_certificate(t, f, g, r=r)
+def _bounds_hold_for(t, r, f, g):
+    cert = full_certificate(t, f, g, report=report_at(t, r))
     return cert.passed, cert.failures()
 
 
@@ -561,7 +564,7 @@ def test_constant_prevalidation_randomized_depth3(rng):
                     masked[gg, e] = 0.0
         worst_a = float(np.linalg.svd(masked, compute_uv=False)[0])
         c3_next = make_report(t, r=r + 1, norm=False).c3
-        assert worst_a <= 4 * count_M(1, r) * c3_next * (1 + 1e-9) + 1e-12
+        assert worst_a <= 4 * bound_factors(1, r)["M"] * c3_next * (1 + 1e-9) + 1e-12
 
 
 def test_a_term_bound_record():

@@ -24,7 +24,7 @@ def test_leaf_counts(n, d, leaves):
 
 def test_leaf_cap():
     with pytest.raises(GridSizeError):
-        build_grid(GridSpec(2, 4), leaf_cap=100)
+        build_grid(GridSpec(1, 21))  # 2^21 leaves, above DEFAULT_LEAF_CAP
 
 
 def test_rectangle_count_matches_level_sum():

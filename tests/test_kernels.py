@@ -8,7 +8,7 @@ import pytest
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
 from twoweight import GridSpec, _kernels, build_grid, haar, localization, testing
-from twoweight.haar import basis, synthesize, synthesize_rows
+from twoweight.haar import basis, synthesize
 from twoweight.localization import SUPPORT_TOL, ewl_radius
 from twoweight.operators import DyadicOperator, random_ewl
 from twoweight.testing import _output_stage, admissible_pairs
@@ -46,14 +46,14 @@ def test_testing_images_match_leaf_matrix_reference(rng, dimension, depth):
     assert np.any(sigma.masses == 0) and np.any(omega.masses == 0)
     t = random_ewl(1, sigma, omega, 5)
     offsets, partners = admissible_pairs(grid, 2)
-    got = _output_stage(synthesize_rows(sigma, t.w), sigma, omega, offsets, partners)
+    got = _output_stage(synthesize(sigma, t.w), sigma, omega, offsets, partners)
     want = _reference_pass(t.leaf_matrix(), grid, omega.masses, offsets, partners)
     for g, w in zip(got, want):
         _assert_close(g, w)
 
     # adjoint pass: the transposed matrix, measures swapped, no pairs
     none = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    got = _output_stage(synthesize_rows(omega, t.w.T), omega, sigma, *none)
+    got = _output_stage(synthesize(omega, t.w.T), omega, sigma, *none)
     want = _reference_pass(t.adjoint().leaf_matrix(), grid, sigma.masses, *none)
     for g, w in zip(got[:2], want[:2]):
         _assert_close(g, w)
@@ -144,7 +144,7 @@ def test_ewl_radius_matches_per_column_reference(rng, dimension, depth):
 def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
     """One testing pass per trial, two input stages (one per side), no
     ewl_radius and no other synthesis outside the certificate."""
-    calls = {"testing_report": [], "synthesize_rows": 0, "synthesize": 0, "ewl_radius": 0}
+    calls = {"testing_report": [], "synthesize": 0, "ewl_radius": 0}
     in_certificate = []
 
     def counted(name, fn):
@@ -165,8 +165,8 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
 
     original_certificate = certificates.full_certificate
     monkeypatch.setattr(sweep, "full_certificate", certificate)
-    for module, name in [(testing, "testing_report"), (haar, "synthesize_rows"),
-                         (haar, "synthesize"), (localization, "ewl_radius")]:
+    for module, name in [(testing, "testing_report"), (haar, "synthesize"),
+                         (localization, "ewl_radius")]:
         original = getattr(module, name)
         for held in list(sys.modules.values()):
             if (held is not None and held.__name__.startswith("twoweight")
@@ -182,5 +182,4 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
             calls[key] = [] if key == "testing_report" else 0
         row, failures, cert = sweep.run_trial(config, index, d, r, fam, kind)
         assert not failures and (cert is not None) == certify
-        assert calls == {"testing_report": [certify], "synthesize_rows": 2,
-                         "synthesize": 0, "ewl_radius": 0}
+        assert calls == {"testing_report": [certify], "synthesize": 2, "ewl_radius": 0}

@@ -434,13 +434,13 @@ def test_admissible_pairs_match_loop_reference(n, d):
 
 
 def test_admissible_pair_count_bound():
-    from twoweight.certificates import count_M
+    from twoweight.certificates import bound_factors
 
     for n, d, r in [(1, 3, 1), (1, 4, 2), (2, 2, 1)]:
         grid = build_grid(GridSpec(n, d))
         offsets, partners = admissible_pairs(grid, r)
         per_box = np.diff(offsets)
-        assert int(per_box.max()) <= count_M(n, r)
+        assert int(per_box.max()) <= bound_factors(n, r)["M"]
 
 
 def test_report_json_bit_stable_ints(rng):
