@@ -2,9 +2,12 @@
 
 The operator norm of f -> T(sigma f) from L^2(sigma) to L^2(omega) is the
 largest singular value of the whitened matrix W: one dense SVD below
-LANCZOS_MIN_LEAVES leaves, and from there up a Lanczos iteration on the
-nonzero entries of W, which an essentially well localized operator keeps to
-a few percent of the matrix (lanczos_norm states its stopping rule).  The
+LANCZOS_MIN_LEAVES leaves or when more than SVD_MIN_DENSITY of W is
+nonzero, and otherwise a Lanczos iteration on the nonzero entries of W,
+which an essentially well localized operator keeps to a few percent of the
+matrix (lanczos_norm states its stopping rule).  Where W^T W or W W^T is
+diagonal, as for martingale transforms, Haar shifts and their adjoints,
+lanczos_norm reads the norm off that diagonal without iterating.  The
 testing constants are suprema over boxes of the truncated grid, leaf scale
 included (a leaf cube is the level-1 split rectangle of its own base, so it
 belongs to the rectangle system as a set):
@@ -39,25 +42,42 @@ from .operators import DyadicOperator
 
 # Grids with at least this many leaves take the Lanczos path of operator_norm.
 # The dense SVD costs O(N^3).  With one BLAS thread (n = 1, best of 7, three
-# draws per family) it takes 4-7 ms at 256 leaves, where Lanczos takes 1-4 ms
-# on paraproducts and random EWL operators but 6-26 ms on Haar shifts and
-# martingale transforms, and 33-49 ms at 512, where Lanczos takes 3-12 ms on
-# paraproducts and random EWL operators, 25-72 ms on Haar shifts and
-# 121-247 ms on martingale transforms.
+# draws per family) it takes 5-9 ms at 256 leaves, where lanczos_norm takes
+# 3-4 ms on paraproducts and 5-13 ms on random EWL operators of radius 0-3,
+# and 39-52 ms at 512, where lanczos_norm takes 7-8 ms and 10-20 ms.  On
+# martingale transforms and Haar shifts, whose Gram matrix is diagonal, it
+# takes under 1 ms at 256 leaves and about 2 ms at 512.
 LANCZOS_MIN_LEAVES = 512
+
+# W with more than this fraction of its entries nonzero takes the dense SVD
+# at every grid size.  Lanczos applies W from its nonzeros, so its cost grows
+# with the density and the SVD's does not.  Measured with one BLAS thread,
+# best of 3: at 512 leaves the SVD takes 41-57 ms, Lanczos 96-151 ms on
+# perfect-dyadic operators 57% nonzero, 33-68 ms on ones 36% nonzero, and
+# 53-276 ms on Gaussian matrices 10-100% nonzero.  At 1024 leaves the SVD
+# takes 430-510 ms, Lanczos 270-470 ms on perfect-dyadic operators 56%
+# nonzero, 190-260 ms on ones 35-38% nonzero, and 516, 815 and 1806 ms on
+# Gaussian matrices 30%, 50% and 100% nonzero.  Random EWL operators of
+# radius 0-3 keep 3-7% of W nonzero at 512 leaves.
+SVD_MIN_DENSITY = 0.5
 
 
 def operator_norm(t: DyadicOperator) -> float:
     """||T(sigma .)||_{L^2(sigma) -> L^2(omega)}, exact on charged leaves.
 
-    The largest singular value of W: one dense SVD below LANCZOS_MIN_LEAVES
-    leaves, lanczos_norm(W) from there up.
+    The largest singular value of W: lanczos_norm(W) on grids of at least
+    LANCZOS_MIN_LEAVES leaves where at most SVD_MIN_DENSITY of W is nonzero,
+    one dense SVD otherwise.  Counting the nonzeros costs about 1 ms at 1024
+    leaves.  lanczos_norm reads a martingale transform, a Haar shift or an
+    adjoint of one off its diagonal Gram matrix, without iterating.
     """
     if t.sigma.total == 0.0 or t.omega.total == 0.0:
         raise NormError("operator norm undefined: a side carries no mass")
-    if t.grid.num_leaves < LANCZOS_MIN_LEAVES:
-        return float(np.linalg.svd(t.w, compute_uv=False)[0])
-    return lanczos_norm(t.w)
+    w = t.w
+    if (t.grid.num_leaves >= LANCZOS_MIN_LEAVES
+            and np.count_nonzero(w) <= SVD_MIN_DENSITY * w.size):
+        return lanczos_norm(w)
+    return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
 def lanczos_norm(w: np.ndarray) -> float:
@@ -67,10 +87,13 @@ def lanczos_norm(w: np.ndarray) -> float:
     the coordinates of the nonzero rows and columns.  The Gram matrix A is
     W^T W when w has no more nonzero columns than nonzero rows and W W^T
     otherwise, so A is k x k with k = min(#nonzero rows, #nonzero columns).
-    The iteration starts from one seeded vector, so repeated calls agree bit
-    for bit, and orthogonalizes each new vector twice against the whole basis.
-    It stops at the first step j where, with theta and s the top eigenpair
-    of the tridiagonal T_j and beta the norm of the next vector,
+    When no two nonzeros share a slot of the larger side, A is diagonal (if
+    either Gram matrix is, this one is) and the result is the square root of
+    its largest entry, a sum of squares of the nonzeros, with no iteration.
+    Otherwise the iteration starts from one seeded vector, so repeated calls
+    agree bit for bit, and orthogonalizes each new vector twice against the
+    whole basis.  It stops at the first step j where, with theta and s the
+    top eigenpair of the tridiagonal T_j and beta the norm of the next vector,
 
     * the Ritz residual beta |s_j| is at most eps * theta (converged), or
     * beta is at most sqrt(k) * eps * |A v_j|, below the rounding left by the
@@ -95,6 +118,8 @@ def lanczos_norm(w: np.ndarray) -> float:
         inner, outer, k, num_outer = cols, rows, num_cols, num_rows
     else:  # A = W W^T on the rows
         inner, outer, k, num_outer = rows, cols, num_rows, num_cols
+    if np.bincount(outer).max() == 1:  # A is diagonal
+        return float(np.sqrt(np.bincount(inner, vals * vals, minlength=k).max()))
 
     eps = np.finfo(np.float64).eps
     basis = np.empty((k, k))  # row j is the Lanczos vector v_j

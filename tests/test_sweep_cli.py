@@ -197,9 +197,12 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     for not_a_summary in ("[]", '{"trials": 1}'):  # valid JSON, not a sweep summary
         (sweep_dir / "summary.json").write_text(not_a_summary)
         one_line_error(["report", "--in", str(sweep_dir)], str(sweep_dir))
-    # a measure entry without a kind, or with a key its kind does not take
+    # a measure entry without a kind, with a key its kind does not take, or
+    # with a p that is not a probability
     for measure, names in (({"p": 0.3}, "no 'kind'"),
-                           ({"kind": "sparse_atoms", "q": 0.3}, "['q']")):
+                           ({"kind": "sparse_atoms", "q": 0.3}, "['q']"),
+                           ({"kind": "sparse_atoms", "p": "x"}, "not 'x'"),
+                           ({"kind": "sparse_atoms", "p": 1.5}, "not 1.5")):
         malformed = tmp_path / "malformed_measure.json"
         malformed.write_text(json.dumps({"depths": [2], "measures": [measure]}))
         one_line_error(["sweep", "--config", str(malformed)], names)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue
+from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue, testing
 from twoweight.exceptions import NormError
 from twoweight.haar import basis
 from twoweight.localization import ewl_radius
@@ -13,12 +13,19 @@ from twoweight.operators import (
     COEFFICIENT_BUILDERS,
     CoefficientSequence,
     DyadicOperator,
+    haar_shift,
     martingale_transform,
     random_ewl,
     zero_operator,
 )
 from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
-from twoweight.testing import LANCZOS_MIN_LEAVES, admissible_pairs, lanczos_norm, operator_norm
+from twoweight.testing import (
+    LANCZOS_MIN_LEAVES,
+    SVD_MIN_DENSITY,
+    admissible_pairs,
+    lanczos_norm,
+    operator_norm,
+)
 from twoweight.testing import testing_report as make_report
 
 from conftest import random_measure
@@ -83,7 +90,7 @@ def test_martingale_norm_closed_form_at_1024_leaves(n, d, rng):
     assert grid.num_leaves == 1024 and 0 < np.count_nonzero(both) < grid.num_leaves
     closed = float(np.max(np.abs(b.values[both])))
     t = martingale_transform(b, sigma, omega)
-    assert operator_norm(t) == pytest.approx(closed, rel=1e-12)
+    assert operator_norm(t) == closed  # sqrt(0.0 + b**2) == |b| exactly
 
 
 NORM_FAMILIES = [*COEFFICIENT_BUILDERS, "random_ewl0", "random_ewl1", "random_ewl2", "custom"]
@@ -127,17 +134,35 @@ def test_lanczos_norm_matches_svd_every_family(n, d, rng):
         assert operator_norm(t) == pytest.approx(_svd_norm(t), rel=1e-13), family
 
 
+def _coupled_martingale(values, sigma, omega, row, col, entry):
+    """The martingale transform of values with one more nonzero in W, at
+    (row, col): its Gram matrices are not diagonal, so lanczos_norm iterates."""
+    w = martingale_transform(CoefficientSequence(sigma.grid, values), sigma, omega).w.copy()
+    w[row, col] = entry
+    return DyadicOperator(sigma.grid, sigma, omega, w)
+
+
+def _compressed_gram(w):
+    """The Gram matrix lanczos_norm iterates on: the smaller one of w
+    restricted to its nonzero rows and columns."""
+    w = w[np.any(w, axis=1)][:, np.any(w, axis=0)]
+    return w.T @ w if w.shape[1] <= w.shape[0] else w @ w.T
+
+
 @pytest.mark.parametrize("n,d", LANCZOS_GRIDS)
-def test_lanczos_norm_doubled_top_singular_value(n, d, rng):
-    # two slots share the largest |b|: the top singular value of W is double
+def test_lanczos_norm_doubled_top_singular_value(n, d, rng, monkeypatch):
+    # two slots share the largest |b|: the top singular value of W is double;
+    # the coupled slots 1 and 2 stay below it (|b| <= 0.9, entry 0.05)
     grid = build_grid(GridSpec(n, d))
     sigma, omega = pair(rng, grid, low=0.1)  # every slot charged on both sides
     values = rng.uniform(-0.9, 0.9, grid.num_leaves)
     values[0] = 0.0
     values[[3, grid.num_leaves - 5]] = [1.0, -1.0]
-    t = martingale_transform(CoefficientSequence(grid, values), sigma, omega)
+    t = _coupled_martingale(values, sigma, omega, 1, 2, 0.05)
     assert np.sort(np.linalg.svd(t.w, compute_uv=False))[-2] == pytest.approx(1.0, rel=1e-15)
-    assert operator_norm(t) == pytest.approx(1.0, rel=1e-13)
+    norm, steps = _lanczos_steps(monkeypatch, t.w)
+    assert steps > 1
+    assert operator_norm(t) == norm == pytest.approx(1.0, rel=1e-13)
 
 
 def _lanczos_steps(monkeypatch, w):
@@ -170,8 +195,9 @@ def test_lanczos_norm_rank_one_single_row_and_zero_charged_block(n, d, rng, monk
     norm, steps = _lanczos_steps(monkeypatch, rank_one.w)
     # breakdown: the start vector and the one image direction span the space
     assert steps == 2
-    assert operator_norm(rank_one) == norm == pytest.approx(closed, rel=1e-13)
+    assert norm == pytest.approx(closed, rel=1e-13)
     assert norm == pytest.approx(_svd_norm(rank_one), rel=1e-13)
+    assert operator_norm(rank_one) == pytest.approx(closed, rel=1e-13)
     one_row = np.zeros((size, size))
     one_row[np.flatnonzero(rows)[3]] = v
     single = DyadicOperator(grid, sigma, omega, one_row)
@@ -195,15 +221,19 @@ def test_lanczos_norm_krylov_exhaustion_small_grids(d, rng):
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
-def test_lanczos_norm_top_cluster_at_exhaustion(d, rng):
+def test_lanczos_norm_top_cluster_at_exhaustion(d, rng, monkeypatch):
     # |b| crowds towards its maximum 1 - 1e-15: the top Ritz value settles
-    # only once the basis spans every slot, and only with an orthogonal basis
+    # only once the basis spans every slot, and only with an orthogonal basis.
+    # The coupling sits on the two smallest nonzero |b|, away from the cluster.
     grid = build_grid(GridSpec(1, d))
     sigma, omega = pair(rng, grid, low=0.1)
     values = np.zeros(grid.num_leaves)
     values[1:] = 1.0 - np.geomspace(1e-15, 1.0, grid.num_leaves - 1)
-    t = martingale_transform(CoefficientSequence(grid, values), sigma, omega)
-    assert lanczos_norm(t.w) == pytest.approx(values[1], rel=1e-13)
+    last = grid.num_leaves - 2  # values[-1] is 0
+    t = _coupled_martingale(values, sigma, omega, last, last - 1, 0.01)
+    norm, steps = _lanczos_steps(monkeypatch, t.w)
+    assert steps == _compressed_gram(t.w).shape[0]
+    assert norm == pytest.approx(_svd_norm(t), rel=1e-13)
 
 
 @pytest.mark.parametrize("n,d", [(1, 10), (2, 5)])
@@ -245,17 +275,54 @@ def _lanczos_reference_steps(gram):
 
 
 def test_lanczos_norm_stops_at_the_documented_rule(rng, monkeypatch):
-    # a 1024-leaf martingale transform converges slowly (close top values of
-    # |b|), so a looser or tighter residual bound moves its stopping step
+    # a 1024-leaf martingale transform with one coupled row converges slowly
+    # (close top values of |b|), so a looser or tighter residual bound moves
+    # its stopping step
     grid = build_grid(GridSpec(1, 10))
     sigma, omega = pair(rng, grid, low=0.1)
     b = CoefficientSequence.random(grid, rng)
-    t = martingale_transform(b, sigma, omega)
-    want = _lanczos_reference_steps(np.diag(b.values[1:] ** 2))
+    t = _coupled_martingale(b.values, sigma, omega, 1, 2, 0.05)
+    want = _lanczos_reference_steps(_compressed_gram(t.w))
     norm, steps = _lanczos_steps(monkeypatch, t.w)
     assert 50 < want < grid.num_leaves - 1
     assert abs(steps - want) <= 1
-    assert norm == pytest.approx(np.max(np.abs(b.values)), rel=1e-13)
+    assert norm == pytest.approx(_svd_norm(t), rel=1e-13)
+
+
+def test_lanczos_norm_closed_form_on_a_diagonal_gram(rng, monkeypatch):
+    # a martingale transform, a Haar shift and their adjoints: no two
+    # nonzeros of W share a row (or, for the adjoints, a column)
+    grid = build_grid(GridSpec(1, 10))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    b = CoefficientSequence.random(grid, rng)
+    for t in (martingale_transform(b, sigma, omega), haar_shift(b, sigma, omega)):
+        for op in (t, t.adjoint()):
+            norm, steps = _lanczos_steps(monkeypatch, op.w)
+            assert steps == 0, op.family
+            assert norm == pytest.approx(_svd_norm(op), rel=1e-13), op.family
+
+
+def test_operator_norm_sends_dense_w_to_the_svd(rng, monkeypatch):
+    # lanczos_norm runs while at most SVD_MIN_DENSITY of W is nonzero
+    grid = build_grid(GridSpec(1, 9))
+    sigma, omega = pair(rng, grid, low=0.1)
+    size = grid.num_leaves
+    allowed = int(SVD_MIN_DENSITY * size * size)
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return lanczos_norm(w)
+
+    monkeypatch.setattr(testing, "lanczos_norm", counted)
+    for count, lanczos_calls in ((allowed, 1), (allowed + 1, 0)):
+        w = np.zeros(size * size)
+        w[rng.choice(size * size, count, replace=False)] = rng.standard_normal(count)
+        t = DyadicOperator(grid, sigma, omega, w.reshape(size, size))
+        assert np.count_nonzero(t.w) == count
+        calls.clear()
+        assert operator_norm(t) == pytest.approx(_svd_norm(t), rel=1e-13)
+        assert len(calls) == lanczos_calls
 
 
 def test_norm_certified_against_whitened_leaf_matrix(rng):
