@@ -84,9 +84,9 @@ class SweepConfig:
             unknown = set(params) - MEASURE_PARAMS.get(name, set())
             if unknown:
                 raise ValueError(f"measure kind {name!r} takes no {sorted(unknown)}")
-            p = params.get("p", 0.0)
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-                raise ValueError(f"measure kind {name!r}: p must be a number in [0, 1], not {p!r}")
+            p = params.get("p", 0.0)  # the share of empty leaves: p = 1 empties them all
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p < 1.0:
+                raise ValueError(f"measure kind {name!r}: p must be a number in [0, 1), not {p!r}")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

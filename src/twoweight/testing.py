@@ -2,15 +2,14 @@
 
 The operator norm of f -> T(sigma f) from L^2(sigma) to L^2(omega) is the
 largest singular value of the whitened matrix W: one dense SVD below
-LANCZOS_MIN_LEAVES leaves or when more than SVD_MIN_DENSITY of W is
-nonzero, and otherwise a Lanczos iteration on the nonzero entries of W,
-which an essentially well localized operator keeps to a few percent of the
-matrix (lanczos_norm states its stopping rule).  Where W^T W or W W^T is
-diagonal, as for martingale transforms, Haar shifts and their adjoints,
-lanczos_norm reads the norm off that diagonal without iterating.  The
-testing constants are suprema over boxes of the truncated grid, leaf scale
-included (a leaf cube is the level-1 split rectangle of its own base, so it
-belongs to the rectangle system as a set):
+LANCZOS_MIN_LEAVES leaves, and from there up a Lanczos iteration on the
+nonzero entries of W, which an essentially well localized operator keeps to
+a few percent of the matrix (lanczos_norm states its stopping rule).
+Where W^T W or W W^T is diagonal, as for martingale transforms, Haar shifts
+and their adjoints, lanczos_norm reads the norm off that diagonal without
+iterating.  The testing constants are suprema over boxes of the truncated
+grid, leaf scale included (a leaf cube is the level-1 split rectangle of its
+own base, so it belongs to the rectangle system as a set):
 
     c1  = max_E ||1_E T(sigma 1_E)||_omega / sigma(E)^{1/2}
     c2  =  the same for T* with the measures swapped
@@ -49,35 +48,20 @@ from .operators import DyadicOperator
 # takes under 1 ms at 256 leaves and about 2 ms at 512.
 LANCZOS_MIN_LEAVES = 512
 
-# W with more than this fraction of its entries nonzero takes the dense SVD
-# at every grid size.  Lanczos applies W from its nonzeros, so its cost grows
-# with the density and the SVD's does not.  Measured with one BLAS thread,
-# best of 3: at 512 leaves the SVD takes 41-57 ms, Lanczos 96-151 ms on
-# perfect-dyadic operators 57% nonzero, 33-68 ms on ones 36% nonzero, and
-# 53-276 ms on Gaussian matrices 10-100% nonzero.  At 1024 leaves the SVD
-# takes 430-510 ms, Lanczos 270-470 ms on perfect-dyadic operators 56%
-# nonzero, 190-260 ms on ones 35-38% nonzero, and 516, 815 and 1806 ms on
-# Gaussian matrices 30%, 50% and 100% nonzero.  Random EWL operators of
-# radius 0-3 keep 3-7% of W nonzero at 512 leaves.
-SVD_MIN_DENSITY = 0.5
-
 
 def operator_norm(t: DyadicOperator) -> float:
     """||T(sigma .)||_{L^2(sigma) -> L^2(omega)}, exact on charged leaves.
 
-    The largest singular value of W: lanczos_norm(W) on grids of at least
-    LANCZOS_MIN_LEAVES leaves where at most SVD_MIN_DENSITY of W is nonzero,
-    one dense SVD otherwise.  Counting the nonzeros costs about 1 ms at 1024
-    leaves.  lanczos_norm reads a martingale transform, a Haar shift or an
-    adjoint of one off its diagonal Gram matrix, without iterating.
+    The largest singular value of W: one dense SVD below LANCZOS_MIN_LEAVES
+    leaves, lanczos_norm(W) from there up.  lanczos_norm reads a martingale
+    transform, a Haar shift or an adjoint of one off its diagonal Gram
+    matrix, without iterating.
     """
     if t.sigma.total == 0.0 or t.omega.total == 0.0:
         raise NormError("operator norm undefined: a side carries no mass")
-    w = t.w
-    if (t.grid.num_leaves >= LANCZOS_MIN_LEAVES
-            and np.count_nonzero(w) <= SVD_MIN_DENSITY * w.size):
-        return lanczos_norm(w)
-    return float(np.linalg.svd(w, compute_uv=False)[0])
+    if t.grid.num_leaves < LANCZOS_MIN_LEAVES:
+        return float(np.linalg.svd(t.w, compute_uv=False)[0])
+    return lanczos_norm(t.w)
 
 
 def lanczos_norm(w: np.ndarray) -> float:

@@ -202,7 +202,8 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     for measure, names in (({"p": 0.3}, "no 'kind'"),
                            ({"kind": "sparse_atoms", "q": 0.3}, "['q']"),
                            ({"kind": "sparse_atoms", "p": "x"}, "not 'x'"),
-                           ({"kind": "sparse_atoms", "p": 1.5}, "not 1.5")):
+                           ({"kind": "sparse_atoms", "p": 1.5}, "not 1.5"),
+                           ({"kind": "sparse_atoms", "p": 1.0}, "not 1.0")):
         malformed = tmp_path / "malformed_measure.json"
         malformed.write_text(json.dumps({"depths": [2], "measures": [measure]}))
         one_line_error(["sweep", "--config", str(malformed)], names)

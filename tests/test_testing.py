@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue, testing
+from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue
 from twoweight.exceptions import NormError
 from twoweight.haar import basis
 from twoweight.localization import ewl_radius
@@ -19,13 +19,7 @@ from twoweight.operators import (
     zero_operator,
 )
 from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
-from twoweight.testing import (
-    LANCZOS_MIN_LEAVES,
-    SVD_MIN_DENSITY,
-    admissible_pairs,
-    lanczos_norm,
-    operator_norm,
-)
+from twoweight.testing import LANCZOS_MIN_LEAVES, admissible_pairs, lanczos_norm, operator_norm
 from twoweight.testing import testing_report as make_report
 
 from conftest import random_measure
@@ -195,9 +189,8 @@ def test_lanczos_norm_rank_one_single_row_and_zero_charged_block(n, d, rng, monk
     norm, steps = _lanczos_steps(monkeypatch, rank_one.w)
     # breakdown: the start vector and the one image direction span the space
     assert steps == 2
-    assert norm == pytest.approx(closed, rel=1e-13)
+    assert operator_norm(rank_one) == norm == pytest.approx(closed, rel=1e-13)
     assert norm == pytest.approx(_svd_norm(rank_one), rel=1e-13)
-    assert operator_norm(rank_one) == pytest.approx(closed, rel=1e-13)
     one_row = np.zeros((size, size))
     one_row[np.flatnonzero(rows)[3]] = v
     single = DyadicOperator(grid, sigma, omega, one_row)
@@ -300,29 +293,6 @@ def test_lanczos_norm_closed_form_on_a_diagonal_gram(rng, monkeypatch):
             norm, steps = _lanczos_steps(monkeypatch, op.w)
             assert steps == 0, op.family
             assert norm == pytest.approx(_svd_norm(op), rel=1e-13), op.family
-
-
-def test_operator_norm_sends_dense_w_to_the_svd(rng, monkeypatch):
-    # lanczos_norm runs while at most SVD_MIN_DENSITY of W is nonzero
-    grid = build_grid(GridSpec(1, 9))
-    sigma, omega = pair(rng, grid, low=0.1)
-    size = grid.num_leaves
-    allowed = int(SVD_MIN_DENSITY * size * size)
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return lanczos_norm(w)
-
-    monkeypatch.setattr(testing, "lanczos_norm", counted)
-    for count, lanczos_calls in ((allowed, 1), (allowed + 1, 0)):
-        w = np.zeros(size * size)
-        w[rng.choice(size * size, count, replace=False)] = rng.standard_normal(count)
-        t = DyadicOperator(grid, sigma, omega, w.reshape(size, size))
-        assert np.count_nonzero(t.w) == count
-        calls.clear()
-        assert operator_norm(t) == pytest.approx(_svd_norm(t), rel=1e-13)
-        assert len(calls) == lanczos_calls
 
 
 def test_norm_certified_against_whitened_leaf_matrix(rng):
