@@ -3,7 +3,8 @@
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
-(batch) axes.
+(batch) axes, except synthesize_leaf_blocks, which synthesizes along the
+leading axis and is vectorized over the trailing one.
 """
 
 import numpy as np
@@ -104,22 +105,77 @@ def synthesize(alpha, beta, coef, inv_sqrt_total):
     return synthesize_boxes(alpha, beta, coef, inv_sqrt_total)[..., alpha.shape[-1]:]
 
 
-def testing_images(images, in_mass, alpha, beta, inv_sqrt_total, mass,
+def block_rows(n):
+    """Leaves per block of the leaf-major passes over n leaves: CHUNK_FLOATS
+    floats of an n-column block, a power of two that divides n."""
+    return max(1, min(n, CHUNK_FLOATS // n))
+
+
+def synthesize_leaf_blocks(alpha, beta, coef, inv_sqrt_total, out=None):
+    """synthesize(alpha, beta, coef.T, inv_sqrt_total).T one leaf block at a time.
+
+    coef: (N, M) whitened coefficients along the leading axis (row = input
+    slot), one function per column.  Yields (a, block) in leaf order, with
+    block[i] the values of every column on leaf a + i, block_rows(N) leaves
+    per block.  With out (N, M) each block is out[a : a + rows]; without it,
+    every block reuses one buffer, valid until the next block is asked for.
+
+    The tree above the block roots is walked depth first, so one row per
+    level of it is live.  Below a block root each level is built in place in
+    the block: a box's row sits at the first row of its leaf range and its
+    upper half's row is written before its lower half overwrites it.  Both
+    follow the recurrence of synthesize_boxes, so the values are the same
+    bit for bit.
+    """
+    n, m = coef.shape
+    rows = block_rows(n)
+    roots = n // rows
+    top = roots.bit_length() - 1  # heap depth of the block roots
+    path = np.empty((top + 1, m))  # path[k]: the current root path's box at depth k
+    path[0] = coef[0] * inv_sqrt_total
+    buf = np.empty((rows, m)) if out is None else None
+    for i in range(roots):
+        root = roots + i
+        # the path's boxes below depth k0 are block i - 1's too
+        k0 = top + 1 - (i ^ (i - 1)).bit_length() if i else 1
+        for k in range(k0, top + 1):
+            h = root >> (top - k)
+            p = h >> 1
+            if h & 1:
+                path[k] = path[k - 1] + alpha[p] * coef[p]
+            else:
+                path[k] = path[k - 1] - beta[p] * coef[p]
+        a = i * rows
+        block = buf if out is None else out[a : a + rows]
+        block[0] = path[top]
+        step = rows
+        while step > 1:
+            hs = slice(root * rows // step, (root + 1) * rows // step)  # the level's boxes
+            c = np.ascontiguousarray(coef[hs])  # a strided view (W.T) is read once
+            parent = block[0::step]
+            block[step >> 1 :: step] = parent + alpha[hs, None] * c
+            parent -= beta[hs, None] * c
+            step >>= 1
+        yield a, block
+
+
+def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
                    depth, lo, hi, pair_offsets, pair_partner):
     """Per-box indicator images and the statistics the testing module needs.
 
     For each box B (heap order, 1..2N-1): image = T applied to the indicator
-    of B.  ``images`` is the input stage haar.synthesize(W) (output slot,
-    input leaf), scaled here in place by the input leaf masses in_mass: that
-    gives the output coefficients of T(sigma 1_leaf).  Returns per box the
-    output-measure norm^2 restricted to B's own leaf range, the global
-    norm^2, and for the box's slice of the admissible pair list the pairings
-    <T(sigma 1_B), 1_G>.
+    of B.  ``blocks`` is the input stage in leaf-major blocks, (a, block) in
+    leaf order as synthesize_leaf_blocks yields them (input leaf, output
+    slot), block_rows(N) leaves each; each block is scaled here in place by
+    the input leaf masses in_mass, which gives the output coefficients of
+    T(sigma 1_leaf).  Returns per box the output-measure norm^2 restricted to
+    B's own leaf range, the global norm^2, and for the box's slice of the
+    admissible pair list the pairings <T(sigma 1_B), 1_G>.
 
     The image is linear in B, so the pass builds the N leaf images once and
     sums sibling rows level by level, O(N^2) in all: output-side synthesis
-    gives the leaf images a block of input leaves at a time; a block is
-    summed up to its root box, and the block roots on up to the grid root.
+    gives the leaf images of one block of input leaves; a block is summed up
+    to its root box, and the block roots on up to the grid root.
 
     alpha/beta/inv_sqrt_total, mass: the output basis and leaf masses.
     depth, lo, hi: the heap depth and leaf range of every box.
@@ -130,8 +186,7 @@ def testing_images(images, in_mass, alpha, beta, inv_sqrt_total, mass,
     restricted = np.zeros(n2)
     glob = np.zeros(n2)
     pair_vals = np.zeros(pair_partner.shape[0])
-    rows = max(1, min(n, CHUNK_FLOATS // n))
-    images *= in_mass
+    rows = block_rows(n)
 
     def visit(img, heap0):
         """Statistics of consecutive same-level boxes heap0, heap0+1, ..."""
@@ -146,11 +201,12 @@ def testing_images(images, in_mass, alpha, beta, inv_sqrt_total, mass,
             restricted[boxes] = own[np.arange(boxes.size), boxes - (1 << level)].sum(axis=1)
             start, stop = pair_offsets[boxes[0]], pair_offsets[boxes[-1] + 1]
             if stop > start:
-                cs = np.zeros((block.shape[0], n + 1))
-                np.cumsum(wv, axis=1, out=cs[:, 1:])
+                gs = pair_partner[start:stop]
+                end = int(hi[gs].max())  # the prefix sums stop at the last partner
+                cs = np.zeros((block.shape[0], end + 1))
+                np.cumsum(wv[:, :end], axis=1, out=cs[:, 1:])
                 row = np.repeat(np.arange(block.shape[0]),
                                 np.diff(pair_offsets[boxes[0] : boxes[-1] + 2]))
-                gs = pair_partner[start:stop]
                 pair_vals[start:stop] = cs[row, hi[gs]] - cs[row, lo[gs]]
 
     def sum_up(img, heap0):
@@ -164,10 +220,9 @@ def testing_images(images, in_mass, alpha, beta, inv_sqrt_total, mass,
             heap0 >>= 1
 
     tops = np.empty((n // rows, n))  # images of the block root boxes
-    for a in range(0, n, rows):
-        img = synthesize(alpha, beta, np.ascontiguousarray(images[:, a : a + rows].T),
-                         inv_sqrt_total)
-        tops[a // rows] = sum_up(img, n + a)
+    for a, block in blocks:
+        block *= in_mass[a : a + rows, None]
+        tops[a // rows] = sum_up(synthesize(alpha, beta, block, inv_sqrt_total), n + a)
     if tops.shape[0] > 1:
         tops[0::2] += tops[1::2]
         sum_up(tops[0::2], (n // rows) >> 1)

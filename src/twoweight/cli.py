@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -113,7 +114,9 @@ def _cmd_report(args) -> int:
         for key, stats in sorted(summary["cells"].items()):
             lines.append(f"{key:58s} {stats['trials']:6d} {stats['max_ratio_sum']:9.4f} "
                          f"{stats['median_ratio_sum']:9.4f}")
-        worst = sorted(rows, key=lambda r: -float(r["ratio_sum"]))[:5]
+        # a trial that raised has a NaN row and is listed as a failure below
+        ranked = [row for row in rows if math.isfinite(float(row["ratio_sum"]))]
+        worst = sorted(ranked, key=lambda r: -float(r["ratio_sum"]))[:5]
         if worst:
             lines.append("largest norm/(c1+c2+c3) trials:")
         for row in worst:

@@ -98,9 +98,7 @@ def analyze(mu: LeafMeasure, values: np.ndarray) -> np.ndarray:
 
 def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
     """Leaf values from whitened coefficients (mu-a.e. inverse of analyze);
-    batched over leading axes, CHUNK_FLOATS // N rows at a time.  Row R of
-    W over the input measure is T*(nu h_R) on its leaves, nu the output
-    measure: the input stage of the testing pass and of ewl_radius."""
+    batched over leading axes, CHUNK_FLOATS // N rows at a time."""
     b = basis(mu)
     coef = np.asarray(coef, dtype=np.float64)
     rows = coef.reshape(-1, coef.shape[-1])
@@ -110,6 +108,16 @@ def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
         out[a : a + block] = _kernels.synthesize(b.alpha, b.beta, rows[a : a + block],
                                                  b.inv_sqrt_total)
     return out.reshape(coef.shape)
+
+
+def synthesize_leaf_blocks(mu: LeafMeasure, coef: np.ndarray, out=None):
+    """synthesize(mu, coef.T).T in leaf-major blocks, coef (N, M) with one
+    whitened function per column (see _kernels.synthesize_leaf_blocks).
+    With coef = W over the output measure omega, column E gives T(sigma h_E)
+    on the omega leaves; with coef = W.T over sigma, column R gives
+    T*(omega h_R): the input stages of the testing pass and of ewl_radius."""
+    b = basis(mu)
+    return _kernels.synthesize_leaf_blocks(b.alpha, b.beta, coef, b.inv_sqrt_total, out)
 
 
 def indicator_coefficients(mu: LeafMeasure, heap: int):

@@ -10,8 +10,9 @@ on the respective output side, above an absolute value threshold.  Every
 support lies in Q0 = E^(depth(E)), so the radius of any operator on the grid
 is at most tree_depth - 1, the depth of the smallest rectangles; a dense
 generic W attains that bound.  The images are the input stages of the
-testing pass (haar.synthesize of W and of W^T), so testing_report reads the
-radius from its own stages by support_gap, as ewl_radius does.
+testing pass, haar.synthesize_leaf_blocks of the rows and of the columns of
+W, and SupportGap reduces them block by block as they stream past, so
+testing_report reads the radius from its own stages, as ewl_radius does.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -35,49 +36,74 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import CHUNK_FLOATS, synthesize_boxes
-from .haar import basis, synthesize
+from .haar import basis, synthesize_leaf_blocks
 from .operators import DyadicOperator
 
 SUPPORT_TOL = 1e-12
 
 
-def support_gap(images, rect_measure, leaf_measure) -> int:
-    """Max over charged rectangles of the minimal containing-ancestor gap.
+class SupportGap:
+    """Running max over charged rectangles of the minimal containing-ancestor gap.
 
-    images: one unscaled input stage (synthesize over leaf_measure),
-    row E for rect_measure's rectangle E.  Support is taken on the charged
-    leaves above SUPPORT_TOL.  Rows are reduced a block at a time; per row
-    the gap from E up to the smallest box holding E and its support leaves
-    is vectorized over the block.
+    scan reads one unscaled input stage in leaf-major blocks (leaf of
+    leaf_measure, slot E of rect_measure), as synthesize_leaf_blocks yields
+    them, and passes each block on once it is reduced, so one stream can feed
+    the gap and the output stage.  Support is taken on the charged leaves
+    above SUPPORT_TOL.  The smallest box holding E and its support leaves in
+    a block K is the smallest holding E and K, unless E lies strictly inside
+    K; then it is the smallest holding E and its first and last support
+    leaves in K.  value is the max of depth(E) less that box's depth over
+    the blocks scanned so far.
     """
-    grid = leaf_measure.grid
-    n = grid.num_leaves
-    rects = np.nonzero(basis(rect_measure).charged)[0]
-    charged = leaf_measure.charged_leaves()
-    rows = max(1, CHUNK_FLOATS // n)
-    worst = 0
-    for c in range(0, rects.size, rows):
-        hs = rects[c : c + rows]
-        supp = charged & (np.abs(images[hs]) > SUPPORT_TOL)
-        hit = supp.any(axis=1)
-        hs, supp = hs[hit], supp[hit]
-        first = n + np.argmax(supp, axis=1)  # the outermost support leaves
-        last = 2 * n - 1 - np.argmax(supp[:, ::-1], axis=1)
-        top = np.minimum(grid.lca_depth(hs, first), grid.lca_depth(hs, last))
-        worst = max(worst, int((grid.box_depth[hs] - top).max(initial=0)))
-    return worst
+
+    def __init__(self, rect_measure, leaf_measure):
+        self.grid = leaf_measure.grid
+        self.rects = basis(rect_measure).charged
+        self.charged = leaf_measure.charged_leaves()
+        self.value = 0
+
+    def scan(self, blocks):
+        grid = self.grid
+        n = grid.num_leaves
+        depth = grid.box_depth
+        for a, block in blocks:
+            rows = block.shape[0]
+            root = (n + a) // rows  # the block's box
+            supp = np.abs(block) > SUPPORT_TOL
+            supp &= self.charged[a : a + rows, None]
+            hs = np.flatnonzero(supp.any(axis=0) & self.rects)
+            top = grid.lca_depth(hs, root)
+            below = depth[hs] - depth[root]
+            inside = np.flatnonzero((below > 0) & (hs >> np.maximum(below, 0) == root))
+            if inside.size:
+                e = hs[inside]
+                sub = supp[:, e]
+                first = n + a + np.argmax(sub, axis=0)  # the outermost support leaves
+                last = n + a + rows - 1 - np.argmax(sub[::-1], axis=0)
+                top[inside] = np.minimum(grid.lca_depth(e, first), grid.lca_depth(e, last))
+            self.value = max(self.value, int((depth[hs] - top).max(initial=0)))
+            yield a, block
+
+
+def support_gap(blocks, rect_measure, leaf_measure) -> int:
+    """SupportGap of one input stage, read to the end."""
+    gap = SupportGap(rect_measure, leaf_measure)
+    for _ in gap.scan(blocks):
+        pass
+    return gap.value
 
 
 def ewl_radius(t: DyadicOperator) -> int:
     """Smallest uniform localization radius, at most tree_depth - 1.
 
     The columns of W over omega are T(sigma h_E), its rows over sigma
-    T*(omega h_R).  The smallest box holding a rectangle and its support is
-    the root at the largest, a gap of at most the rectangle's depth, and
-    rectangles sit above leaf scale.
+    T*(omega h_R); each side is streamed block by block into its gap, with
+    no N x N array held.  The smallest box holding a rectangle and its
+    support is the root at the largest, a gap of at most the rectangle's
+    depth, and rectangles sit above leaf scale.
     """
-    return max(support_gap(synthesize(t.omega, t.w.T), t.sigma, t.omega),
-               support_gap(synthesize(t.sigma, t.w), t.omega, t.sigma))
+    return max(support_gap(synthesize_leaf_blocks(t.omega, t.w), t.sigma, t.omega),
+               support_gap(synthesize_leaf_blocks(t.sigma, t.w.T), t.omega, t.sigma))
 
 
 def _side_wl_radius(grid, w, in_measure, out_measure, rtol, fro):

@@ -18,9 +18,11 @@ own base, so it belongs to the rectangle system as a set):
 
 plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
-side and returns them as the fields of one TestingReport.  Its radius
-defaults to ewl_radius(T), at most tree_depth - 1, read from the support
-gaps of the passes' own input stages.  Every constant is
+side and returns them as the fields of one TestingReport.  Each pass starts
+from one leaf-major input stage (haar.synthesize_leaf_blocks), read a leaf
+block at a time.  Its radius defaults to ewl_radius(T), at most
+tree_depth - 1, read from the support gaps of those input stages as they
+stream past.  Every constant is
 bounded by the operator norm, exactly; that necessity chain is asserted by
 the sweep harness and the acceptance suite.
 """
@@ -34,8 +36,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis, synthesize
-from .localization import support_gap
+from .haar import basis, synthesize_leaf_blocks
+from .localization import SupportGap
 from .operators import DyadicOperator
 
 
@@ -160,17 +162,17 @@ def admissible_pairs(grid: Grid, r: int):
     return offsets, partners
 
 
-def _output_stage(images, in_measure, out_measure, pair_offsets, pair_partner):
+def _output_stage(blocks, in_measure, out_measure, pair_offsets, pair_partner):
     """Restricted/global image norms and pairings for all boxes at once.
 
-    images is the input stage synthesize(in_measure, w) of the map
-    being probed, w its whitened matrix (output slot, input slot); the
-    pass scales it in place.
+    blocks is the input stage of the map being probed, w its whitened
+    matrix (output slot, input slot): synthesize_leaf_blocks of w.T over
+    in_measure, leaf-major; the pass scales each block in place.
     """
     grid = in_measure.grid
     ob = basis(out_measure)
     return _kernels.testing_images(
-        images, in_measure.masses, ob.alpha, ob.beta, ob.inv_sqrt_total,
+        blocks, in_measure.masses, ob.alpha, ob.beta, ob.inv_sqrt_total,
         out_measure.masses, grid.box_depth, grid.box_lo, grid.box_hi,
         pair_offsets, pair_partner,
     )
@@ -239,29 +241,32 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
                    c3_next: bool = False) -> TestingReport:
     """Full testing profile; r defaults to the operator's EWL radius.
 
-    The adjoint side runs first (input stage, support gap, output stage),
-    then the forward side (input stage, gap, r, pairs, output stage), so one
-    N x N input stage is held at a time.  With norm=False the (possibly
-    expensive) operator norm and ratio fields are skipped.  c3_next also
-    computes c3 at radius r + 1 from the same image pass (report.c3_next).
+    The adjoint side runs first: its input stage streams block by block
+    through its support gap into its output stage, with no N x N array.
+    Then the forward side: the pairs wait for r, so its input stage is kept
+    as one N x N leaf-major array while its gap is read.  Each side is
+    synthesized once.  With norm=False the (possibly expensive) operator
+    norm and ratio fields are skipped.  c3_next also computes c3 at radius
+    r + 1 from the same image pass (report.c3_next).
     """
     grid = t.grid
+    n = grid.num_leaves
     sig_mass = t.sigma.box_mass
     om_mass = t.omega.box_mass
 
-    # adjoint: the columns of W over omega, T(sigma h_E) on the omega leaves
-    images = synthesize(t.omega, t.w.T)
-    gap = support_gap(images, t.sigma, t.omega) if r is None else 0
+    # adjoint: column E of W over omega is T(sigma h_E) on the omega leaves
+    gap = SupportGap(t.sigma, t.omega)
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    restricted2, glob2, _ = _output_stage(images, t.omega, t.sigma, *empty)
-    del images
-    # forward: the rows of W over sigma, T*(omega h_R) on the sigma leaves
-    images = synthesize(t.sigma, t.w)
+    restricted2, glob2, _ = _output_stage(gap.scan(synthesize_leaf_blocks(t.omega, t.w)),
+                                          t.omega, t.sigma, *empty)
+    # forward: row R of W over sigma is T*(omega h_R) on the sigma leaves
+    forward_gap = SupportGap(t.omega, t.sigma)
+    forward = list(forward_gap.scan(synthesize_leaf_blocks(t.sigma, t.w.T, np.empty((n, n)))))
     if r is None:
-        r = max(gap, support_gap(images, t.omega, t.sigma))
+        r = max(gap.value, forward_gap.value)
     offsets, partners = admissible_pairs(grid, r + 1 if c3_next else r)
-    restricted, glob, pair_vals = _output_stage(images, t.sigma, t.omega, offsets, partners)
-    del images
+    restricted, glob, pair_vals = _output_stage(forward, t.sigma, t.omega, offsets, partners)
+    del forward
 
     c1, w1 = _ratio_max(restricted, sig_mass)
     c1g, w1g = _ratio_max(glob, sig_mass)

@@ -1,5 +1,7 @@
 """The batched testing pass and ewl_radius against direct references."""
 
+import hashlib
+import json
 import sys
 
 import numpy as np
@@ -8,9 +10,17 @@ import pytest
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
 from twoweight import GridSpec, _kernels, build_grid, haar, localization, testing
-from twoweight.haar import basis, synthesize
+from twoweight.haar import basis, synthesize, synthesize_leaf_blocks
 from twoweight.localization import SUPPORT_TOL, ewl_radius
-from twoweight.operators import DyadicOperator, random_ewl
+from twoweight.operators import (
+    CoefficientSequence,
+    DyadicOperator,
+    from_leaf_matrix,
+    haar_shift,
+    martingale_transform,
+    paraproduct,
+    random_ewl,
+)
 from twoweight.testing import _output_stage, admissible_pairs
 
 from conftest import random_measure
@@ -38,7 +48,7 @@ def _assert_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * scale
 
 
-@pytest.mark.parametrize("dimension,depth", [(1, 4), (2, 3)])
+@pytest.mark.parametrize("dimension,depth", [(1, 4), (2, 3), (1, 8)])
 def test_testing_images_match_leaf_matrix_reference(rng, dimension, depth):
     grid = build_grid(GridSpec(dimension, depth))
     sigma = random_measure(grid, rng, zero_fraction=0.25)
@@ -46,14 +56,14 @@ def test_testing_images_match_leaf_matrix_reference(rng, dimension, depth):
     assert np.any(sigma.masses == 0) and np.any(omega.masses == 0)
     t = random_ewl(1, sigma, omega, 5)
     offsets, partners = admissible_pairs(grid, 2)
-    got = _output_stage(synthesize(sigma, t.w), sigma, omega, offsets, partners)
+    got = _output_stage(synthesize_leaf_blocks(sigma, t.w.T), sigma, omega, offsets, partners)
     want = _reference_pass(t.leaf_matrix(), grid, omega.masses, offsets, partners)
     for g, w in zip(got, want):
         _assert_close(g, w)
 
     # adjoint pass: the transposed matrix, measures swapped, no pairs
     none = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    got = _output_stage(synthesize(omega, t.w.T), omega, sigma, *none)
+    got = _output_stage(synthesize_leaf_blocks(omega, t.w), omega, sigma, *none)
     want = _reference_pass(t.adjoint().leaf_matrix(), grid, sigma.masses, *none)
     for g, w in zip(got[:2], want[:2]):
         _assert_close(g, w)
@@ -142,15 +152,19 @@ def test_ewl_radius_matches_per_column_reference(rng, dimension, depth):
 
 @pytest.mark.parametrize("certify", [True, False])
 def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
-    """One testing pass per trial, two input stages (one per side), no
-    ewl_radius and no other synthesis outside the certificate."""
-    calls = {"testing_report": [], "synthesize": 0, "ewl_radius": 0}
+    """One testing pass per trial, two leaf-major input stages (one over the
+    rows of W, one over its columns), no ewl_radius and no other synthesis
+    outside the certificate."""
+    calls = {"testing_report": [], "synthesize_leaf_blocks": [], "synthesize": 0,
+             "ewl_radius": 0}
     in_certificate = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             if name == "testing_report":
                 calls[name].append(kwargs.get("c3_next"))
+            elif name == "synthesize_leaf_blocks":
+                calls[name].append("rows" if args[1].flags.c_contiguous else "columns")
             elif not (name == "synthesize" and in_certificate):
                 calls[name] += 1
             return fn(*args, **kwargs)
@@ -165,8 +179,8 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
 
     original_certificate = certificates.full_certificate
     monkeypatch.setattr(sweep, "full_certificate", certificate)
-    for module, name in [(testing, "testing_report"), (haar, "synthesize"),
-                         (localization, "ewl_radius")]:
+    for module, name in [(testing, "testing_report"), (haar, "synthesize_leaf_blocks"),
+                         (haar, "synthesize"), (localization, "ewl_radius")]:
         original = getattr(module, name)
         for held in list(sys.modules.values()):
             if (held is not None and held.__name__.startswith("twoweight")
@@ -179,7 +193,65 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
     })
     for index, d, r, fam, kind in config.trial_params():
         for key in calls:
-            calls[key] = [] if key == "testing_report" else 0
+            calls[key] = [] if isinstance(calls[key], list) else 0
         row, failures, cert = sweep.run_trial(config, index, d, r, fam, kind)
         assert not failures and (cert is not None) == certify
-        assert calls == {"testing_report": [certify], "synthesize": 2, "ewl_radius": 0}
+        assert calls == {"testing_report": [certify],
+                         "synthesize_leaf_blocks": ["rows", "columns"],
+                         "synthesize": 0, "ewl_radius": 0}
+
+
+def _multi_block_operators():
+    """Operators on grids of 256 to 1024 leaves, several leaf blocks each."""
+    rng = np.random.default_rng(1409)
+    for n, d in [(1, 8), (1, 9), (1, 10), (2, 4), (2, 5)]:
+        grid = build_grid(GridSpec(n, d))
+        sigma = random_measure(grid, rng, zero_fraction=0.2 if d == 9 else 0.0)
+        omega = random_measure(grid, rng)
+        for r in range(3):
+            yield random_ewl(r, sigma, omega, int(rng.integers(1 << 30)))
+        b = CoefficientSequence.random(grid, rng)
+        yield paraproduct(b, sigma, omega)
+        yield martingale_transform(b, sigma, omega)
+        if n == 1:
+            yield haar_shift(b, sigma, omega)
+        if grid.num_leaves == 256:
+            a = rng.standard_normal((grid.num_leaves, grid.num_leaves))
+            yield from_leaf_matrix(grid, sigma, omega, a)
+
+
+# sha256 of every report (c3_next on) and EWL radius of _multi_block_operators,
+# recorded from the row-major testing pass that synthesized each input stage
+# with haar.synthesize and held it as one N x N array per side.
+MULTI_BLOCK_SHA256 = "5baf769e4d74c16b4df93f8d9440975ce77da922d77887fb66455a65c4e16c2f"
+
+
+def test_testing_pass_multi_block_output_unchanged():
+    digest = hashlib.sha256()
+    for t in _multi_block_operators():
+        assert _kernels.block_rows(t.grid.num_leaves) < t.grid.num_leaves  # several blocks
+        doc = {"report": testing.testing_report(t, c3_next=True).as_dict(),
+               "ewl_radius": ewl_radius(t)}
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == MULTI_BLOCK_SHA256
+
+
+@pytest.mark.parametrize("dimension,depth,columns", [(1, 0, 3), (1, 5, 32), (1, 8, 256),
+                                                     (2, 5, 1024), (1, 9, 40)])
+def test_synthesize_leaf_blocks_bit_equal_to_synthesize(rng, dimension, depth, columns):
+    grid = build_grid(GridSpec(dimension, depth))
+    mu = random_measure(grid, rng, zero_fraction=0.25)
+    n = grid.num_leaves
+    coef = rng.standard_normal((columns, n))
+    coef[:, rng.random(n) < 0.2] = 0.0
+    want = synthesize(mu, coef).T
+    for x in (np.ascontiguousarray(coef.T), coef.T):  # rows read in place or strided
+        streamed = [(a, block.copy()) for a, block in synthesize_leaf_blocks(mu, x)]
+        out = np.full((n, columns), np.nan)
+        filled = list(synthesize_leaf_blocks(mu, x, out))
+        rows = _kernels.block_rows(n)
+        assert [a for a, _ in streamed] == [a for a, _ in filled] == list(range(0, n, rows))
+        assert all(block.base is out for _, block in filled)
+        got = np.concatenate([block for _, block in streamed])
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))

@@ -165,6 +165,25 @@ def test_cli_sweep_report_classify_exit_codes(tmp_path, rng, capsys):
     assert "well-localized radii: [2, 3]" in shown
 
 
+def test_cli_report_ranks_only_finite_trials(tmp_path, capsys):
+    """A raised trial's NaN ratio is left out of the ranking, not sorted into it."""
+    ratios = [1.5, float("nan"), 3.0, 2.0, 0.5, 4.0]
+    serialize.write_rows_csv(tmp_path / "trials.csv", [
+        dict(dict.fromkeys(serialize.CSV_COLUMNS, 0.0), seed=i, n=1, d=3, r=1,
+             family="paraproduct", ratio_sum=ratio)
+        for i, ratio in enumerate(ratios)])
+    serialize.dump_json(tmp_path / "summary.json", {
+        "config_digest": "abc", "version": 1, "trials": 6, "passes": 5,
+        "max_embedding_ratio": 1.0, "cells": {},
+        "failures": ["trial 1 seed 1: raised NormError"]})
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    listed = out.split("largest norm/(c1+c2+c3) trials:\n")[1].splitlines()
+    assert [float(line.rsplit(": ", 1)[1]) for line in listed] == [4.0, 3.0, 2.0, 1.5, 0.5]
+    assert [line.split()[1] for line in listed] == ["5", "2", "3", "0", "4"]
+    assert err == "FAIL trial 1 seed 1: raised NormError\n"
+
+
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": 2, "families": ["haar_shift"]}))

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twoweight import GridSpec, LeafMeasure, build_grid, indicator, lebesgue
 from twoweight.exceptions import NormError
@@ -15,6 +16,7 @@ from twoweight.operators import (
     DyadicOperator,
     haar_shift,
     martingale_transform,
+    paraproduct,
     random_ewl,
     zero_operator,
 )
@@ -337,6 +339,53 @@ def test_c1_equals_c2_of_adjoint(rng):
     assert ewl_radius(t) == ewl_radius(t.adjoint())
     rep, adj = make_report(t, norm=False), make_report(t.adjoint(), norm=False)
     assert rep.r_used == adj.r_used
+
+
+@st.composite
+def report_cases(draw):
+    """An operator of every sweep family on grids of up to 256 leaves, one leaf
+    block below 256 and two at 256, some with massless leaves."""
+    n, d = draw(st.sampled_from([(1, 2), (1, 5), (2, 2), (2, 3), (1, 8), (2, 4)]))
+    family = draw(st.sampled_from(["random_ewl", "paraproduct", "martingale_transform",
+                                   "haar_shift"]))
+    assume(n == 1 or family != "haar_shift")
+    zero_fraction = draw(st.sampled_from([0.0, 0.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = build_grid(GridSpec(n, d))
+    sigma, omega = pair(rng, grid, zero_fraction)
+    assume(sigma.total > 0 and omega.total > 0)
+    if family == "random_ewl":
+        return random_ewl(draw(st.integers(0, 2)), sigma, omega, seed)
+    builder = {"paraproduct": paraproduct, "martingale_transform": martingale_transform,
+               "haar_shift": haar_shift}[family]
+    return builder(CoefficientSequence.random(grid, rng), sigma, omega)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(report_cases())
+def test_report_of_the_adjoint_swaps_the_sides(t):
+    rep, adj = make_report(t), make_report(t.adjoint())
+    assert adj.r_used == rep.r_used
+    assert adj.norm == pytest.approx(rep.norm, rel=1e-12)
+    for one, two in [("c1", "c2"), ("c1_global", "c2_global"), ("c1_cube", "c2_cube")]:
+        assert getattr(adj, one) == pytest.approx(getattr(rep, two), rel=1e-12)
+        assert getattr(adj, two) == pytest.approx(getattr(rep, one), rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(report_cases(), st.sampled_from([1e-8, 1e8]))
+def test_report_invariant_under_reciprocal_rescaling(t, scale):
+    """sigma -> scale sigma and omega -> omega / scale with W fixed keep the norm
+    and c1, c2, c3.  r is passed: SUPPORT_TOL is absolute, so a measured radius
+    would depend on the units."""
+    scaled = DyadicOperator(t.grid, LeafMeasure(t.grid, t.sigma.masses * scale),
+                            LeafMeasure(t.grid, t.omega.masses / scale), t.w.copy())
+    assert np.array_equal(scaled.w, t.w)
+    r = ewl_radius(t)
+    rep, got = make_report(t, r=r), make_report(scaled, r=r)
+    for name in ("norm", "c1", "c2", "c3"):
+        assert getattr(got, name) == pytest.approx(getattr(rep, name), rel=1e-12)
 
 
 def test_c3_diagonal_pair_admissible(rng):
