@@ -106,8 +106,8 @@ def synthesize(alpha, beta, coef, inv_sqrt_total):
 
 
 def block_rows(n):
-    """Leaves per block of the leaf-major passes over n leaves: CHUNK_FLOATS
-    floats of an n-column block, a power of two that divides n."""
+    """Rows per block of an n-column array: CHUNK_FLOATS floats a block, at
+    most n rows, and a power of two that divides n when n is a power of two."""
     return max(1, min(n, CHUNK_FLOATS // n))
 
 

@@ -329,19 +329,6 @@ def _stopping_side(t: DyadicOperator, parts: dict, g: Analyzed, r: int,
     return (b1, b2, per_stopping, family.members), verdicts, residuals, constants
 
 
-def a_term_bound(a_value: float, n: int, r: int, c3_next: float,
-                 fnorm: float, gnorm: float) -> dict:
-    """|A| <= 4 M(r, n) c3' ||f|| ||g|| with c3' at enumeration radius r+1."""
-    factors = bound_factors(n, r)
-    bound = factors["A_factor"] * c3_next * fnorm * gnorm
-    return {
-        "value": a_value,
-        "bound": bound,
-        "M": factors["M"],
-        "ok": abs(a_value) <= bound * (1 + BOUND_SLACK) + 1e-12 * (1 + fnorm * gnorm),
-    }
-
-
 def full_certificate(t: DyadicOperator, f_values, g_values, report=None) -> BilinearCertificate:
     """Run the entire decomposition on (T, f, g) and verify every estimate.
 
@@ -359,9 +346,8 @@ def full_certificate(t: DyadicOperator, f_values, g_values, report=None) -> Bili
     if report.c3_next is None:
         raise ValueError(f"a certificate at radius {r} needs c3 at radius {r + 1}; got "
                          f"a report at radius {r} with c3_next None")
-    n = t.grid.dimension
     c1, c2, c3, c3_next = report.c1, report.c2, report.c3, report.c3_next
-    factors = bound_factors(n, r)
+    factors = bound_factors(t.grid.dimension, r)
 
     f = prepare(f_values, t.sigma)
     g = prepare(g_values, t.omega)
@@ -395,12 +381,13 @@ def full_certificate(t: DyadicOperator, f_values, g_values, report=None) -> Bili
     for key in ("abc_partition", "mean_reduction", "b_partition", "c_is_adjoint_b"):
         verdicts[key] = residuals[key] <= PARTITION_RTOL
 
-    a_check = a_term_bound(a, n, r, c3_next, f.norm0, g.norm0)
-    verdicts["bound_A"] = a_check["ok"]
+    # |A| <= 4 M(r, n) c3' ||f0|| ||g0||, c3' at enumeration radius r + 1
+    a_bound = factors["A_factor"] * c3_next * f.norm0 * g.norm0
+    verdicts["bound_A"] = abs(a) <= a_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + f.norm0 * g.norm0)
 
     csum = c1 + c2 + c3
     total_bound = ((c2 + 2 * c1) * fnorm * gnorm
-                   + factors["A_factor"] * c3_next * f.norm0 * g.norm0
+                   + a_bound
                    + (factors["B2_factor"] + factors["K_B1"]) * (c1 + c2) * f.norm0 * g.norm0)
     verdicts["bound_total"] = abs(pi_full) <= total_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + scale)
     k_total = total_bound / (csum * fnorm * gnorm) if csum > 0 and fnorm * gnorm > 0 else 0.0

@@ -98,11 +98,11 @@ def analyze(mu: LeafMeasure, values: np.ndarray) -> np.ndarray:
 
 def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
     """Leaf values from whitened coefficients (mu-a.e. inverse of analyze);
-    batched over leading axes, CHUNK_FLOATS // N rows at a time."""
+    batched over leading axes, block_rows(N) rows at a time."""
     b = basis(mu)
     coef = np.asarray(coef, dtype=np.float64)
     rows = coef.reshape(-1, coef.shape[-1])
-    block = max(1, _kernels.CHUNK_FLOATS // rows.shape[1])
+    block = _kernels.block_rows(rows.shape[1])
     out = np.empty(rows.shape)
     for a in range(0, rows.shape[0], block):
         out[a : a + block] = _kernels.synthesize(b.alpha, b.beta, rows[a : a + block],

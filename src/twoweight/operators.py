@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import CHUNK_FLOATS
+from ._kernels import block_rows
 from .exceptions import DimensionError, GridSizeError
 from .grid import Grid
 from .haar import WeightedBasis, analyze, basis, synthesize
@@ -245,7 +245,7 @@ def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> Dyad
     # window[e, g]: box(g) inside anc(e) and box(e) inside anc(g).  Draws run
     # column by column, rows ascending: the C order of w.T, built a block of
     # columns at a time.
-    cols = max(1, CHUNK_FLOATS // n)
+    cols = block_rows(n)
     for c in range(0, n, cols):
         e = slice(c, c + cols)
         window = grid.contains(anc[e, None], boxes) & grid.contains(anc, boxes[e, None])

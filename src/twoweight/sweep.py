@@ -27,7 +27,7 @@ from .certificates import full_certificate
 from .exceptions import DecompositionError, NormError
 from .grid import Grid, GridSpec, build_grid
 from .measures import LeafFunction, LeafMeasure, from_pointwise_weights
-from .operators import COEFFICIENT_BUILDERS, CoefficientSequence, random_ewl
+from .operators import COEFFICIENT_BUILDERS, MAX_OPERATOR_LEAVES, CoefficientSequence, random_ewl
 from .testing import testing_report
 
 NECESSITY_SLACK = 1e-9
@@ -62,14 +62,22 @@ class SweepConfig:
         return cfg
 
     def validate(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.depths or any(d < 1 for d in self.depths):
-            raise ValueError("depths must be positive")
-        if any(r < 0 for r in self.radii):
-            raise ValueError("radii must be >= 0")
+        for name, low in (("dimension", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # bool is not an int here
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+        for name, low in (("depths", 1), ("radii", 0)):
+            value = getattr(self, name)
+            if not value or any(type(v) is not int or v < low for v in value):
+                raise ValueError(f"{name} must be a nonempty list of integers >= {low}, "
+                                 f"not {value!r}")
+        bits = self.dimension * max(self.depths)
+        if 2**bits > MAX_OPERATOR_LEAVES:
+            raise ValueError(f"a grid of 2^{bits} leaves is above the cap of {MAX_OPERATOR_LEAVES}")
+        if not self.families or not self.measures:
+            raise ValueError("families and measures must not be empty")
+        if type(self.coefficient_scale) not in (int, float):
+            raise ValueError(f"coefficient_scale must be a number, not {self.coefficient_scale!r}")
         for fam in self.families:
             if fam not in COEFFICIENT_BUILDERS and fam != "random_ewl":
                 raise ValueError(f"unknown family {fam!r}")

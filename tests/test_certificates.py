@@ -24,7 +24,6 @@ from twoweight import _kernels, haar
 from twoweight.certificates import (
     BOUND_SLACK,
     PARTITION_RTOL,
-    a_term_bound,
     bound_factors,
     boundary_terms_check,
     decompose_ABC,
@@ -567,8 +566,20 @@ def test_constant_prevalidation_randomized_depth3(rng):
         assert worst_a <= 4 * bound_factors(1, r)["M"] * c3_next * (1 + 1e-9) + 1e-12
 
 
-def test_a_term_bound_record():
-    rec = a_term_bound(0.5, 1, 1, 0.25, 1.0, 1.0)
-    assert rec["M"] == 7
-    assert rec["bound"] == pytest.approx(7.0)
-    assert rec["ok"]
+def test_full_certificate_a_bound_verdict():
+    """bound_A is |A| <= 4 M c3' ||f0|| ||g0||, with M(1, 1) = 7 and c3' the
+    report's c3 at radius r + 1: it holds at the measured c3' and fails once
+    c3' is cut below |A| / (4 M ||f0|| ||g0||)."""
+    rng = np.random.default_rng(5)
+    grid = build_grid(GridSpec(1, 4))
+    sigma, omega = pair(rng, grid, zero_fraction=0.2)
+    t = random_ewl(1, sigma, omega, 3)
+    f, g = rng.standard_normal((2, grid.num_leaves))
+    report = report_at(t, 1)
+    cert = full_certificate(t, f, g, report=report)
+    assert cert.bound_constants["M"] == 7
+    norm0 = prepare(f, sigma).norm0 * prepare(g, omega).norm0
+    assert 0 < abs(cert.a_term) <= 4 * 7 * report.c3_next * norm0
+    assert cert.verdicts["bound_A"]
+    report.c3_next = 0.5 * abs(cert.a_term) / (4 * 7 * norm0)
+    assert not full_certificate(t, f, g, report=report).verdicts["bound_A"]

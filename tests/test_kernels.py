@@ -150,6 +150,29 @@ def test_ewl_radius_matches_per_column_reference(rng, dimension, depth):
         assert measured == given
 
 
+@pytest.mark.parametrize("dimension,depth", [(1, 6), (2, 3), (3, 2), (2, 4)])
+def test_ewl_radius_independent_of_block_size(monkeypatch, rng, dimension, depth):
+    """ewl_radius and the testing pass's radius at 1 to 4 leaves per block and
+    at the default block size, against the per-column reference."""
+    grid = build_grid(GridSpec(dimension, depth))
+    n = grid.num_leaves
+    cases = []
+    for radius in range(grid.tree_depth + 1):
+        sigma = random_measure(grid, rng, zero_fraction=0.3)
+        omega = random_measure(grid, rng, zero_fraction=0.3)
+        w = np.zeros((n, n))
+        w[rng.integers(0, n, 3), rng.integers(0, n, 3)] = rng.uniform(-1.0, 1.0, 3)
+        for t in (random_ewl(radius, sigma, omega, radius), DyadicOperator(grid, sigma, omega, w)):
+            cases.append((t, max(
+                _per_column_side_radius(grid, t.w, t.sigma, t.omega, SUPPORT_TOL),
+                _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, SUPPORT_TOL))))
+    for chunk_floats in (n, 2 * n, 4 * n, _kernels.CHUNK_FLOATS):
+        monkeypatch.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
+        for t, want in cases:
+            assert ewl_radius(t) == want, (chunk_floats, t.family)
+            assert testing.testing_report(t, norm=False).r_used == want, (chunk_floats, t.family)
+
+
 @pytest.mark.parametrize("certify", [True, False])
 def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
     """One testing pass per trial, two leaf-major input stages (one over the

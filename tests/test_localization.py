@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twoweight import GridSpec, LeafMeasure, build_grid
+from twoweight import GridSpec, LeafMeasure, build_grid, localization
 from twoweight.haar import basis, indicator_coefficients
 from twoweight.localization import ewl_radius, wl_check, wl_radius
 from twoweight.operators import (
@@ -143,7 +143,7 @@ def test_wl_check_matches_per_box_loop(n, d, zero_fraction):
             assert wl_check(t, r) == _wl_check_loop(t, r) == (r >= radius), (t.family, r)
 
 
-def test_wl_radius_small_rectangle_condition_binds():
+def test_wl_radius_small_rectangle_condition_binds(monkeypatch):
     # one entry W[R, E]: E the root rectangle, R = heap 7 (leaves 6, 7).  At
     # rtol 1.2 only Q = heap 2 (the left half) exceeds the tolerance; R is
     # outside Q and 4x smaller, so r = 1 fails on |R| <= 2^-r |Q| alone.
@@ -152,8 +152,9 @@ def test_wl_radius_small_rectangle_condition_binds():
     w = np.zeros((8, 8))
     w[7, 1] = 1.0
     t = DyadicOperator(grid, uniform, uniform, w)
-    assert wl_radius(t, rtol=1.2) == 2
-    assert wl_radius(t) == 3  # leaf boxes in the left half pair with R too
-    for rtol in (1.2, 1e-10):
+    # at the default tolerance leaf boxes in the left half pair with R too
+    for rtol, radius in ((1e-10, 3), (1.2, 2)):
+        monkeypatch.setattr(localization, "WL_RTOL", rtol)
+        assert wl_radius(t) == radius
         for r in range(1, grid.tree_depth + 2):
-            assert wl_check(t, r, rtol) == _wl_check_loop(t, r, rtol), (rtol, r)
+            assert wl_check(t, r) == _wl_check_loop(t, r, rtol), (rtol, r)

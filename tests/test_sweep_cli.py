@@ -226,8 +226,20 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
         malformed = tmp_path / "malformed_measure.json"
         malformed.write_text(json.dumps({"depths": [2], "measures": [measure]}))
         one_line_error(["sweep", "--config", str(malformed)], names)
+    # a config every trial of which would fail, or that would run no trial
+    for doc, names in (({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+                       ({"depths": [2.5]}, "depths"), ({"radii": [0.5]}, "radii"),
+                       ({"depths": [13]}, "2^13 leaves"),
+                       ({"dimension": 2, "depths": [7]}, "2^14 leaves"),
+                       ({"coefficient_scale": "big"}, "coefficient_scale"),
+                       ({"trials": True}, "trials"), ({"radii": []}, "radii"),
+                       ({"families": []}, "families"), ({"measures": []}, "measures")):
+        malformed = tmp_path / "malformed_config.json"
+        malformed.write_text(json.dumps({"depths": [2], **doc}))
+        one_line_error(["sweep", "--config", str(malformed)], names)
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"depths": [2], "radii": [0]}))
+    one_line_error(["sweep", "--config", str(good), "--seed", "-3"], "seed")
     monkeypatch.setenv("TWOWEIGHT_WORKERS", "two")
     one_line_error(["sweep", "--config", str(good)], "TWOWEIGHT_WORKERS")
 
