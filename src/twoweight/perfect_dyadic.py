@@ -45,10 +45,6 @@ class PerfectDyadicKernel:
         self.values = values
         self.radius = radius
 
-    def validate(self):
-        validate_kernel(self)
-        return self
-
 
 def _leaf_distances(grid: Grid) -> np.ndarray:
     c = grid.leaf_centers

@@ -1,4 +1,4 @@
-"""JSON and CSV schemas for grids, measures, operators, kernels and reports.
+"""JSON and CSV schemas for grids, measures, operators and reports.
 
 Leaf-indexed payloads are serialized in lexicographic index order (sorted
 per-axis index tuples); the in-memory Morton order never leaks.  Integer
@@ -10,22 +10,22 @@ as strings.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from fractions import Fraction
 
 import numpy as np
 
+from .exceptions import GridSizeError
 from .grid import Grid, GridSpec, build_grid
 from .measures import LeafFunction, LeafMeasure
 from .operators import (
     COEFFICIENT_BUILDERS,
+    MAX_OPERATOR_LEAVES,
     CoefficientSequence,
     DyadicOperator,
     from_leaf_matrix,
     random_ewl,
 )
-from .perfect_dyadic import PerfectDyadicKernel
 
 CSV_COLUMNS = ["seed", "n", "d", "r", "family", "norm", "c1", "c2", "c3",
                "c1g", "c2g", "ratio_sum", "ratio_max", "wall_ms"]
@@ -118,6 +118,9 @@ def operator_from_dict(doc: dict) -> DyadicOperator:
     if not isinstance(doc, dict):
         raise ValueError(f"operator must be a JSON object, not {type(doc).__name__}")
     grid = grid_from_dict(doc["grid"])
+    if grid.num_leaves > MAX_OPERATOR_LEAVES:  # before any builder allocates the N x N W
+        raise GridSizeError(f"operator grid of {grid.num_leaves} leaves is above "
+                            f"the cap of {MAX_OPERATOR_LEAVES}")
     sigma = LeafMeasure(grid, _from_lex(grid, doc["sigma_masses"]))
     omega = LeafMeasure(grid, _from_lex(grid, doc["omega_masses"]))
     family = doc["family"]
@@ -137,37 +140,6 @@ def operator_from_dict(doc: dict) -> DyadicOperator:
     a[np.ix_(lex, lex)] = np.asarray(doc["matrix"], dtype=np.float64)
     return from_leaf_matrix(grid, sigma, omega, a, family=family,
                             claimed_radius=doc.get("claimed_radius"))
-
-
-# -- kernels ---------------------------------------------------------------
-
-def kernel_to_csv(kernel: PerfectDyadicKernel) -> str:
-    """Rows x_index, y_index, value over lexicographic leaf indices."""
-    grid = kernel.grid
-    lex = grid.lex_to_morton
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x_index", "y_index", "value"])
-    n = grid.num_leaves
-    for x in range(n):
-        for y in range(n):
-            writer.writerow([x, y, repr(float(kernel.values[lex[x], lex[y]]))])
-    return buf.getvalue()
-
-
-def kernel_from_csv(grid: Grid, text: str, radius: int) -> PerfectDyadicKernel:
-    lex = grid.lex_to_morton
-    values = np.zeros((grid.num_leaves,) * 2)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header[:3] != ["x_index", "y_index", "value"]:
-        raise ValueError("kernel CSV must start with x_index,y_index,value")
-    for row in reader:
-        if not row:
-            continue
-        x, y, v = int(row[0]), int(row[1]), float(row[2])
-        values[lex[x], lex[y]] = v
-    return PerfectDyadicKernel(grid, values, radius)
 
 
 # -- sweep rows -------------------------------------------------------------

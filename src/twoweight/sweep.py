@@ -66,16 +66,21 @@ class SweepConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:  # bool is not an int here
                 raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+        for name in ("certificates", "dump_certificates"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be true or false, not {value!r}")
+        for name in ("depths", "radii", "families", "measures"):
+            value = getattr(self, name)
+            if type(value) is not list or not value:
+                raise ValueError(f"{name} must be a nonempty list, not {value!r}")
         for name, low in (("depths", 1), ("radii", 0)):
             value = getattr(self, name)
-            if not value or any(type(v) is not int or v < low for v in value):
-                raise ValueError(f"{name} must be a nonempty list of integers >= {low}, "
-                                 f"not {value!r}")
+            if any(type(v) is not int or v < low for v in value):
+                raise ValueError(f"{name} must be a list of integers >= {low}, not {value!r}")
         bits = self.dimension * max(self.depths)
         if 2**bits > MAX_OPERATOR_LEAVES:
             raise ValueError(f"a grid of 2^{bits} leaves is above the cap of {MAX_OPERATOR_LEAVES}")
-        if not self.families or not self.measures:
-            raise ValueError("families and measures must not be empty")
         if type(self.coefficient_scale) not in (int, float):
             raise ValueError(f"coefficient_scale must be a number, not {self.coefficient_scale!r}")
         for fam in self.families:
@@ -271,9 +276,12 @@ def worker_count() -> int:
     """The worker pool size TWOWEIGHT_WORKERS sets; 1 when unset or empty."""
     raw = os.environ.get(WORKERS_ENV) or "1"
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, not {raw!r}") from None
+        workers = 0  # not an integer: refused below with the raw text
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, not {raw!r}")
+    return workers
 
 
 def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
@@ -286,7 +294,9 @@ def run_sweep(config: SweepConfig, out_dir=None) -> SweepSummary:
     max_slack = 0.0
     with ExitStack() as stack:
         if workers > 1 and len(params) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # the fork start method launches every worker at the first submit
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(workers, len(params))))
             results = pool.map(_trial_star, params, chunksize=4)
         else:
             results = (_trial_star(p) for p in params)

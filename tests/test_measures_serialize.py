@@ -98,7 +98,7 @@ def test_operator_roundtrip_coefficient_family(family, rng):
     if family in COEFFICIENT_BUILDERS:
         t = COEFFICIENT_BUILDERS[family](CoefficientSequence.random(grid, rng), sigma, omega)
     else:
-        # the seed as the sweep draws it (np.int64), or as an orthant tuple
+        # the seed as the sweep draws it (np.int64), or as a tuple of ints
         seed = rng.integers(0, 2**63 - 1)
         t = random_ewl(1, sigma, omega, (seed, np.int64(3)) if family.endswith("tuple") else seed)
     doc = json.loads(json.dumps(serialize.operator_to_dict(t)))

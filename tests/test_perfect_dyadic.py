@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from twoweight import GridSpec, HaarRectangle, build_grid, weighted_haar
-from twoweight import serialize
 from twoweight.exceptions import KernelValidationError
 from twoweight.localization import ewl_radius
 from twoweight.perfect_dyadic import (
@@ -89,15 +88,6 @@ def test_size_condition_violation_detected():
     with pytest.raises(KernelValidationError) as err:
         validate_kernel(PerfectDyadicKernel(grid, values, 0))
     assert "size" in str(err.value)
-
-
-def test_kernel_csv_roundtrip(rng):
-    grid = build_grid(GridSpec(1, 3))
-    k = random_kernel(grid, 1, 3)
-    text = serialize.kernel_to_csv(k)
-    back = serialize.kernel_from_csv(grid, text, 1)
-    assert np.array_equal(back.values, k.values)
-    validate_kernel(back)
 
 
 def _separated_cube_pairs_loop(grid, radius):

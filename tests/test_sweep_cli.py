@@ -208,6 +208,11 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
         "sigma_masses": [1.0] * 4, "omega_masses": [1.0] * 4,
         "coefficients": [0.5, 0.5, 0.5]}))
     one_line_error(["classify", "--operator", str(list_coeffs)], str(list_coeffs))
+    above_cap = tmp_path / "above_cap.json"  # refused before any N x N allocation
+    above_cap.write_text(json.dumps({
+        "family": "martingale_transform", "grid": {"dimension": 1, "depth": 13},
+        "sigma_masses": [1.0] * 2**13, "omega_masses": [1.0] * 2**13, "coefficients": {}}))
+    one_line_error(["classify", "--operator", str(above_cap)], "cap of 4096")
     sweep_dir = tmp_path / "sweep_out"
     sweep_dir.mkdir()
     (sweep_dir / "summary.json").write_text('{"trials": ')
@@ -233,15 +238,21 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
                        ({"dimension": 2, "depths": [7]}, "2^14 leaves"),
                        ({"coefficient_scale": "big"}, "coefficient_scale"),
                        ({"trials": True}, "trials"), ({"radii": []}, "radii"),
-                       ({"families": []}, "families"), ({"measures": []}, "measures")):
+                       ({"families": []}, "families"), ({"measures": []}, "measures"),
+                       ({"certificates": "no"}, "certificates"),
+                       ({"dump_certificates": 1}, "dump_certificates"),
+                       ({"depths": 2}, "depths"), ({"radii": "1"}, "radii"),
+                       ({"families": "random_ewl"}, "'random_ewl'"),
+                       ({"measures": "uniform"}, "'uniform'")):
         malformed = tmp_path / "malformed_config.json"
         malformed.write_text(json.dumps({"depths": [2], **doc}))
         one_line_error(["sweep", "--config", str(malformed)], names)
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"depths": [2], "radii": [0]}))
     one_line_error(["sweep", "--config", str(good), "--seed", "-3"], "seed")
-    monkeypatch.setenv("TWOWEIGHT_WORKERS", "two")
-    one_line_error(["sweep", "--config", str(good)], "TWOWEIGHT_WORKERS")
+    for workers in ("two", "0", "-1"):
+        monkeypatch.setenv("TWOWEIGHT_WORKERS", workers)
+        one_line_error(["sweep", "--config", str(good)], "TWOWEIGHT_WORKERS")
 
 
 def test_cli_replay(tmp_path, capsys):
