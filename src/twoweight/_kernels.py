@@ -159,6 +159,27 @@ def synthesize_leaf_blocks(alpha, beta, coef, inv_sqrt_total, out=None):
         yield a, block
 
 
+def level_sums(blocks, n):
+    """Sums of leaf-major rows over every box of a grid of n leaves.
+
+    blocks: (a, rows) in leaf order, as synthesize_leaf_blocks yields them.
+    Yields (heap0, rows), rows[j] the sum over box heap0 + j, level by level:
+    each block below its root box, then the block roots up as one block.
+    Siblings are added in place, so a level is gone once the next is asked for.
+    """
+    tops = None  # the sums over the block root boxes
+    for a, rows in blocks:
+        if tops is None:
+            tops = np.empty((n // len(rows), rows.shape[1]))
+        heap0, i = n + a, a // len(rows)
+        while len(rows) > 1:
+            yield heap0, rows
+            rows[0::2] += rows[1::2]
+            rows, heap0 = rows[0::2], heap0 >> 1
+        tops[i] = rows[0]
+    yield from level_sums([(0, tops)], len(tops)) if len(tops) > 1 else [(1, tops)]
+
+
 def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
                    depth, lo, hi, pair_offsets, pair_partner):
     """Per-box indicator images and the statistics the testing module needs.
@@ -173,9 +194,9 @@ def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
     admissible pair list the pairings <T(sigma 1_B), 1_G>.
 
     The image is linear in B, so the pass builds the N leaf images once and
-    sums sibling rows level by level, O(N^2) in all: output-side synthesis
-    gives the leaf images of one block of input leaves; a block is summed up
-    to its root box, and the block roots on up to the grid root.
+    sums them over every box with level_sums, O(N^2) in all: output-side
+    synthesis gives the leaf images of one block of input leaves, and each
+    level's images are read before the next level is summed.
 
     alpha/beta/inv_sqrt_total, mass: the output basis and leaf masses.
     depth, lo, hi: the heap depth and leaf range of every box.
@@ -187,10 +208,10 @@ def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
     glob = np.zeros(n2)
     pair_vals = np.zeros(pair_partner.shape[0])
     rows = block_rows(n)
-
-    def visit(img, heap0):
-        """Statistics of consecutive same-level boxes heap0, heap0+1, ..."""
-        level = depth[heap0]
+    images = ((a, synthesize(alpha, beta, np.multiply(b, in_mass[a : a + rows, None], out=b),
+                             inv_sqrt_total)) for a, b in blocks)
+    for heap0, img in level_sums(images, n):
+        level = depth[heap0]  # the statistics of boxes heap0, heap0 + 1, ...
         for c in range(0, img.shape[0], rows):
             block = img[c : c + rows]
             boxes = np.arange(heap0 + c, heap0 + c + block.shape[0])
@@ -208,22 +229,4 @@ def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
                 row = np.repeat(np.arange(block.shape[0]),
                                 np.diff(pair_offsets[boxes[0] : boxes[-1] + 2]))
                 pair_vals[start:stop] = cs[row, hi[gs]] - cs[row, lo[gs]]
-
-    def sum_up(img, heap0):
-        """Visit each level from img's up to a single box; return its image."""
-        while True:
-            visit(img, heap0)
-            if img.shape[0] == 1:
-                return img[0]
-            img[0::2] += img[1::2]
-            img = img[0::2]
-            heap0 >>= 1
-
-    tops = np.empty((n // rows, n))  # images of the block root boxes
-    for a, block in blocks:
-        block *= in_mass[a : a + rows, None]
-        tops[a // rows] = sum_up(synthesize(alpha, beta, block, inv_sqrt_total), n + a)
-    if tops.shape[0] > 1:
-        tops[0::2] += tops[1::2]
-        sum_up(tops[0::2], (n // rows) >> 1)
     return restricted, glob, pair_vals

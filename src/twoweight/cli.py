@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import serialize
-from .localization import ewl_radius, wl_radius
+from .localization import radii
 from .sweep import SweepConfig, replay_trial, run_sweep, worker_count
 
 USAGE_ERROR = 2
@@ -95,9 +95,9 @@ def _cmd_classify(args) -> int:
         return USAGE_ERROR
     print(f"family: {t.family}")
     print(f"claimed radius: {t.claimed_radius}")
-    print(f"ewl_radius: {ewl_radius(t)}")
-    radii = list(range(wl_radius(t), t.grid.tree_depth + 1))
-    print(f"well-localized radii: {radii if radii else 'none up to n*d'}")
+    ewl, wl = radii(t)
+    print(f"ewl_radius: {ewl}")
+    print(f"well-localized radii: {list(range(wl, t.grid.tree_depth + 1)) or 'none up to n*d'}")
     return 0
 
 

@@ -10,11 +10,10 @@ on the respective output side, above an absolute value threshold.  Every
 support lies in Q0 = E^(depth(E)), so the radius of any operator on the grid
 is at most tree_depth - 1, the depth of the smallest rectangles; a dense
 generic W attains that bound.  The images are the input stages of the
-testing pass, haar.synthesize_leaf_blocks of the rows and of the columns of
-W.  SupportGap keeps each rectangle's first and last support leaf as the
-blocks stream past and reads the radius from those alone, so the radius does
-not depend on the block size, and testing_report reads it from its own
-stages, as ewl_radius does.
+testing pass (which reads the radius from them too), synthesize_leaf_blocks
+of the rows and of the columns of W.  SupportGap keeps each rectangle's
+first and last support leaf as the blocks stream past and reads the radius
+from those alone, so the radius does not depend on the block size.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -31,14 +30,16 @@ must vanish exactly when r < max(d(Q) - d(lca(Q, R)), d(R) - d(Q) + 1 if R
 is not inside Q), with d the heap depth.  So the radii that pass are all
 r >= wl_radius(T), the maximum of that bound over the pairs whose pairing
 exceeds WL_RTOL ||W||_F sqrt(mu(Q) nu(R)) (mu the input measure, nu the
-output one), and at least 1; wl_check(T, r) is r >= wl_radius(T).
+output one), and at least 1; wl_check(T, r) is r >= wl_radius(T).  The
+pairing is <1_Q, T*(nu h_R)>_mu, the same input stage summed over Q, so
+radii(T) reads both radii from one synthesis per side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import block_rows, synthesize_boxes
+from . import _kernels
 from .haar import basis, synthesize_leaf_blocks
 from .operators import DyadicOperator
 
@@ -97,49 +98,50 @@ def support_gap(blocks, rect_measure, leaf_measure) -> int:
     return gap.value
 
 
+def _stages(t: DyadicOperator):
+    """(input stage, input measure, output measure) of T and of T*: the rows
+    of W over sigma give T*(omega h_R), its columns over omega T(sigma h_E)."""
+    return ((synthesize_leaf_blocks(t.sigma, t.w.T), t.sigma, t.omega),
+            (synthesize_leaf_blocks(t.omega, t.w), t.omega, t.sigma))
+
+
 def ewl_radius(t: DyadicOperator) -> int:
     """Smallest uniform localization radius, at most tree_depth - 1.
 
-    The columns of W over omega are T(sigma h_E), its rows over sigma
-    T*(omega h_R); each side is streamed block by block into its gap, with
+    Each side's input stage is streamed block by block into its gap, with
     no N x N array held.  The smallest box holding a rectangle and its
     support is the root at the largest, a gap of at most the rectangle's
     depth, and rectangles sit above leaf scale.
     """
-    return max(support_gap(synthesize_leaf_blocks(t.omega, t.w), t.sigma, t.omega),
-               support_gap(synthesize_leaf_blocks(t.sigma, t.w.T), t.omega, t.sigma))
+    return max(support_gap(blocks, out_m, in_m) for blocks, in_m, out_m in _stages(t))
 
 
-def _side_wl_radius(grid, w, in_measure, out_measure, fro):
+def _vanishing_radius(blocks, in_measure, out_measure, fro):
     """Smallest r >= 0 at which one side's vanishing conditions hold.
 
-    Row R of w synthesized over the input basis with every level kept gives
-    S[R, Q] on every box Q, and <T(mu 1_Q), h_R> = mu(Q) S[R, Q] (mu the
-    input measure).  Rows are taken block_rows(2N) at a time; every pair with
-    |R| <= 2|Q| whose pairing exceeds the tolerance raises the radius to the
-    pair's bound from the module docstring.
+    blocks is the side's input stage, block[x, R] = T*(nu h_R)(x): scaled by
+    mu(x) and summed over Q by level_sums it is <T(mu 1_Q), h_R> (mu, nu the
+    input and output measures).  A pair of a charged R with |R| <= 2|Q| whose
+    pairing exceeds the tolerance raises r to its bound (module docstring).
     """
+    grid = in_measure.grid
     depth = grid.box_depth
-    b = basis(in_measure)
-    rect = np.nonzero(basis(out_measure).charged)[0]
-    in_mass = in_measure.box_mass[1:]
-    out_mass = out_measure.box_mass
-    box_depth = depth[1:]
-    rows = block_rows(2 * grid.num_leaves)
-    worst = 0
-    for c in range(0, rect.size, rows):
-        rs = rect[c : c + rows]
-        s = synthesize_boxes(b.alpha, b.beta, w[rs], b.inv_sqrt_total)[:, 1:]
-        tol = WL_RTOL * fro * np.sqrt(in_mass * out_mass[rs, None])
-        fail = (np.abs(in_mass * s) > tol) & (box_depth <= depth[rs, None] + 1)
-        ri, qi = np.nonzero(fail)
-        if ri.size == 0:
-            continue
-        r_box, q_box = rs[ri], qi + 1
-        dr, dq = depth[r_box], depth[q_box]
-        need = np.maximum(dq - grid.lca_depth(r_box, q_box),
-                          np.where(grid.contains(q_box, r_box), 0, dr - dq + 1))
-        worst = max(worst, int(need.max()))
+    rect = np.flatnonzero(basis(out_measure).charged)
+    first = np.searchsorted(depth[rect], np.arange(grid.tree_depth + 1) - 1)  # |R| <= 2|Q|
+    sqrt_in = np.sqrt(in_measure.box_mass)
+    out_tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[rect])
+    stage = ((a, b[:, rect] * in_measure.masses[a : a + len(b), None]) for a, b in blocks)
+    worst, pairs = 0, []
+    for heap0, rows in _kernels.level_sums(stage, grid.num_leaves):
+        k = first[depth[heap0]]
+        tol = sqrt_in[heap0 : heap0 + len(rows), None] * out_tol[k:]
+        qi, ri = np.nonzero(np.abs(rows[:, k:]) > tol)
+        pairs.append((heap0 + qi, rect[k + ri]))
+        if heap0 == 1 or sum(len(q) for q, _ in pairs) > _kernels.CHUNK_FLOATS:  # bounded batches
+            (q, r), pairs = np.concatenate(pairs, axis=1), []
+            need = np.maximum(depth[q] - grid.lca_depth(r, q),
+                              np.where(grid.contains(q, r), 0, depth[r] - depth[q] + 1))
+            worst = max(worst, int(need.max(initial=0)))
     return worst
 
 
@@ -147,8 +149,18 @@ def wl_radius(t: DyadicOperator) -> int:
     """Smallest r >= 1 with wl_check(t, r); wl_check holds exactly from it on.
     The tolerance scales with ||W||_F (module docstring), so scaling W keeps r."""
     fro = t.frobenius()
-    return max(1, _side_wl_radius(t.grid, t.w, t.sigma, t.omega, fro),
-               _side_wl_radius(t.grid, t.w.T, t.omega, t.sigma, fro))
+    return max(1, *(_vanishing_radius(*stage, fro) for stage in _stages(t)))
+
+
+def radii(t: DyadicOperator) -> tuple:
+    """(ewl_radius(t), wl_radius(t)) from one synthesis per side: each input
+    stage streams through its support gap into its vanishing test."""
+    fro, ewl, wl = t.frobenius(), 0, 1
+    for blocks, in_m, out_m in _stages(t):
+        gap = SupportGap(out_m, in_m)
+        wl = max(wl, _vanishing_radius(gap.scan(blocks), in_m, out_m, fro))
+        ewl = max(ewl, gap.value)
+    return ewl, wl
 
 
 def wl_check(t: DyadicOperator, r: int) -> bool:

@@ -114,13 +114,24 @@ def operator_to_dict(t: DyadicOperator) -> dict:
     return doc
 
 
+def _finite(values, name):
+    """values as floats; JSON admits NaN and Infinity, which no operator has."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, not NaN or infinite")
+    return values
+
+
 def operator_from_dict(doc: dict) -> DyadicOperator:
     if not isinstance(doc, dict):
         raise ValueError(f"operator must be a JSON object, not {type(doc).__name__}")
-    grid = grid_from_dict(doc["grid"])
-    if grid.num_leaves > MAX_OPERATOR_LEAVES:  # before any builder allocates the N x N W
-        raise GridSizeError(f"operator grid of {grid.num_leaves} leaves is above "
+    # the cap is read from the document, before any address table or N x N W
+    bits = int(doc["grid"]["dimension"]) * int(doc["grid"]["depth"])
+    if bits >= MAX_OPERATOR_LEAVES.bit_length():
+        leaves = 2**bits if bits < 63 else f"2^{bits}"
+        raise GridSizeError(f"operator grid of {leaves} leaves is above "
                             f"the cap of {MAX_OPERATOR_LEAVES}")
+    grid = grid_from_dict(doc["grid"])
     sigma = LeafMeasure(grid, _from_lex(grid, doc["sigma_masses"]))
     omega = LeafMeasure(grid, _from_lex(grid, doc["omega_masses"]))
     family = doc["family"]
@@ -129,6 +140,7 @@ def operator_from_dict(doc: dict) -> DyadicOperator:
         if not isinstance(coeffs, dict):
             raise ValueError("coefficients must map heap indices to values")
         b = CoefficientSequence.from_dict(grid, {int(h): v for h, v in coeffs.items()})
+        _finite(b.values, "coefficients")
         return COEFFICIENT_BUILDERS[family](b, sigma, omega)
     if family == "random_ewl":
         seed = doc["seed"]
@@ -137,7 +149,7 @@ def operator_from_dict(doc: dict) -> DyadicOperator:
         return random_ewl(int(doc["claimed_radius"]), sigma, omega, seed)
     lex = grid.lex_to_morton
     a = np.zeros((grid.num_leaves,) * 2)
-    a[np.ix_(lex, lex)] = np.asarray(doc["matrix"], dtype=np.float64)
+    a[np.ix_(lex, lex)] = _finite(doc["matrix"], "matrix entries")
     return from_leaf_matrix(grid, sigma, omega, a, family=family,
                             claimed_radius=doc.get("claimed_radius"))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -81,8 +82,10 @@ class SweepConfig:
         bits = self.dimension * max(self.depths)
         if 2**bits > MAX_OPERATOR_LEAVES:
             raise ValueError(f"a grid of 2^{bits} leaves is above the cap of {MAX_OPERATOR_LEAVES}")
-        if type(self.coefficient_scale) not in (int, float):
-            raise ValueError(f"coefficient_scale must be a number, not {self.coefficient_scale!r}")
+        scale = self.coefficient_scale
+        # NaN, an infinity and an int beyond every float all fail the bound
+        if type(scale) not in (int, float) or not abs(scale) <= sys.float_info.max:
+            raise ValueError(f"coefficient_scale must be a finite number, not {scale!r}")
         for fam in self.families:
             if fam not in COEFFICIENT_BUILDERS and fam != "random_ewl":
                 raise ValueError(f"unknown family {fam!r}")

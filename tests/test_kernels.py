@@ -9,9 +9,9 @@ import pytest
 
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
-from twoweight import GridSpec, _kernels, build_grid, haar, localization, testing
+from twoweight import GridSpec, _kernels, build_grid, cli, haar, localization, serialize, testing
 from twoweight.haar import basis, synthesize, synthesize_leaf_blocks
-from twoweight.localization import SUPPORT_TOL, ewl_radius
+from twoweight.localization import SUPPORT_TOL, ewl_radius, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
     DyadicOperator,
@@ -23,7 +23,7 @@ from twoweight.operators import (
 )
 from twoweight.testing import _output_stage, admissible_pairs
 
-from conftest import random_measure
+from conftest import random_measure, wl_check_loop
 
 
 def _reference_pass(a, grid, out_masses, offsets, partners):
@@ -153,7 +153,9 @@ def test_ewl_radius_matches_per_column_reference(rng, dimension, depth):
 @pytest.mark.parametrize("dimension,depth", [(1, 6), (2, 3), (3, 2), (2, 4)])
 def test_ewl_radius_independent_of_block_size(monkeypatch, rng, dimension, depth):
     """ewl_radius and the testing pass's radius at 1 to 4 leaves per block and
-    at the default block size, against the per-column reference."""
+    at the default block size, against the per-column reference; wl_radius
+    at each block size as at the default one, and at 64 leaves (one default
+    block) against the per-box reference."""
     grid = build_grid(GridSpec(dimension, depth))
     n = grid.num_leaves
     cases = []
@@ -166,11 +168,27 @@ def test_ewl_radius_independent_of_block_size(monkeypatch, rng, dimension, depth
             cases.append((t, max(
                 _per_column_side_radius(grid, t.w, t.sigma, t.omega, SUPPORT_TOL),
                 _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, SUPPORT_TOL))))
+    wl_default = [wl_radius(t) for t, _ in cases]
+    if n == 64:
+        for (t, _), wl in zip(cases, wl_default):
+            assert wl == min(r for r in range(1, grid.tree_depth + 2) if wl_check_loop(t, r))
     for chunk_floats in (n, 2 * n, 4 * n, _kernels.CHUNK_FLOATS):
         monkeypatch.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
-        for t, want in cases:
+        for (t, want), wl in zip(cases, wl_default):
             assert ewl_radius(t) == want, (chunk_floats, t.family)
             assert testing.testing_report(t, norm=False).r_used == want, (chunk_floats, t.family)
+            assert wl_radius(t) == wl, (chunk_floats, t.family)
+            assert localization.radii(t) == (want, wl), (chunk_floats, t.family)
+
+
+def _patch_everywhere(monkeypatch, module, name, wrap):
+    """Replace module.name by wrap(name, original) in every twoweight module
+    that holds it, the defining one and each that imported it by name."""
+    original = getattr(module, name)
+    for held in list(sys.modules.values()):
+        if (held is not None and held.__name__.startswith("twoweight")
+                and getattr(held, name, None) is original):
+            monkeypatch.setattr(held, name, wrap(name, original))
 
 
 @pytest.mark.parametrize("certify", [True, False])
@@ -204,11 +222,7 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
     monkeypatch.setattr(sweep, "full_certificate", certificate)
     for module, name in [(testing, "testing_report"), (haar, "synthesize_leaf_blocks"),
                          (haar, "synthesize"), (localization, "ewl_radius")]:
-        original = getattr(module, name)
-        for held in list(sys.modules.values()):
-            if (held is not None and held.__name__.startswith("twoweight")
-                    and getattr(held, name, None) is original):
-                monkeypatch.setattr(held, name, counted(name, original))
+        _patch_everywhere(monkeypatch, module, name, counted)
     config = sweep.SweepConfig.from_dict({
         "dimension": 1, "depths": [4], "radii": [1], "trials": 2,
         "families": ["random_ewl", "haar_shift"], "measures": ["iid_uniform"], "seed": 3,
@@ -222,6 +236,37 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
         assert calls == {"testing_report": [certify],
                          "synthesize_leaf_blocks": ["rows", "columns"],
                          "synthesize": 0, "ewl_radius": 0}
+
+
+def test_classify_synthesizes_each_side_once(monkeypatch, tmp_path, capsys):
+    """twoweight classify reads both radii from two leaf-major input stages,
+    one over the rows of W and one over its columns, with no every-level
+    synthesis besides."""
+    grid = build_grid(GridSpec(1, 8))  # 256 leaves, several leaf blocks
+    rng = np.random.default_rng(1708)
+    t = random_ewl(2, random_measure(grid, rng, zero_fraction=0.2), random_measure(grid, rng), 9)
+    path = tmp_path / "op.json"
+    serialize.dump_json(path, serialize.operator_to_dict(t))
+    calls = {"synthesize_leaf_blocks": [], "synthesize_boxes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "synthesize_leaf_blocks":
+                calls[name].append("rows" if args[1].flags.c_contiguous else "columns")
+            else:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    _patch_everywhere(monkeypatch, haar, "synthesize_leaf_blocks", counted)
+    _patch_everywhere(monkeypatch, _kernels, "synthesize_boxes", counted)
+    assert cli.main(["classify", "--operator", str(path)]) == 0
+    assert sorted(calls["synthesize_leaf_blocks"]) == ["columns", "rows"]
+    assert calls["synthesize_boxes"] == 0
+    monkeypatch.undo()
+    radii = list(range(wl_radius(t), grid.tree_depth + 1))
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"ewl_radius: {ewl_radius(t)}", f"well-localized radii: {radii}"]
 
 
 def _multi_block_operators():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twoweight import GridSpec, LeafMeasure, build_grid, localization
-from twoweight.haar import basis, indicator_coefficients
 from twoweight.localization import ewl_radius, wl_check, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
@@ -16,7 +15,7 @@ from twoweight.operators import (
 )
 from twoweight.perfect_dyadic import perfect_dyadic_operator, random_kernel
 
-from conftest import random_measure
+from conftest import random_measure, wl_check_loop
 
 
 def pair(rng, grid, zero_fraction=0.0):
@@ -91,37 +90,6 @@ def test_wl_check_rejects_r_zero(rng):
                                       sigma, omega), 0)
 
 
-def _wl_check_loop(t, r, rtol=1e-10):
-    """Reference: the per-box loop, one indicator analysis per box Q."""
-    fro = t.frobenius()
-
-    def side_ok(w, in_measure, out_measure):
-        grid = t.grid
-        depth = grid.box_depth
-        rect = np.nonzero(basis(out_measure).charged)[0]
-        rect_depth = depth[rect]
-        for q in range(1, grid.num_boxes):
-            dq = depth[q]
-            anc = max(q >> r, 1)
-            gap_anc = rect_depth - depth[anc]
-            in_q_r = (gap_anc >= 0) & ((rect >> np.maximum(gap_anc, 0)) == anc)
-            gap_q = rect_depth - dq
-            in_q = (gap_q >= 0) & ((rect >> np.maximum(gap_q, 0)) == q)
-            must_vanish = (rect_depth >= dq - 1) & (
-                ~in_q_r | ((rect_depth >= dq + r) & ~in_q))
-            if not np.any(must_vanish):
-                continue
-            idx, val = indicator_coefficients(in_measure, q)
-            pairings = w[:, idx] @ val
-            checked = rect[must_vanish]
-            tol = rtol * fro * np.sqrt(in_measure.box_mass[q] * out_measure.box_mass[checked])
-            if np.any(np.abs(pairings[checked]) > tol):
-                return False
-        return True
-
-    return side_ok(t.w, t.sigma, t.omega) and side_ok(t.w.T, t.omega, t.sigma)
-
-
 @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
 @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 4), (1, 6), (2, 1), (2, 2), (2, 3)])
 def test_wl_check_matches_per_box_loop(n, d, zero_fraction):
@@ -140,7 +108,7 @@ def test_wl_check_matches_per_box_loop(n, d, zero_fraction):
         radius = wl_radius(t)
         assert 1 <= radius <= max(1, grid.tree_depth)
         for r in range(1, grid.tree_depth + 2):
-            assert wl_check(t, r) == _wl_check_loop(t, r) == (r >= radius), (t.family, r)
+            assert wl_check(t, r) == wl_check_loop(t, r) == (r >= radius), (t.family, r)
 
 
 def test_wl_radius_small_rectangle_condition_binds(monkeypatch):
@@ -157,4 +125,4 @@ def test_wl_radius_small_rectangle_condition_binds(monkeypatch):
         monkeypatch.setattr(localization, "WL_RTOL", rtol)
         assert wl_radius(t) == radius
         for r in range(1, grid.tree_depth + 2):
-            assert wl_check(t, r) == _wl_check_loop(t, r, rtol), (rtol, r)
+            assert wl_check(t, r) == wl_check_loop(t, r, rtol), (rtol, r)

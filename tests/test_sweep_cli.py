@@ -213,6 +213,19 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
         "family": "martingale_transform", "grid": {"dimension": 1, "depth": 13},
         "sigma_masses": [1.0] * 2**13, "omega_masses": [1.0] * 2**13, "coefficients": {}}))
     one_line_error(["classify", "--operator", str(above_cap)], "cap of 4096")
+    # json reads NaN and Infinity; an operator built from them pairs nothing
+    # above a tolerance, so classify would call it localized
+    base = {"grid": {"dimension": 1, "depth": 2},
+            "sigma_masses": [1.0] * 4, "omega_masses": [1.0] * 4}
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for doc in ({"family": "custom", "matrix": [[1.0, 0.0, 0.0, bad]] + [[0.0] * 4] * 3},
+                    {"family": "martingale_transform", "coefficients": {"1": bad}}):
+            not_finite = tmp_path / "not_finite.json"
+            not_finite.write_text(json.dumps({**base, **doc}))
+            one_line_error(["classify", "--operator", str(not_finite)], str(not_finite))
+    with monkeypatch.context() as m:  # the cap is read before any grid is built
+        m.setattr(serialize, "build_grid", lambda spec: pytest.fail("grid built"))
+        one_line_error(["classify", "--operator", str(above_cap)], "cap of 4096")
     sweep_dir = tmp_path / "sweep_out"
     sweep_dir.mkdir()
     (sweep_dir / "summary.json").write_text('{"trials": ')
@@ -237,6 +250,8 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
                        ({"depths": [13]}, "2^13 leaves"),
                        ({"dimension": 2, "depths": [7]}, "2^14 leaves"),
                        ({"coefficient_scale": "big"}, "coefficient_scale"),
+                       ({"coefficient_scale": float("nan")}, "coefficient_scale"),
+                       ({"coefficient_scale": float("inf")}, "coefficient_scale"),
                        ({"trials": True}, "trials"), ({"radii": []}, "radii"),
                        ({"families": []}, "families"), ({"measures": []}, "measures"),
                        ({"certificates": "no"}, "certificates"),
