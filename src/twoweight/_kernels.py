@@ -3,8 +3,8 @@
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
-(batch) axes, except synthesize_leaf_blocks, which synthesizes along the
-leading axis and is vectorized over the trailing one.
+(batch) axes, except synthesize_leaf_blocks and level_sums, which work
+along the leading axis and are vectorized over the trailing one.
 """
 
 import numpy as np

@@ -115,7 +115,7 @@ def synthesize_leaf_blocks(mu: LeafMeasure, coef: np.ndarray, out=None):
     whitened function per column (see _kernels.synthesize_leaf_blocks).
     With coef = W over the output measure omega, column E gives T(sigma h_E)
     on the omega leaves; with coef = W.T over sigma, column R gives
-    T*(omega h_R): the input stages of the testing pass and of ewl_radius."""
+    T*(omega h_R): the input stages of the testing pass and the classifiers."""
     b = basis(mu)
     return _kernels.synthesize_leaf_blocks(b.alpha, b.beta, coef, b.inv_sqrt_total, out)
 
