@@ -182,51 +182,83 @@ def level_sums(blocks, n):
 
 def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
                    depth, lo, hi, pair_offsets, pair_partner):
-    """Per-box indicator images and the statistics the testing module needs.
+    """Per-box testing statistics of T, read from the output coefficients.
 
-    For each box B (heap order, 1..2N-1): image = T applied to the indicator
-    of B.  ``blocks`` is the input stage in leaf-major blocks, (a, block) in
-    leaf order as synthesize_leaf_blocks yields them (input leaf, output
-    slot), block_rows(N) leaves each; each block is scaled here in place by
-    the input leaf masses in_mass, which gives the output coefficients of
-    T(sigma 1_leaf).  Returns per box the output-measure norm^2 restricted to
-    B's own leaf range, the global norm^2, and for the box's slice of the
-    admissible pair list the pairings <T(sigma 1_B), 1_G>.
+    For each box B (heap order, 1..2N-1) the image T(sigma 1_B) is taken in
+    the whitened output basis, which is orthonormal in L^2(omega), and never
+    synthesized.  ``blocks`` is the input stage in leaf-major blocks, (a,
+    block) in leaf order as synthesize_leaf_blocks yields them (input leaf,
+    output slot), block_rows(N) leaves each; each block is scaled here in
+    place by the input leaf masses in_mass, which gives the coefficients of
+    T(sigma 1_leaf), and level_sums adds them up to c_B, the coefficients of
+    T(sigma 1_B), for every box.  The stage is zero at uncharged output slots
+    (DyadicOperator masks them), so by Parseval
 
-    The image is linear in B, so the pass builds the N leaf images once and
-    sums them over every box with level_sums, O(N^2) in all: output-side
-    synthesis gives the leaf images of one block of input leaves, and each
-    level's images are read before the next level is summed.
+        glob[B]       = ||T(sigma 1_B)||^2     = sum of c_B^2 over all slots,
+        restricted[B] = ||1_B T(sigma 1_B)||^2 = sum of c_B[R]^2 over the
+                        rectangles R inside B, plus <T(sigma 1_B), 1_B>^2
+                        / omega(B) (0 where omega(B) = 0),
+        <T(sigma 1_E), 1_G>                    = v omega(G),
+
+    with v the value of c_E on box G: the constant and the components of
+    G's strict ancestors along its root path, the sum synthesize_at walks.
+    Per level of boxes, in pieces of at most block_rows(N) boxes, glob is one
+    sum of squares, restricted one gather of the rectangles inside each box,
+    and the values v one gather over the boxes and their pair partners times
+    their ancestors: O(N^2) in all, the cost of level_sums.  Returns
+    restricted, glob and, for each box's slice of the admissible pair list,
+    the pairings.
 
     alpha/beta/inv_sqrt_total, mass: the output basis and leaf masses.
     depth, lo, hi: the heap depth and leaf range of every box.
     pair_offsets: (2N+1,) CSR offsets into pair_partner per box.
     """
-    n = mass.shape[0]
-    n2 = lo.shape[0]
+    n, n2 = mass.shape[0], lo.shape[0]
+    rows = block_rows(n)
+    box_mass = box_sums(mass)
+    # factor[H]: the weight of the component of H's parent on box H, and at
+    # the root that of the constant, so the box value of c on G is the sum
+    # of factor[H] c[H >> 1] over H = G >> m, m >= 0 (0 past the root)
+    factor = np.zeros(2 * n)
+    factor[1] = inv_sqrt_total
+    factor[2::2] = -beta[1:]
+    factor[3::2] = alpha[1:]
+    # in_order[p]: the rectangle whose halves meet after leaf p (the constant
+    # slot at p = N - 1), so the rectangles inside a box of depth k are
+    # in_order.reshape(2^k, N >> k)[:, :-1], one row per box
+    in_order = np.zeros(n, dtype=np.int64)
+    in_order[(lo[1:n] + hi[1:n]) // 2 - 1] = np.arange(1, n)
+    shifts = np.arange(int(depth.max()) + 1)  # G >> m for m past G's depth is 1 or 0
+    counts = np.diff(pair_offsets)
+    index = np.arange(n2)  # box numbers, and row numbers of a block
+    start_of = index[:rows] * n  # a row's start in a raveled block
     restricted = np.zeros(n2)
     glob = np.zeros(n2)
-    pair_vals = np.zeros(pair_partner.shape[0])
-    rows = block_rows(n)
-    images = ((a, synthesize(alpha, beta, np.multiply(b, in_mass[a : a + rows, None], out=b),
-                             inv_sqrt_total)) for a, b in blocks)
-    for heap0, img in level_sums(images, n):
-        level = depth[heap0]  # the statistics of boxes heap0, heap0 + 1, ...
-        for c in range(0, img.shape[0], rows):
-            block = img[c : c + rows]
-            boxes = np.arange(heap0 + c, heap0 + c + block.shape[0])
-            wv = block * mass
-            sq = wv * block
-            glob[boxes] = sq.sum(axis=1)
-            own = sq.reshape(block.shape[0], 1 << level, n >> level)
-            restricted[boxes] = own[np.arange(boxes.size), boxes - (1 << level)].sum(axis=1)
-            start, stop = pair_offsets[boxes[0]], pair_offsets[boxes[-1] + 1]
-            if stop > start:
-                gs = pair_partner[start:stop]
-                end = int(hi[gs].max())  # the prefix sums stop at the last partner
-                cs = np.zeros((block.shape[0], end + 1))
-                np.cumsum(wv[:, :end], axis=1, out=cs[:, 1:])
-                row = np.repeat(np.arange(block.shape[0]),
-                                np.diff(pair_offsets[boxes[0] : boxes[-1] + 2]))
-                pair_vals[start:stop] = cs[row, hi[gs]] - cs[row, lo[gs]]
+    own = np.zeros(n2)  # <T(sigma 1_B), 1_B>
+    pair_vals = np.empty(pair_partner.shape[0])
+    stage = ((a, np.multiply(b, in_mass[a : a + len(b), None], out=b)) for a, b in blocks)
+    for heap0, coef in level_sums(stage, n):
+        inside = in_order.reshape(-1, n >> depth[heap0])[:, :-1]
+        for c in range(0, len(coef), rows):
+            # above the leaves a level is a strided view: one copy lets both
+            # gathers below index it flat
+            block = np.ascontiguousarray(coef[c : c + rows])
+            k = len(block)
+            b0 = heap0 + c
+            glob[b0 : b0 + k] = np.einsum("ij,ij->i", block, block)
+            flat = block.ravel()
+            j0 = b0 - (1 << depth[heap0])  # the first box's place in its level
+            sub = flat[start_of[:k, None] + inside[j0 : j0 + k]]
+            restricted[b0 : b0 + k] = np.einsum("ij,ij->i", sub, sub)
+            # one gather for the boxes' pair partners and the boxes themselves
+            start, stop = pair_offsets[b0], pair_offsets[b0 + k]
+            at = np.concatenate((pair_partner[start:stop], index[b0 : b0 + k]))
+            row = np.concatenate((np.repeat(start_of[:k], counts[b0 : b0 + k]), start_of[:k]))
+            node = at[:, None] >> shifts
+            val = (np.take(factor, node) * np.take(flat, row[:, None] + (node >> 1))).sum(axis=1)
+            val *= box_mass[at]
+            pair_vals[start:stop] = val[: stop - start]
+            own[b0 : b0 + k] = val[stop - start :]
+    charged = box_mass > 0
+    restricted[charged] += own[charged] ** 2 / box_mass[charged]
     return restricted, glob, pair_vals

@@ -20,7 +20,11 @@ plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
 side and returns them as the fields of one TestingReport.  Each pass starts
 from one leaf-major input stage (haar.synthesize_leaf_blocks), read a leaf
-block at a time.  Its radius defaults to ewl_radius(T), at most
+block at a time, and stays in coefficient space: the whitened output basis
+is orthonormal in L^2(omega), so every norm above is a Parseval sum of the
+output coefficients of T(sigma 1_E), and every pairing omega(G) times their
+root-path sum at G (_kernels.testing_images); nothing is synthesized on the
+output side.  Its radius defaults to ewl_radius(T), at most
 tree_depth - 1, read from the support gaps of those input stages as they
 stream past.  Every constant is
 bounded by the operator norm, exactly; that necessity chain is asserted by

@@ -9,7 +9,7 @@ import pytest
 
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
-from twoweight import GridSpec, _kernels, build_grid, cli, haar, localization, serialize, testing
+from twoweight import GridSpec, LeafMeasure, _kernels, build_grid, cli, haar, localization, serialize, testing
 from twoweight.haar import basis, synthesize, synthesize_leaf_blocks
 from twoweight.localization import SUPPORT_TOL, ewl_radius, wl_radius
 from twoweight.operators import (
@@ -26,21 +26,16 @@ from twoweight.testing import _output_stage, admissible_pairs
 from conftest import random_measure, wl_check_loop
 
 
-def _reference_pass(a, grid, out_masses, offsets, partners):
-    """Box by box from the dense leaf matrix a (column y = image of 1_y)."""
-    n2 = grid.num_boxes
-    restricted, glob = np.zeros(n2), np.zeros(n2)
-    pair_vals = np.zeros(partners.size)
-    lo, hi = grid.box_lo, grid.box_hi
-    for box in range(1, n2):
-        img = a[:, lo[box] : hi[box]].sum(axis=1)
-        wv = out_masses * img
-        glob[box] = wv @ img
-        restricted[box] = wv[lo[box] : hi[box]] @ img[lo[box] : hi[box]]
-        for p in range(offsets[box], offsets[box + 1]):
-            g = partners[p]
-            pair_vals[p] = wv[lo[g] : hi[g]].sum()
-    return restricted, glob, pair_vals
+def _reference_pass(a, grid, out_masses):
+    """Every box at once from the dense leaf matrix a (column y = image of 1_y):
+    restricted and global norms per box, and every pairing <T 1_E, 1_G> as a
+    (box E, box G) matrix."""
+    leaves = np.arange(grid.num_leaves)
+    ind = (grid.box_lo[:, None] <= leaves) & (leaves < grid.box_hi[:, None])
+    ind[0] = False  # heap slot 0 is not a box
+    img = ind @ a.T  # img[B] = T applied to the indicator of box B, on the leaves
+    wv = img * out_masses
+    return (wv * img * ind).sum(axis=1), (wv * img).sum(axis=1), wv @ ind.T
 
 
 def _assert_close(got, want, rtol=1e-12):
@@ -48,25 +43,42 @@ def _assert_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * scale
 
 
-@pytest.mark.parametrize("dimension,depth", [(1, 4), (2, 3), (1, 8)])
-def test_testing_images_match_leaf_matrix_reference(rng, dimension, depth):
+@pytest.mark.parametrize("dimension,depth", [(1, 4), (2, 3), (1, 8), (1, 9)])
+def test_testing_images_match_leaf_matrix_reference(monkeypatch, rng, dimension, depth):
+    """Both sides at r = 0..3, on one leaf block, on two (n=1 d=8) and on
+    eight of 64 leaves (n=1 d=9); then again with a forward output measure
+    that charges a single leaf: the constant is its only charged slot, and no
+    rectangle is charged.  Last, with blocks of 4 leaves, so the block roots'
+    levels are read in several pieces."""
     grid = build_grid(GridSpec(dimension, depth))
+    blocks = grid.num_leaves // _kernels.block_rows(grid.num_leaves)
+    assert blocks == {8: 2, 9: 8}.get(depth, 1)
     sigma = random_measure(grid, rng, zero_fraction=0.25)
     omega = random_measure(grid, rng, zero_fraction=0.25)
     assert np.any(sigma.masses == 0) and np.any(omega.masses == 0)
-    t = random_ewl(1, sigma, omega, 5)
-    offsets, partners = admissible_pairs(grid, 2)
-    got = _output_stage(synthesize_leaf_blocks(sigma, t.w.T), sigma, omega, offsets, partners)
-    want = _reference_pass(t.leaf_matrix(), grid, omega.masses, offsets, partners)
-    for g, w in zip(got, want):
-        _assert_close(g, w)
+    point = np.zeros(grid.num_leaves)
+    point[rng.integers(grid.num_leaves)] = 1.5
+    point = LeafMeasure(grid, point)
+    assert not basis(point).charged.any()
+    for out in (omega, point):
+        _check_both_sides(random_ewl(1, sigma, out, 5))
+    monkeypatch.setattr(_kernels, "CHUNK_FLOATS", 4 * grid.num_leaves)
+    _check_both_sides(random_ewl(1, sigma, omega, 5))
 
-    # adjoint pass: the transposed matrix, measures swapped, no pairs
-    none = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    got = _output_stage(synthesize_leaf_blocks(omega, t.w), omega, sigma, *none)
-    want = _reference_pass(t.adjoint().leaf_matrix(), grid, sigma.masses, *none)
-    for g, w in zip(got[:2], want[:2]):
-        _assert_close(g, w)
+
+def _check_both_sides(t):
+    grid = t.grid
+    sides = [(t.w.T, t.sigma, t.omega, t.leaf_matrix()),  # forward
+             (t.w, t.omega, t.sigma, t.adjoint().leaf_matrix())]  # adjoint: measures swapped
+    for w, in_measure, out_measure, a in sides:
+        restricted, glob, pairings = _reference_pass(a, grid, out_measure.masses)
+        for r in range(4):
+            offsets, partners = admissible_pairs(grid, r)
+            boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
+            got = _output_stage(synthesize_leaf_blocks(in_measure, w), in_measure, out_measure,
+                                offsets, partners)
+            for g, want in zip(got, (restricted, glob, pairings[boxes_e, partners])):
+                _assert_close(g, want)
 
 
 @pytest.mark.parametrize("dimension,depth", [(1, 0), (1, 5), (2, 3)])
@@ -289,9 +301,9 @@ def _multi_block_operators():
 
 
 # sha256 of every report (c3_next on) and EWL radius of _multi_block_operators,
-# recorded from the row-major testing pass that synthesized each input stage
-# with haar.synthesize and held it as one N x N array per side.
-MULTI_BLOCK_SHA256 = "5baf769e4d74c16b4df93f8d9440975ce77da922d77887fb66455a65c4e16c2f"
+# recorded from the coefficient-space testing pass: Parseval sums of the
+# output coefficients and root-path box values, with no output-side synthesis.
+MULTI_BLOCK_SHA256 = "22f3bf7b00d378e09cf815084fb86318156d76cae9b58eb3dbb4eef139feb7aa"
 
 
 def test_testing_pass_multi_block_output_unchanged():

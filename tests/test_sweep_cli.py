@@ -403,7 +403,9 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
 # the per-rectangle split_B loop and the stack-built stopping families that
 # preceded the array versions: summary counts and maxima, and the verdict
 # dict and stopping-member count of every trial.  GOLDEN_CERT_SHA256 hashes
-# every certificate document (JSON, sorted keys) in trial order.
+# every certificate document (JSON, sorted keys) in trial order; it was
+# recorded from the coefficient-space testing pass (Parseval sums and
+# root-path box values, no output-side synthesis).
 GOLDEN_SWEEP = {
     "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
     "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
@@ -422,7 +424,7 @@ GOLDEN_VERDICT_KEYS = [
     "packing_f", "packing_g", "partner_count", "projection_norms",
 ]
 GOLDEN_MEMBERS = {"total": 457, "max": 8}
-GOLDEN_CERT_SHA256 = "e6cd9a0a3152138303ce50e1dee892b3b6d212861fa68a58e1c2d513e9c1a3f7"
+GOLDEN_CERT_SHA256 = "2b8bf1195809ca9bf4b5f38ad483b74909a3c24a42edadc45b15a749acccab38"
 
 
 def test_certified_sweep_output_unchanged(tmp_path):

@@ -388,6 +388,24 @@ def test_report_invariant_under_reciprocal_rescaling(t, scale):
         assert getattr(got, name) == pytest.approx(getattr(rep, name), rel=1e-12)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(report_cases())
+def test_report_homogeneous_in_the_coefficients(t):
+    """W -> cW scales the norm and every testing constant by |c| and keeps the
+    ratios and witnesses: no sum in the pass meets an absolute threshold.  r
+    is passed: SUPPORT_TOL is absolute, so a measured radius would move."""
+    r = ewl_radius(t)
+    rep = make_report(t, r=r, c3_next=True)
+    for c in (1e-8, 1.0, 1e8):
+        got = make_report(DyadicOperator(t.grid, t.sigma, t.omega, c * t.w), r=r, c3_next=True)
+        assert got.witnesses == rep.witnesses
+        for name in ("norm", "c1", "c2", "c3", "c1_global", "c2_global", "c1_cube", "c2_cube",
+                     "c3_cube", "c3_next", "ratio_sum", "ratio_max"):
+            scale = 1.0 if name.startswith("ratio") else c
+            want = scale * getattr(rep, name)
+            assert abs(getattr(got, name) - want) <= 1e-12 * abs(want), name
+
+
 def test_c3_diagonal_pair_admissible(rng):
     grid = build_grid(GridSpec(1, 3))
     sigma, omega = pair(rng, grid, low=0.1)
