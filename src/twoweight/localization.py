@@ -32,7 +32,8 @@ r >= wl_radius(T), the maximum of that bound over the pairs whose pairing
 exceeds WL_RTOL ||W||_F sqrt(mu(Q) nu(R)) (mu the input measure, nu the
 output one), and at least 1; wl_check(T, r) is r >= wl_radius(T).  The
 pairing is <1_Q, T*(nu h_R)>_mu, the same input stage summed over Q, so
-radii(T) reads both radii from one synthesis per side.
+radii(T) reads both radii from one synthesis per side.  An operator keeps
+both radii once read (W is read-only), as it keeps ||W||_F.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def ewl_radius(t: DyadicOperator) -> int:
     support is the root at the largest, a gap of at most the rectangle's
     depth, and rectangles sit above leaf scale.
     """
-    return max(support_gap(blocks, out_m, in_m) for blocks, in_m, out_m in _stages(t))
+    if t._ewl is None:
+        t._ewl = max(support_gap(blocks, out_m, in_m) for blocks, in_m, out_m in _stages(t))
+    return t._ewl
 
 
 def _vanishing_radius(blocks, in_measure, out_measure, fro):
@@ -148,19 +151,22 @@ def _vanishing_radius(blocks, in_measure, out_measure, fro):
 def wl_radius(t: DyadicOperator) -> int:
     """Smallest r >= 1 with wl_check(t, r); wl_check holds exactly from it on.
     The tolerance scales with ||W||_F (module docstring), so scaling W keeps r."""
-    fro = t.frobenius()
-    return max(1, *(_vanishing_radius(*stage, fro) for stage in _stages(t)))
+    if t._wl is None:
+        t._wl = max(1, *(_vanishing_radius(*stage, t.frobenius()) for stage in _stages(t)))
+    return t._wl
 
 
 def radii(t: DyadicOperator) -> tuple:
     """(ewl_radius(t), wl_radius(t)) from one synthesis per side: each input
     stage streams through its support gap into its vanishing test."""
-    fro, ewl, wl = t.frobenius(), 0, 1
-    for blocks, in_m, out_m in _stages(t):
-        gap = SupportGap(out_m, in_m)
-        wl = max(wl, _vanishing_radius(gap.scan(blocks), in_m, out_m, fro))
-        ewl = max(ewl, gap.value)
-    return ewl, wl
+    if t._ewl is None or t._wl is None:
+        fro, ewl, wl = t.frobenius(), 0, 1
+        for blocks, in_m, out_m in _stages(t):
+            gap = SupportGap(out_m, in_m)
+            wl = max(wl, _vanishing_radius(gap.scan(blocks), in_m, out_m, fro))
+            ewl = max(ewl, gap.value)
+        t._ewl, t._wl = ewl, wl
+    return t._ewl, t._wl
 
 
 def wl_check(t: DyadicOperator, r: int) -> bool:

@@ -16,6 +16,19 @@ random kernels attain r + n - 1 in every dimension sampled (n = 1, 2, 3).
 
 dist(x, y) is the Euclidean distance between leaf centers (the discrete
 reading of the pointwise size bound on a leaf-constant kernel).
+
+Separation is heap arithmetic: I and J are separated exactly when their
+ancestors at depth min(depth(I), depth(J)) - r differ (boxes meet exactly
+when one holds the other).  So a leaf pair whose smallest common box has
+depth L lies in a separated block at cube depths (mi, mj) exactly when
+min(mi, mj) > L + r, and these all lie in the one at (c, c), c the least
+cube depth above L + r, whose pairs all share L: the largest blocks are the
+constancy classes.  A block is broken when its spread exceeds
+CONSTANCY_ATOL (1 + its largest |K|); values raising that largest |K| by t
+widen the spread by t or more, so a block holding a broken one is broken,
+and it comes first in (I, J) order.  Validation reads only depths (c, c),
+from a dyadic pyramid: each heap level halves the rows and columns of the
+block max and min tables of the level below, O(N^2) in all, one at a time.
 """
 
 from __future__ import annotations
@@ -47,45 +60,53 @@ class PerfectDyadicKernel:
 
 
 def _leaf_distances(grid: Grid) -> np.ndarray:
-    c = grid.leaf_centers
-    diff = c[:, None, :] - c[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    """Axis by axis, with no (N, N, n) temporary."""
+    return np.sqrt(sum((x[:, None] - x) ** 2 for x in grid.leaf_centers.T))
 
 
-def _separated_pairs(grid: Grid, radius: int):
-    """Heap arrays (I, J) of the separated cube pairs, row-major over cubes."""
-    cubes = grid.cubes()
-    meet = grid.meets(grid.ancestor(cubes, radius)[:, None], cubes)  # [I, J]: I^(r) meets J
-    a, b = np.nonzero(~meet & ~meet.T)
-    return cubes[a], cubes[b]
+def _separated(grid: Grid, i, j, radius: int):
+    """Cubes i and j (heap, broadcast) separated at radius r: their ancestors
+    at depth min(depth(i), depth(j)) - r differ (module docstring)."""
+    di, dj = grid.box_depth[i], grid.box_depth[j]
+    k = np.maximum(np.minimum(di, dj) - radius, 0)
+    return grid.ancestor(i, di - k) != grid.ancestor(j, dj - k)
 
 
 def separated_cube_pairs(grid: Grid, radius: int):
     """Ordered cube pairs (I, J) with disjoint r-ancestor overlaps."""
-    i, j = _separated_pairs(grid, radius)
-    return list(zip(i.tolist(), j.tolist()))
+    cubes = grid.cubes()
+    a, b = np.nonzero(_separated(grid, cubes[:, None], cubes, radius))
+    return list(zip(cubes[a].tolist(), cubes[b].tolist()))
 
 
-def _depth_pair_blocks(grid: Grid, i: np.ndarray, j: np.ndarray):
-    """Yield (sel, shape, bi, bj) per (depth I, depth J) group of the pairs
-    (i, j): the cubes of one depth tile the leaves, so table.reshape(shape)
-    has the block I x J of pair sel[t] at [bi[t], :, bj[t], :]."""
-    n = grid.num_leaves
-    levels = grid.tree_depth + 1
-    group = grid.box_depth[i] * levels + grid.box_depth[j]
-    for key in np.unique(group):
-        sel = np.nonzero(group == key)[0]
-        mi, mj = divmod(int(key), levels)
-        yield sel, (1 << mi, n >> mi, 1 << mj, n >> mj), i[sel] - (1 << mi), j[sel] - (1 << mj)
+def _block_extrema(grid: Grid, table: np.ndarray, radius: int):
+    """Yield (c, hi, lo) for the cube depths radius < c < tree_depth, fine to
+    coarse: hi[bi, bj] and lo[bi, bj] are the max and min of table over
+    box(2^c + bi) x box(2^c + bj), the dyadic pyramid of the module
+    docstring."""
+    hi = lo = table
+    for c in range(grid.tree_depth - 1, radius, -1):
+        h, l = np.maximum(hi[0::2], hi[1::2]), np.minimum(lo[0::2], lo[1::2])
+        hi, lo = np.maximum(h[:, 0::2], h[:, 1::2]), np.minimum(l[:, 0::2], l[:, 1::2])
+        if c % grid.dimension == 0:
+            yield c, hi, lo
 
 
 def validate_kernel(kernel: PerfectDyadicKernel):
-    """Raise KernelValidationError at the first violated condition."""
+    """Raise KernelValidationError at the first violated condition: a
+    non-finite entry, the size bound, then the first separated cube pair
+    (I, J) whose block is not constant, the coarsest and then row-major first
+    broken block at equal depths (module docstring)."""
     grid = kernel.grid
     k = kernel.values
+    if not np.isfinite(k).all():
+        x, y = np.argwhere(~np.isfinite(k))[0]
+        raise KernelValidationError(
+            f"kernel entry at leaf pair ({x}, {y}) is not finite: {k[x, y]}",
+            cube_pair=(int(grid.leaf_heap(x)), int(grid.leaf_heap(y))),
+        )
     dist = _leaf_distances(grid)
-    off = ~np.eye(grid.num_leaves, dtype=bool)
-    bad = off & (np.abs(k) * dist > SIZE_SLACK)
+    bad = np.abs(k) * dist > SIZE_SLACK  # 0 on the diagonal, where dist is 0
     if np.any(bad):
         x, y = np.argwhere(bad)[0]
         raise KernelValidationError(
@@ -93,16 +114,15 @@ def validate_kernel(kernel: PerfectDyadicKernel):
             f"|K|={abs(k[x, y]):.6g} > 1/dist={1 / dist[x, y]:.6g}",
             cube_pair=(int(grid.leaf_heap(x)), int(grid.leaf_heap(y))),
         )
-    i, j = _separated_pairs(grid, kernel.radius)
-    broken = np.zeros(i.size, dtype=bool)
-    for sel, shape, bi, bj in _depth_pair_blocks(grid, i, j):
-        blocks = k.reshape(shape)
-        spread = np.ptp(blocks, axis=(1, 3))
-        peak = np.max(np.abs(blocks), axis=(1, 3))
-        broken[sel] = spread[bi, bj] > CONSTANCY_ATOL * (1.0 + peak[bi, bj])
-    if np.any(broken):
-        first = int(np.argmax(broken))
-        ci, cj = int(i[first]), int(j[first])
+    first = None
+    for c, hi, lo in _block_extrema(grid, k, kernel.radius):
+        cubes = np.arange(1 << c, 2 << c)
+        broken = hi - lo > CONSTANCY_ATOL * (1.0 + np.maximum(hi, -lo))
+        broken &= _separated(grid, cubes[:, None], cubes, kernel.radius)
+        if broken.any():
+            first = cubes[np.argwhere(broken)[0]].tolist()
+    if first:
+        ci, cj = first
         raise KernelValidationError(
             f"kernel not constant on separated cube pair (heap {ci}, heap {cj})",
             cube_pair=(ci, cj),
@@ -114,23 +134,17 @@ def _constancy_classes(grid: Grid, radius: int) -> np.ndarray:
 
     The pairs of one block I x J of a separated cube pair must share a value;
     a class is a set of pairs joined through such blocks, labelled by its
-    smallest key.  Setting every separated block to its smallest label until
-    nothing changes reaches those labels: labels only decrease and stay keys
-    of the class, and at the fixed point each block is constant.
+    smallest key.  The classes are the largest separated blocks (module
+    docstring), at depths (c, c) for c the least cube depth above L + r, so
+    a label is the block's corner: x and y with their last tree_depth - c
+    bits cleared; L depends on x ^ y alone.
     """
-    n = grid.num_leaves
-    labels = np.arange(n * n).reshape(n, n)
-    views = []
-    for _, shape, bi, bj in _depth_pair_blocks(grid, *_separated_pairs(grid, radius)):
-        separated = np.zeros((shape[0], 1, shape[2], 1), dtype=bool)
-        separated[bi, 0, bj, 0] = True
-        views.append((labels.reshape(shape), separated))
-    while True:
-        before = labels.copy()
-        for blocks, separated in views:
-            np.copyto(blocks, blocks.min(axis=(1, 3), keepdims=True), where=separated)
-        if np.array_equal(labels, before):
-            return labels.ravel()
+    n, depth = grid.dimension, grid.tree_depth
+    leaves = np.arange(grid.num_leaves)
+    common = grid.lca_depth(grid.num_leaves, grid.num_leaves + leaves)  # L, by x ^ y
+    c = -(-(common + radius + 1) // n) * n
+    keep = ~((1 << np.where(c <= depth, depth - c, 0)) - 1)[leaves[:, None] ^ leaves]
+    return ((leaves[:, None] & keep) * grid.num_leaves + (leaves & keep)).ravel()
 
 
 def random_kernel(grid: Grid, radius: int, seed) -> PerfectDyadicKernel:

@@ -187,10 +187,15 @@ def test_ewl_radius_independent_of_block_size(monkeypatch, rng, dimension, depth
     for chunk_floats in (n, 2 * n, 4 * n, _kernels.CHUNK_FLOATS):
         monkeypatch.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
         for (t, want), wl in zip(cases, wl_default):
-            assert ewl_radius(t) == want, (chunk_floats, t.family)
+            # each radius on a fresh copy: an operator reads its radii once
+            assert ewl_radius(_fresh(t)) == want, (chunk_floats, t.family)
             assert testing.testing_report(t, norm=False).r_used == want, (chunk_floats, t.family)
-            assert wl_radius(t) == wl, (chunk_floats, t.family)
-            assert localization.radii(t) == (want, wl), (chunk_floats, t.family)
+            assert wl_radius(_fresh(t)) == wl, (chunk_floats, t.family)
+            assert localization.radii(_fresh(t)) == (want, wl), (chunk_floats, t.family)
+
+
+def _fresh(t):
+    return DyadicOperator(t.grid, t.sigma, t.omega, t.w.copy(), family=t.family)
 
 
 def _patch_everywhere(monkeypatch, module, name, wrap):

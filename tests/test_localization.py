@@ -119,10 +119,32 @@ def test_wl_radius_small_rectangle_condition_binds(monkeypatch):
     uniform = LeafMeasure(grid, np.full(8, 0.125))
     w = np.zeros((8, 8))
     w[7, 1] = 1.0
-    t = DyadicOperator(grid, uniform, uniform, w)
     # at the default tolerance leaf boxes in the left half pair with R too
     for rtol, radius in ((1e-10, 3), (1.2, 2)):
         monkeypatch.setattr(localization, "WL_RTOL", rtol)
+        t = DyadicOperator(grid, uniform, uniform, w.copy())  # radii are read once per operator
         assert wl_radius(t) == radius
         for r in range(1, grid.tree_depth + 2):
             assert wl_check(t, r) == wl_check_loop(t, r, rtol), (rtol, r)
+
+
+def test_radii_read_once_per_operator(monkeypatch, rng):
+    """radii fills both caches, so ewl_radius, wl_radius and wl_check over
+    every r run no further vanishing test; wl_check alone runs one per side."""
+    grid = build_grid(GridSpec(1, 5))
+    sigma, omega = pair(rng, grid, 0.2)
+    calls = []
+    vanishing = localization._vanishing_radius
+    monkeypatch.setattr(localization, "_vanishing_radius",
+                        lambda *args: calls.append(1) or vanishing(*args))
+    t = perfect_dyadic_operator(random_kernel(grid, 1, 3), sigma, omega)
+    ewl, wl = localization.radii(t)
+    assert len(calls) == 2
+    verdicts = [wl_check(t, r) for r in range(1, grid.tree_depth + 1)]
+    assert (ewl_radius(t), wl_radius(t)) == (ewl, wl) and len(calls) == 2
+    assert verdicts == [r >= wl for r in range(1, grid.tree_depth + 1)]
+    s = random_ewl(2, sigma, omega, 4)
+    verdicts = [wl_check(s, r) for r in range(1, grid.tree_depth + 1)]
+    assert len(calls) == 4
+    assert verdicts == [r >= wl_radius(s) for r in range(1, grid.tree_depth + 1)]
+    assert verdicts == [wl_check_loop(s, r) for r in range(1, grid.tree_depth + 1)]

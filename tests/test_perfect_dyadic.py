@@ -1,6 +1,7 @@
 """Perfect dyadic kernels: validation, generation, classification, CSV."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from twoweight.localization import ewl_radius
 from twoweight.perfect_dyadic import (
     CONSTANCY_ATOL,
     PerfectDyadicKernel,
+    _block_extrema,
     _constancy_classes,
     _leaf_distances,
     corrupt_kernel,
@@ -90,6 +92,45 @@ def test_size_condition_violation_detected():
     assert "size" in str(err.value)
 
 
+@pytest.mark.parametrize("x,y,value", [(0, 15, np.nan), (3, 3, np.inf), (3, 3, -np.inf)])
+def test_non_finite_kernel_rejected(x, y, value):
+    # NaN compares False in both checks, and the size check skips the diagonal
+    grid = build_grid(GridSpec(1, 4))
+    values = random_kernel(grid, 1, 0).values.copy()
+    values[x, y] = value
+    values[12, 5] = np.nan  # a later non-finite entry is not the one named
+    with pytest.raises(KernelValidationError) as err:
+        validate_kernel(PerfectDyadicKernel(grid, values, 1))
+    assert str(err.value) == f"kernel entry at leaf pair ({x}, {y}) is not finite: {value}"
+    assert err.value.cube_pair == (grid.leaf_heap(x), grid.leaf_heap(y))
+
+
+@pytest.mark.parametrize("n,d", [(1, 6), (2, 3), (2, 4), (3, 2)])
+def test_leaf_distances_bit_equal_to_norm_over_axes(n, d):
+    grid = build_grid(GridSpec(n, d, origin=(Fraction(1, 3),) * n, side=Fraction(7, 3)))
+    c = grid.leaf_centers
+    diff = c[:, None, :] - c[None, :, :]
+    assert np.array_equal(_leaf_distances(grid), np.sqrt(np.sum(diff * diff, axis=-1)))
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 3), (3, 2)])
+def test_block_extrema_match_per_block(n, d):
+    grid = build_grid(GridSpec(n, d))
+    table = np.random.default_rng(10 * n + d).standard_normal((grid.num_leaves,) * 2)
+    lo, hi = grid.box_lo, grid.box_hi
+    for radius in range(grid.tree_depth + 2):
+        depths = []
+        for c, top, bottom in _block_extrema(grid, table, radius):
+            depths.append(c)
+            cubes = range(1 << c, 2 << c)
+            spread = [[np.ptp(table[lo[i] : hi[i], lo[j] : hi[j]]) for j in cubes] for i in cubes]
+            peak = [[np.max(np.abs(table[lo[i] : hi[i], lo[j] : hi[j]])) for j in cubes]
+                    for i in cubes]
+            assert np.array_equal(top - bottom, spread), (radius, c)
+            assert np.array_equal(np.maximum(top, -bottom), peak), (radius, c)
+        assert depths == [c for c in range(grid.tree_depth - 1, radius, -1) if c % n == 0]
+
+
 def _separated_cube_pairs_loop(grid, radius):
     """Reference: the pairwise loop over cubes."""
     cubes = grid.cubes()
@@ -163,6 +204,59 @@ def _constancy_classes_union_find(grid, radius):
                 else:
                     parent[find(key)] = first
     return np.fromiter((find(a) for a in range(n * n)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,d,radius", [(1, 5, 0), (1, 6, 1), (1, 6, 2), (2, 3, 1), (3, 2, 0)])
+def test_validate_kernel_first_of_several_violations(n, d, radius):
+    # one entry broken in each of several separated blocks of distinct depth pairs
+    grid = build_grid(GridSpec(n, d))
+    pairs = np.array(separated_cube_pairs(grid, radius))
+    depths = grid.box_depth[pairs]
+    lo, hi = grid.box_lo, grid.box_hi
+    dist = _leaf_distances(grid)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        kernel = random_kernel(grid, radius, seed)
+        values = kernel.values.copy()
+        keys = np.unique(depths[:, 0] * 100 + depths[:, 1])
+        for key in rng.choice(keys, size=min(4, keys.size), replace=False):
+            i, j = pairs[rng.choice(np.flatnonzero(depths[:, 0] * 100 + depths[:, 1] == key))]
+            x, y = rng.integers(lo[i], hi[i]), rng.integers(lo[j], hi[j])
+            values[x, y] += 0.5 / dist[x, y] * (1 if values[x, y] <= 0 else -1)
+        bad = PerfectDyadicKernel(grid, values, radius)
+        want = _first_nonconstant_pair_loop(bad)
+        with pytest.raises(KernelValidationError) as err:
+            validate_kernel(bad)
+        assert err.value.cube_pair == want, seed
+
+
+def _constancy_classes_per_depth_pair(grid, radius):
+    """Reference: set every separated block of a table of keys to its smallest
+    key, one reshape per pair of cube depths, until nothing changes."""
+    n = grid.num_leaves
+    labels = np.arange(n * n).reshape(n, n)
+    pairs = np.array(separated_cube_pairs(grid, radius), dtype=np.int64).reshape(-1, 2)
+    depths = grid.box_depth[pairs]
+    views = []
+    for mi, mj in set(map(tuple, depths.tolist())):
+        i, j = pairs[(depths[:, 0] == mi) & (depths[:, 1] == mj)].T
+        separated = np.zeros((1 << mi, 1, 1 << mj, 1), dtype=bool)
+        separated[i - (1 << mi), 0, j - (1 << mj), 0] = True
+        views.append((labels.reshape(1 << mi, n >> mi, 1 << mj, n >> mj), separated))
+    while True:
+        before = labels.copy()
+        for blocks, separated in views:
+            np.copyto(blocks, blocks.min(axis=(1, 3), keepdims=True), where=separated)
+        if np.array_equal(labels, before):
+            return labels.ravel()
+
+
+@pytest.mark.parametrize("n,d", [(1, 8), (2, 4)])
+def test_constancy_classes_match_per_depth_pair_256_leaves(n, d):
+    grid = build_grid(GridSpec(n, d))
+    for radius in range(4):
+        want = _constancy_classes_per_depth_pair(grid, radius)
+        assert np.array_equal(_constancy_classes(grid, radius), want), radius
 
 
 @pytest.mark.parametrize("n,depths", [(1, range(0, 7)), (2, range(0, 4)), (3, range(0, 3))])
