@@ -11,9 +11,13 @@ import numpy as np
 
 HAVE_NUMBA = False  # no compiled kernels; the benchmark's environment record reads it
 
-# Floats per temporary block in the batched passes: keeps the working set of
-# one block cache-sized whatever the grid size.
-CHUNK_FLOATS = 1 << 15
+# Floats and rows per block: block_rows(N) = min(N, MAX_BLOCK_ROWS, CHUNK_FLOATS // N).
+# testing_report(norm=False) in ms against 1 << 15 floats and no cap, one BLAS thread,
+# 2 MB L2 per core: 256 leaves 4 (same blocks), 512 13-14 (was 16), 1024 43-44 (was
+# 55), 2048 153-159 (was 146-211), 4096 559-586 (was 601-709).  With no cap 256
+# leaves are one block and localization.radii runs 9-25% slower.
+CHUNK_FLOATS = 1 << 17
+MAX_BLOCK_ROWS = 128
 
 
 def subtree_sums(heap):
@@ -106,9 +110,9 @@ def synthesize(alpha, beta, coef, inv_sqrt_total):
 
 
 def block_rows(n):
-    """Rows per block of an n-column array: CHUNK_FLOATS floats a block, at
-    most n rows, and a power of two that divides n when n is a power of two."""
-    return max(1, min(n, CHUNK_FLOATS // n))
+    """Rows per block of an n-column array (see CHUNK_FLOATS): a power of two
+    that divides n when n is a power of two."""
+    return max(1, min(n, MAX_BLOCK_ROWS, CHUNK_FLOATS // n))
 
 
 def synthesize_leaf_blocks(alpha, beta, coef, inv_sqrt_total, out=None):
@@ -180,7 +184,7 @@ def level_sums(blocks, n):
     yield from level_sums([(0, tops)], len(tops)) if len(tops) > 1 else [(1, tops)]
 
 
-def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
+def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, box_mass,
                    depth, lo, hi, pair_offsets, pair_partner):
     """Per-box testing statistics of T, read from the output coefficients.
 
@@ -209,13 +213,12 @@ def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, mass,
     restricted, glob and, for each box's slice of the admissible pair list,
     the pairings.
 
-    alpha/beta/inv_sqrt_total, mass: the output basis and leaf masses.
+    alpha/beta/inv_sqrt_total, box_mass: the output basis and box masses.
     depth, lo, hi: the heap depth and leaf range of every box.
     pair_offsets: (2N+1,) CSR offsets into pair_partner per box.
     """
-    n, n2 = mass.shape[0], lo.shape[0]
+    n, n2 = in_mass.shape[0], lo.shape[0]
     rows = block_rows(n)
-    box_mass = box_sums(mass)
     # factor[H]: the weight of the component of H's parent on box H, and at
     # the root that of the constant, so the box value of c on G is the sum
     # of factor[H] c[H >> 1] over H = G >> m, m >= 0 (0 past the root)

@@ -173,7 +173,7 @@ def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int):
     fnorm, gnorm = f.norm0, g.norm0
 
     tiny = 1e-13 * (1.0 + t.frobenius())
-    gs, es = np.nonzero(np.abs(t.w) > tiny)
+    gs, es = np.divmod(np.flatnonzero(np.abs(t.w) > tiny), t.w.shape[1])
     keep = (gs >= 1) & (es >= 1)  # the constant slots of f0, g0 are rounding
     gs, es = gs[keep], es[keep]
     contrib = t.w[gs, es] * ghat[gs] * fhat[es]

@@ -145,6 +145,19 @@ class Grid:
         split = (a >> (da - k)) ^ (b >> (db - k))  # the two depth-k boxes
         return k - np.frexp(split)[1]  # less the bit length of their difference
 
+    def subtree_boxes(self, roots, counts):
+        """(offsets, boxes), CSR: the first counts[i] boxes of roots[i]'s subtree
+        breadth first, so ascending.  The k-th box (from 1), at level
+        L = floor(log2 k), is (root << L) + k - 2^L."""
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        k = np.arange(1, offsets[-1] + 1, dtype=np.int64)
+        k -= np.repeat(offsets[:-1], counts)
+        level = (np.frexp(k)[1] - 1).astype(np.int64)
+        boxes = np.repeat(roots, counts) << level
+        boxes += k
+        boxes -= np.int64(1) << level
+        return offsets, boxes
+
     def is_cube(self, h: int) -> bool:
         return self.box_depth[h] % self.dimension == 0
 

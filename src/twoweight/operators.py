@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import block_rows
 from .exceptions import DimensionError, GridSizeError
 from .grid import Grid
 from .haar import WeightedBasis, analyze, basis, synthesize
@@ -242,15 +241,19 @@ def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> Dyad
     w = np.zeros((n, n))
     out_charged = basis(omega).charged_slots()
     in_charged = basis(sigma).charged_slots()
-    # window[e, g]: box(g) inside anc(e) and box(e) inside anc(g).  Draws run
-    # column by column, rows ascending: the C order of w.T, built a block of
-    # columns at a time.
-    cols = block_rows(n)
-    for c in range(0, n, cols):
-        e = slice(c, c + cols)
-        window = grid.contains(anc[e, None], boxes) & grid.contains(anc, boxes[e, None])
-        window &= in_charged[e, None] & out_charged
-        w.T[e][window] = rng.uniform(-1.0, 1.0, np.count_nonzero(window))
+    # Column e's window, drawn column by column: the boxes g of anc(e)'s subtree
+    # above leaf scale and down to r levels below box(e), breadth first (rows
+    # ascending), with box(e) in anc(g).  Box 1 stands for slots 0 and 1: the
+    # first `top` columns, those with anc(e) at the root, take one box more.
+    top = min(n, 2 << r)
+    levels = np.minimum(grid.box_depth[boxes] + r, grid.tree_depth - 1) - grid.box_depth[anc] + 1
+    counts = (np.int64(1) << levels) - 1
+    counts[:top] += 1
+    offsets, g = grid.subtree_boxes(anc, counts)
+    g[: offsets[top]] -= 1
+    e = np.repeat(np.arange(n), counts)
+    keep = grid.contains(anc[g], boxes[e]) & in_charged[e] & out_charged[g]
+    w[g[keep], e[keep]] = rng.uniform(-1.0, 1.0, np.count_nonzero(keep))
     _add_mean_components(w, omega, anc, in_charged, rng)
     _add_mean_components(w.T, sigma, anc, out_charged, rng)
     return DyadicOperator(grid, sigma, omega, w, family="random_ewl",

@@ -86,8 +86,10 @@ def _block_extrema(grid: Grid, table: np.ndarray, radius: int):
     docstring."""
     hi = lo = table
     for c in range(grid.tree_depth - 1, radius, -1):
-        h, l = np.maximum(hi[0::2], hi[1::2]), np.minimum(lo[0::2], lo[1::2])
-        hi, lo = np.maximum(h[:, 0::2], h[:, 1::2]), np.minimum(l[:, 0::2], l[:, 1::2])
+        hi = np.maximum(hi[0::2], hi[1::2])  # one half-table live at a time
+        hi = np.maximum(hi[:, 0::2], hi[:, 1::2])
+        lo = np.minimum(lo[0::2], lo[1::2])
+        lo = np.minimum(lo[:, 0::2], lo[:, 1::2])
         if c % grid.dimension == 0:
             yield c, hi, lo
 
@@ -114,6 +116,7 @@ def validate_kernel(kernel: PerfectDyadicKernel):
             f"|K|={abs(k[x, y]):.6g} > 1/dist={1 / dist[x, y]:.6g}",
             cube_pair=(int(grid.leaf_heap(x)), int(grid.leaf_heap(y))),
         )
+    del dist, bad  # only the size check's message reads them
     first = None
     for c, hi, lo in _block_extrema(grid, k, kernel.radius):
         cubes = np.arange(1 << c, 2 << c)
@@ -150,17 +153,19 @@ def _constancy_classes(grid: Grid, radius: int) -> np.ndarray:
 def random_kernel(grid: Grid, radius: int, seed) -> PerfectDyadicKernel:
     """Random valid kernel: one uniform value per constancy class, scaled to
     the tightest size bound inside the class; diagonal zero.  Classes draw in
-    the order of their labels."""
+    the order of their labels, the keys of their corners, ranked unsorted."""
     rng = np.random.default_rng(seed)
     n = grid.num_leaves
     dist = _leaf_distances(grid)
     with np.errstate(divide="ignore"):
         bound = np.where(dist > 0, 1.0 / dist, 0.0).ravel()
-    keys, cls = np.unique(_constancy_classes(grid, radius), return_inverse=True)
-    tightest = np.full(keys.size, np.inf)
+    labels = _constancy_classes(grid, radius)
+    corner = labels == np.arange(n * n)
+    cls = (np.cumsum(corner) - 1)[labels]
+    tightest = np.full(np.count_nonzero(corner), np.inf)
     np.minimum.at(tightest, cls, bound)
     live = tightest != 0.0  # a class touching the diagonal keeps zero
-    value = np.zeros(keys.size)
+    value = np.zeros(tightest.size)
     value[live] = rng.uniform(-1.0, 1.0, np.count_nonzero(live)) * tightest[live]
     k = value[cls].reshape(n, n)
     np.fill_diagonal(k, 0.0)

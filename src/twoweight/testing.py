@@ -93,7 +93,7 @@ def lanczos_norm(w: np.ndarray) -> float:
     In the last two cases theta is an eigenvalue of A to rounding.  The
     result is sqrt(theta).
     """
-    rows, cols = np.nonzero(w)
+    rows, cols = np.divmod(np.flatnonzero(w != 0), w.shape[1])
     if rows.size == 0:
         return 0.0
     vals = w[rows, cols]
@@ -145,9 +145,8 @@ def admissible_pairs(grid: Grid, r: int):
     The clipped ancestor A = grid.ancestor(E, r) sits at depth max(depth(E) - r, 0),
     so no strict ancestor of A is close enough in volume: the partners are the
     descendants of A (A included) down to depth min(tree_depth, depth(E) + r),
-    listed level by level in heap order.  That is the breadth-first order of
-    A's subtree, whose k-th node (from 1) at level L = floor(log2 k) is
-    (A << L) + k - 2^L.
+    listed level by level in heap order: the breadth-first order of A's
+    subtree (Grid.subtree_boxes).
     """
     depth = grid.box_depth
     boxes = np.arange(grid.num_boxes, dtype=np.int64)
@@ -155,15 +154,7 @@ def admissible_pairs(grid: Grid, r: int):
     levels = np.minimum(grid.tree_depth, depth + r) - depth[anc] + 1
     counts = (np.int64(1) << levels) - 1
     counts[0] = 0  # heap slot 0 is not a box
-    offsets = np.zeros(grid.num_boxes + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    k = np.arange(1, offsets[-1] + 1, dtype=np.int64)
-    k -= np.repeat(offsets[:-1], counts)
-    level = (np.frexp(k)[1] - 1).astype(np.int64)
-    partners = np.repeat(anc, counts) << level
-    partners += k
-    partners -= np.int64(1) << level
-    return offsets, partners
+    return grid.subtree_boxes(anc, counts)
 
 
 def _output_stage(blocks, in_measure, out_measure, pair_offsets, pair_partner):
@@ -177,7 +168,7 @@ def _output_stage(blocks, in_measure, out_measure, pair_offsets, pair_partner):
     ob = basis(out_measure)
     return _kernels.testing_images(
         blocks, in_measure.masses, ob.alpha, ob.beta, ob.inv_sqrt_total,
-        out_measure.masses, grid.box_depth, grid.box_lo, grid.box_hi,
+        out_measure.box_mass, grid.box_depth, grid.box_lo, grid.box_hi,
         pair_offsets, pair_partner,
     )
 

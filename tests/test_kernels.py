@@ -46,13 +46,13 @@ def _assert_close(got, want, rtol=1e-12):
 @pytest.mark.parametrize("dimension,depth", [(1, 4), (2, 3), (1, 8), (1, 9)])
 def test_testing_images_match_leaf_matrix_reference(monkeypatch, rng, dimension, depth):
     """Both sides at r = 0..3, on one leaf block, on two (n=1 d=8) and on
-    eight of 64 leaves (n=1 d=9); then again with a forward output measure
+    four of 128 leaves (n=1 d=9); then again with a forward output measure
     that charges a single leaf: the constant is its only charged slot, and no
     rectangle is charged.  Last, with blocks of 4 leaves, so the block roots'
     levels are read in several pieces."""
     grid = build_grid(GridSpec(dimension, depth))
     blocks = grid.num_leaves // _kernels.block_rows(grid.num_leaves)
-    assert blocks == {8: 2, 9: 8}.get(depth, 1)
+    assert blocks == {8: 2, 9: 4}.get(depth, 1)
     sigma = random_measure(grid, rng, zero_fraction=0.25)
     omega = random_measure(grid, rng, zero_fraction=0.25)
     assert np.any(sigma.masses == 0) and np.any(omega.masses == 0)
@@ -311,14 +311,31 @@ def _multi_block_operators():
 MULTI_BLOCK_SHA256 = "22f3bf7b00d378e09cf815084fb86318156d76cae9b58eb3dbb4eef139feb7aa"
 
 
-def test_testing_pass_multi_block_output_unchanged():
-    digest = hashlib.sha256()
-    for t in _multi_block_operators():
+def test_testing_pass_multi_block_output_unchanged(monkeypatch):
+    """The digest holds, and the reports, ewl_radius, wl_radius and radii
+    agree, under the default block rule, the rule of 1 << 15 floats a block
+    with no row cap (64 and 32 rows at 512 and 1024 leaves) and 4-leaf
+    blocks."""
+    operators = list(_multi_block_operators())
+    for t in operators:
         assert _kernels.block_rows(t.grid.num_leaves) < t.grid.num_leaves  # several blocks
-        doc = {"report": testing.testing_report(t, c3_next=True).as_dict(),
-               "ewl_radius": ewl_radius(t)}
-        digest.update(json.dumps(doc, sort_keys=True).encode())
-    assert digest.hexdigest() == MULTI_BLOCK_SHA256
+    rules = [(_kernels.CHUNK_FLOATS, _kernels.MAX_BLOCK_ROWS), (1 << 15, 1 << 30),
+             (_kernels.CHUNK_FLOATS, 4)]
+    results = []
+    for chunk_floats, max_rows in rules:
+        monkeypatch.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(_kernels, "MAX_BLOCK_ROWS", max_rows)
+        digest = hashlib.sha256()
+        seen = [[_kernels.block_rows(1 << d) for d in (8, 9, 10)]]
+        for t in operators:
+            doc = {"report": testing.testing_report(t, c3_next=True).as_dict(),
+                   "ewl_radius": ewl_radius(_fresh(t))}
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+            seen.append((doc, wl_radius(_fresh(t)), localization.radii(_fresh(t))))
+        assert digest.hexdigest() == MULTI_BLOCK_SHA256, (chunk_floats, max_rows)
+        results.append(seen)
+    assert [seen[0] for seen in results] == [[128, 128, 128], [128, 64, 32], [4, 4, 4]]
+    assert results[1][1:] == results[0][1:] and results[2][1:] == results[0][1:]
 
 
 @pytest.mark.parametrize("dimension,depth,columns", [(1, 0, 3), (1, 5, 32), (1, 8, 256),

@@ -20,6 +20,7 @@ from twoweight.localization import ewl_radius
 from twoweight.operators import (
     CoefficientSequence,
     DyadicOperator,
+    _add_mean_components,
     from_leaf_matrix,
     haar_shift,
     martingale_transform,
@@ -266,7 +267,6 @@ def _random_ewl_loop(r, sigma, omega, rng_seed):
     return DyadicOperator(grid, sigma, omega, w)
 
 
-# (1, 8): 256 leaves, so the window is built in more than one block of columns
 @pytest.mark.parametrize("n,d", [(1, 6), (2, 3), (1, 8)])
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_random_ewl_matches_loop_reference(n, d, r, rng):
@@ -275,6 +275,44 @@ def test_random_ewl_matches_loop_reference(n, d, r, rng):
         sigma, omega = _measure_pair(rng, grid, zero_fraction=0.3)
         want = _random_ewl_loop(r, sigma, omega, (r, seed))
         assert np.array_equal(random_ewl(r, sigma, omega, (r, seed)).w, want.w)
+
+
+def _random_ewl_masks(r, sigma, omega, rng_seed):
+    """The N x N mask construction of random_ewl's window, the one it had
+    before the window came from the pair list, kept as its reference: entry
+    (e, g) wherever box(g) sits inside anc(e) and box(e) inside anc(g), drawn
+    in the C order of w.T."""
+    grid = sigma.grid
+    n = grid.num_leaves
+    boxes = np.arange(n, dtype=np.int64)
+    boxes[0] = 1
+    anc = grid.ancestor(boxes, r)
+    rng = np.random.default_rng(rng_seed)
+    w = np.zeros((n, n))
+    out_charged = basis(omega).charged_slots()
+    in_charged = basis(sigma).charged_slots()
+    window = grid.contains(anc[:, None], boxes) & grid.contains(anc, boxes[:, None])
+    window &= in_charged[:, None] & out_charged
+    w.T[window] = rng.uniform(-1.0, 1.0, np.count_nonzero(window))
+    _add_mean_components(w, omega, anc, in_charged, rng)
+    _add_mean_components(w.T, sigma, anc, out_charged, rng)
+    return DyadicOperator(grid, sigma, omega, w)
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 6), (2, 3), (3, 2)])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_random_ewl_matches_mask_reference(n, d, r, rng):
+    """Bit for bit, with massless leaves on both sides and a measure that
+    charges a single leaf."""
+    grid = build_grid(GridSpec(n, d))
+    point = np.zeros(grid.num_leaves)
+    point[rng.integers(grid.num_leaves)] = 2.0
+    pairs = [_measure_pair(rng, grid, zero_fraction=0.3) for _ in range(3)]
+    pairs.append((LeafMeasure(grid, point), random_measure(grid, rng, zero_fraction=0.3)))
+    for seed, (sigma, omega) in enumerate(pairs):
+        for s, o in [(sigma, omega), (omega, sigma)]:
+            want = _random_ewl_masks(r, s, o, (r, seed))
+            assert np.array_equal(random_ewl(r, s, o, (r, seed)).w, want.w)
 
 
 def test_random_ewl_radius_zero_supports(rng):
