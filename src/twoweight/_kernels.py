@@ -3,9 +3,12 @@
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
-(batch) axes, except synthesize_leaf_blocks and level_sums, which work
-along the leading axis and are vectorized over the trailing one.
+(batch) axes, except synthesize_levels, which works along the leading axis
+and is vectorized over the trailing one, and the readers of the rows it
+holds (held_values, testing_images).
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,21 +118,25 @@ def block_rows(n):
     return max(1, min(n, MAX_BLOCK_ROWS, CHUNK_FLOATS // n))
 
 
-def synthesize_leaf_blocks(alpha, beta, coef, inv_sqrt_total, out=None):
-    """synthesize(alpha, beta, coef.T, inv_sqrt_total).T one leaf block at a time.
+def synthesize_levels(alpha, beta, coef, inv_sqrt_total, held=None):
+    """The value of every column's synthesis on every box, a level at a time.
 
     coef: (N, M) whitened coefficients along the leading axis (row = input
-    slot), one function per column.  Yields (a, block) in leaf order, with
-    block[i] the values of every column on leaf a + i, block_rows(N) leaves
-    per block.  With out (N, M) each block is out[a : a + rows]; without it,
-    every block reuses one buffer, valid until the next block is asked for.
+    slot), one function per column.  Yields (heap0, rows), rows[j] the value
+    of every column on box heap0 + j: synthesize_boxes(alpha, beta, coef.T,
+    inv_sqrt_total)[:, heap0 + j], bit for bit.  A level is valid until the
+    next is asked for.  The walk is depth first over the leaf blocks of
+    block_rows(N) leaves.  The tree above the block roots comes one box at a
+    time as the root path moves, so one row per level of it is live.  Below a
+    block root each level is built in place in the block: a box's row sits
+    at the first row of its leaf range and its upper half's row is written
+    before its lower half overwrites it, down to the leaves, yielded as
+    (N + a, block) for the block of leaves a, a + 1, ...
 
-    The tree above the block roots is walked depth first, so one row per
-    level of it is live.  Below a block root each level is built in place in
-    the block: a box's row sits at the first row of its leaf range and its
-    upper half's row is written before its lower half overwrites it.  Both
-    follow the recurrence of synthesize_boxes, so the values are the same
-    bit for bit.
+    held: None, or an (N, M) array that receives box H's row once both
+    halves of H are built (1 <= H < N), so that after the stream it holds
+    every internal box's value.  held may be coef itself, whose rows are
+    then overwritten once read.
     """
     n, m = coef.shape
     rows = block_rows(n)
@@ -137,7 +144,9 @@ def synthesize_leaf_blocks(alpha, beta, coef, inv_sqrt_total, out=None):
     top = roots.bit_length() - 1  # heap depth of the block roots
     path = np.empty((top + 1, m))  # path[k]: the current root path's box at depth k
     path[0] = coef[0] * inv_sqrt_total
-    buf = np.empty((rows, m)) if out is None else None
+    block = np.empty((rows, m))
+    if top:
+        yield 1, path[:1]
     for i in range(roots):
         root = roots + i
         # the path's boxes below depth k0 are block i - 1's too
@@ -147,78 +156,116 @@ def synthesize_leaf_blocks(alpha, beta, coef, inv_sqrt_total, out=None):
             p = h >> 1
             if h & 1:
                 path[k] = path[k - 1] + alpha[p] * coef[p]
+                if held is not None:  # p's lower half was built before
+                    held[p] = path[k - 1]
             else:
                 path[k] = path[k - 1] - beta[p] * coef[p]
-        a = i * rows
-        block = buf if out is None else out[a : a + rows]
+            if k < top:
+                yield h, path[k : k + 1]
         block[0] = path[top]
         step = rows
         while step > 1:
             hs = slice(root * rows // step, (root + 1) * rows // step)  # the level's boxes
-            c = np.ascontiguousarray(coef[hs])  # a strided view (W.T) is read once
             parent = block[0::step]
+            yield hs.start, parent
+            c = np.ascontiguousarray(coef[hs])  # a strided view (W.T) is read once
             block[step >> 1 :: step] = parent + alpha[hs, None] * c
-            parent -= beta[hs, None] * c
+            lower = beta[hs, None] * c
+            if held is not None:
+                held[hs] = parent
+            parent -= lower
             step >>= 1
-        yield a, block
+        yield n + i * rows, block
 
 
-def level_sums(blocks, n):
-    """Sums of leaf-major rows over every box of a grid of n leaves.
+# Rows and columns of a tile of transposed.  One core, 2 MB L2: 2.1 ms at
+# 1024 leaves and 74 ms at 4096, where np.ascontiguousarray(w.T) takes 5.1
+# and 221 ms and 128 x 128 tiles 1.9 and 136 ms.
+TILE = 64
 
-    blocks: (a, rows) in leaf order, as synthesize_leaf_blocks yields them.
-    Yields (heap0, rows), rows[j] the sum over box heap0 + j, level by level:
-    each block below its root box, then the block roots up as one block.
-    Siblings are added in place, so a level is gone once the next is asked for.
+
+def transposed(w):
+    """A C-contiguous copy of w.T, copied a TILE x TILE tile at a time, so each
+    tile's reads and writes stay in cache."""
+    n, m = w.shape
+    out = np.empty((m, n))
+    for i in range(0, m, TILE):
+        for j in range(0, n, TILE):
+            out[i : i + TILE, j : j + TILE] = w[j : j + TILE, i : i + TILE].T
+    return out
+
+
+# Root-path values per piece of testing_images' gathers.  About eight arrays of
+# a piece are live at once, 1 MB in all; the whole pair list at once lifted a
+# 1024-leaf testing_report's tracemalloc peak by 5 MB.
+GATHER_VALUES = 1 << 14
+
+
+class HeldStage(NamedTuple):
+    """An input stage after a holding synthesize_levels stream."""
+
+    held: np.ndarray  # held[H]: box H's value row, 1 <= H < N
+    source: np.ndarray  # the coefficients synthesized (N, M), not overwritten
+    factor: np.ndarray  # the input basis' WeightedBasis.factor
+    leaf_sq: np.ndarray  # (N,) each leaf box's squared row norm, read as it streamed
+
+
+def held_values(stage, boxes, slots):
+    """stage's value of box boxes[i] at slot slots[i, j].
+
+    An internal box's is its held row; a leaf's is its parent p's held row
+    plus one step of the recurrence, factor[leaf] * source[p], which is
+    synthesize_boxes' x - b*c or x + a*c (x + (-b)*c rounds as x - b*c).
     """
-    tops = None  # the sums over the block root boxes
-    for a, rows in blocks:
-        if tops is None:
-            tops = np.empty((n // len(rows), rows.shape[1]))
-        heap0, i = n + a, a // len(rows)
-        while len(rows) > 1:
-            yield heap0, rows
-            rows[0::2] += rows[1::2]
-            rows, heap0 = rows[0::2], heap0 >> 1
-        tops[i] = rows[0]
-    yield from level_sums([(0, tops)], len(tops)) if len(tops) > 1 else [(1, tops)]
+    n = stage.leaf_sq.shape[0]
+    if n == 1:  # the root is the only box: synthesize_boxes' constant term
+        return stage.source[0, slots] * stage.factor[1]
+    leaf = np.flatnonzero(boxes >= n)
+    rows = boxes.copy()
+    rows[leaf] >>= 1
+    val = stage.held[rows[:, None], slots]
+    parent = rows[leaf, None]
+    val[leaf] += stage.factor[boxes[leaf], None] * stage.source[parent, slots[leaf]]
+    return val
 
 
-def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, box_mass,
+def testing_images(stage, in_box_mass, alpha, beta, inv_sqrt_total, box_mass,
                    depth, lo, hi, pair_offsets, pair_partner):
-    """Per-box testing statistics of T, read from the output coefficients.
+    """Per-box testing statistics of T, read from the input stage's box values.
 
     For each box B (heap order, 1..2N-1) the image T(sigma 1_B) is taken in
     the whitened output basis, which is orthonormal in L^2(omega), and never
-    synthesized.  ``blocks`` is the input stage in leaf-major blocks, (a,
-    block) in leaf order as synthesize_leaf_blocks yields them (input leaf,
-    output slot), block_rows(N) leaves each; each block is scaled here in
-    place by the input leaf masses in_mass, which gives the coefficients of
-    T(sigma 1_leaf), and level_sums adds them up to c_B, the coefficients of
-    T(sigma 1_B), for every box.  The stage is zero at uncharged output slots
-    (DyadicOperator masks them), so by Parseval
+    synthesized.  Its coefficients are c_B = sigma(B) v_B, with v_B the row
+    of box B of the input stage (input slot, output slot): the sum of
+    sigma(x) T*(omega h_R)(x) over the leaves x of B is sigma(B) times the
+    value on B, since each component of a rectangle inside B has sigma-mean
+    zero on B and those of B's strict ancestors are constant on it.  So, with
+    stage the stage held by synthesize_levels (HeldStage: the rows of the
+    internal boxes; a leaf's row is one step from its parent's), and the
+    stage zero at uncharged output slots (DyadicOperator masks them), by
+    Parseval
 
-        glob[B]       = ||T(sigma 1_B)||^2     = sum of c_B^2 over all slots,
-        restricted[B] = ||1_B T(sigma 1_B)||^2 = sum of c_B[R]^2 over the
-                        rectangles R inside B, plus <T(sigma 1_B), 1_B>^2
-                        / omega(B) (0 where omega(B) = 0),
-        <T(sigma 1_E), 1_G>                    = v omega(G),
+        glob[B]       = ||T(sigma 1_B)||^2     = sigma(B)^2 |v_B|^2,
+        restricted[B] = ||1_B T(sigma 1_B)||^2 = sigma(B)^2 times the sum of
+                        v_B[R]^2 over the rectangles R inside B, plus
+                        <T(sigma 1_B), 1_B>^2 / omega(B) (0 where omega(B) = 0),
+        <T(sigma 1_E), 1_G>                    = sigma(E) omega(G) u,
 
-    with v the value of c_E on box G: the constant and the components of
+    with u the value of v_E on box G: the constant and the components of
     G's strict ancestors along its root path, the sum synthesize_at walks.
-    Per level of boxes, in pieces of at most block_rows(N) boxes, glob is one
-    sum of squares, restricted one gather of the rectangles inside each box,
-    and the values v one gather over the boxes and their pair partners times
-    their ancestors: O(N^2) in all, the cost of level_sums.  Returns
-    restricted, glob and, for each box's slice of the admissible pair list,
-    the pairings.
+    The leaves' |v_B|^2 are read as the stage streams (stage.leaf_sq).  The
+    rectangles inside the boxes of a depth are one gather from the held rows,
+    and the root-path sums of the boxes and of the pairs one gather in all.
+    Returns restricted, glob and, for each box's slice of the admissible pair
+    list, the pairings.
 
     alpha/beta/inv_sqrt_total, box_mass: the output basis and box masses.
-    depth, lo, hi: the heap depth and leaf range of every box.
-    pair_offsets: (2N+1,) CSR offsets into pair_partner per box.
+    in_box_mass: the input box masses.  depth, lo, hi: the heap depth and leaf
+    range of every box.  pair_offsets: (2N+1,) CSR offsets into pair_partner
+    per box.
     """
-    n, n2 = in_mass.shape[0], lo.shape[0]
-    rows = block_rows(n)
+    held = stage.held
+    n, n2 = stage.leaf_sq.shape[0], lo.shape[0]
     # factor[H]: the weight of the component of H's parent on box H, and at
     # the root that of the constant, so the box value of c on G is the sum
     # of factor[H] c[H >> 1] over H = G >> m, m >= 0 (0 past the root)
@@ -226,42 +273,42 @@ def testing_images(blocks, in_mass, alpha, beta, inv_sqrt_total, box_mass,
     factor[1] = inv_sqrt_total
     factor[2::2] = -beta[1:]
     factor[3::2] = alpha[1:]
+    glob = np.zeros(n2)
+    glob[1:n] = np.einsum("ij,ij->i", held[1:n], held[1:n])
+    glob[n:] = stage.leaf_sq
     # in_order[p]: the rectangle whose halves meet after leaf p (the constant
     # slot at p = N - 1), so the rectangles inside a box of depth k are
     # in_order.reshape(2^k, N >> k)[:, :-1], one row per box
     in_order = np.zeros(n, dtype=np.int64)
     in_order[(lo[1:n] + hi[1:n]) // 2 - 1] = np.arange(1, n)
-    shifts = np.arange(int(depth.max()) + 1)  # G >> m for m past G's depth is 1 or 0
-    counts = np.diff(pair_offsets)
-    index = np.arange(n2)  # box numbers, and row numbers of a block
-    start_of = index[:rows] * n  # a row's start in a raveled block
-    restricted = np.zeros(n2)
-    glob = np.zeros(n2)
+    inside = np.zeros(n2)
+    h = 1
+    while h < n:
+        sub = np.take_along_axis(held[h : 2 * h], in_order.reshape(h, -1)[:, :-1], axis=1)
+        inside[h : 2 * h] = np.einsum("ij,ij->i", sub, sub)
+        h <<= 1
+    # the pairs and every box with itself, a piece of GATHER_VALUES root-path
+    # values at a time
+    boxes = np.arange(1, n2)
+    e = np.concatenate((np.repeat(np.arange(n2), np.diff(pair_offsets)), boxes))
+    g = np.concatenate((pair_partner, boxes))
+    steps = np.arange(int(depth.max()) + 1)
+    piece = max(1, GATHER_VALUES // len(steps))
+    val = np.empty(len(g))
+    for a in range(0, len(g), piece):
+        ec, gc = e[a : a + piece], g[a : a + piece]
+        # G's root path from the root down, then zeros: a box and a leaf below
+        # it that adds only a zero term sum alike
+        shift = depth[gc, None] - steps
+        node = np.where(shift >= 0, gc[:, None] >> np.maximum(shift, 0), 0)
+        val[a : a + len(gc)] = (np.take(factor, node) * held_values(stage, ec, node >> 1)).sum(axis=1)
+    val *= in_box_mass[e] * box_mass[g]
+    count = pair_partner.shape[0]
     own = np.zeros(n2)  # <T(sigma 1_B), 1_B>
-    pair_vals = np.empty(pair_partner.shape[0])
-    stage = ((a, np.multiply(b, in_mass[a : a + len(b), None], out=b)) for a, b in blocks)
-    for heap0, coef in level_sums(stage, n):
-        inside = in_order.reshape(-1, n >> depth[heap0])[:, :-1]
-        for c in range(0, len(coef), rows):
-            # above the leaves a level is a strided view: one copy lets both
-            # gathers below index it flat
-            block = np.ascontiguousarray(coef[c : c + rows])
-            k = len(block)
-            b0 = heap0 + c
-            glob[b0 : b0 + k] = np.einsum("ij,ij->i", block, block)
-            flat = block.ravel()
-            j0 = b0 - (1 << depth[heap0])  # the first box's place in its level
-            sub = flat[start_of[:k, None] + inside[j0 : j0 + k]]
-            restricted[b0 : b0 + k] = np.einsum("ij,ij->i", sub, sub)
-            # one gather for the boxes' pair partners and the boxes themselves
-            start, stop = pair_offsets[b0], pair_offsets[b0 + k]
-            at = np.concatenate((pair_partner[start:stop], index[b0 : b0 + k]))
-            row = np.concatenate((np.repeat(start_of[:k], counts[b0 : b0 + k]), start_of[:k]))
-            node = at[:, None] >> shifts
-            val = (np.take(factor, node) * np.take(flat, row[:, None] + (node >> 1))).sum(axis=1)
-            val *= box_mass[at]
-            pair_vals[start:stop] = val[: stop - start]
-            own[b0 : b0 + k] = val[stop - start :]
+    own[1:] = val[count:]
+    square = in_box_mass * in_box_mass
+    glob *= square
+    restricted = square * inside
     charged = box_mass > 0
     restricted[charged] += own[charged] ** 2 / box_mass[charged]
-    return restricted, glob, pair_vals
+    return restricted, glob, val[:count]

@@ -52,14 +52,16 @@ class WeightedBasis:
         self.beta = beta
         self.charged = np.zeros(n, dtype=bool)
         self.charged[1:] = charged
-        # factor of the parent's component on each child box along a root
-        # path: -beta on the lower half, +alpha on the upper
-        self.factor = np.zeros(2 * n)
-        self.factor[2::2] = -beta[1:]
-        self.factor[3::2] = alpha[1:]
         total = float(bm[1])
         self.sqrt_total = np.sqrt(total)
         self.inv_sqrt_total = 1.0 / self.sqrt_total if total > 0 else 0.0
+        # factor of the parent's component on each child box along a root
+        # path: -beta on the lower half, +alpha on the upper; at the root,
+        # the weight of the constant slot
+        self.factor = np.zeros(2 * n)
+        self.factor[1] = self.inv_sqrt_total
+        self.factor[2::2] = -beta[1:]
+        self.factor[3::2] = alpha[1:]
 
     def charged_slots(self) -> np.ndarray:
         """Whitened slots carrying a basis function (constant if mu != 0)."""
@@ -110,14 +112,14 @@ def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
     return out.reshape(coef.shape)
 
 
-def synthesize_leaf_blocks(mu: LeafMeasure, coef: np.ndarray, out=None):
-    """synthesize(mu, coef.T).T in leaf-major blocks, coef (N, M) with one
-    whitened function per column (see _kernels.synthesize_leaf_blocks).
+def synthesize_levels(mu: LeafMeasure, coef: np.ndarray, held=None):
+    """synthesize_boxes of every column of coef (N, M), one whitened function
+    per column, a level of boxes at a time (see _kernels.synthesize_levels).
     With coef = W over the output measure omega, column E gives T(sigma h_E)
-    on the omega leaves; with coef = W.T over sigma, column R gives
+    on the omega boxes; with coef = W.T over sigma, column R gives
     T*(omega h_R): the input stages of the testing pass and the classifiers."""
     b = basis(mu)
-    return _kernels.synthesize_leaf_blocks(b.alpha, b.beta, coef, b.inv_sqrt_total, out)
+    return _kernels.synthesize_levels(b.alpha, b.beta, coef, b.inv_sqrt_total, held)
 
 
 def indicator_coefficients(mu: LeafMeasure, heap: int):

@@ -19,16 +19,18 @@ own base, so it belongs to the rectangle system as a set):
 plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
 side and returns them as the fields of one TestingReport.  Each pass starts
-from one leaf-major input stage (haar.synthesize_leaf_blocks), read a leaf
-block at a time, and stays in coefficient space: the whitened output basis
-is orthonormal in L^2(omega), so every norm above is a Parseval sum of the
-output coefficients of T(sigma 1_E), and every pairing omega(G) times their
-root-path sum at G (_kernels.testing_images); nothing is synthesized on the
-output side.  Its radius defaults to ewl_radius(T), at most
-tree_depth - 1, read from the support gaps of those input stages as they
-stream past.  Every constant is
-bounded by the operator norm, exactly; that necessity chain is asserted by
-the sweep harness and the acceptance suite.
+from one input stage (haar.synthesize_levels), the value of every input
+box's synthesis a level at a time, which holds the internal boxes' rows as
+it streams, and stays in coefficient space: the output coefficients of
+T(sigma 1_E) are sigma(E) times box E's row, and the whitened output basis
+is orthonormal in L^2(omega), so every norm above is a Parseval sum of them
+and every pairing omega(G) times their root-path sum at G
+(_kernels.testing_images); nothing is synthesized on the output side, and
+nothing is summed over leaves.  Its radius defaults to ewl_radius(T), at
+most tree_depth - 1, read from the support gaps of those input stages as
+their leaf levels stream past.  Every constant is bounded by the operator
+norm, exactly; that necessity chain is asserted by the sweep harness and
+the acceptance suite.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis, synthesize_leaf_blocks
+from .haar import basis, synthesize_levels
 from .localization import SupportGap
 from .operators import DyadicOperator
 
@@ -157,17 +159,31 @@ def admissible_pairs(grid: Grid, r: int):
     return grid.subtree_boxes(anc, counts)
 
 
-def _output_stage(blocks, in_measure, out_measure, pair_offsets, pair_partner):
-    """Restricted/global image norms and pairings for all boxes at once.
+def _held_stage(source, in_measure, gap):
+    """One input stage, synthesize_levels of source over in_measure, streamed
+    through gap and drained into a HeldStage: every internal box's row is
+    held, and each leaf's squared row norm read as its level passes.  A
+    strided source (W.T) is first copied tile by tile into the buffer that
+    then holds the rows, so the stream reads it along rows, in place."""
+    n = in_measure.grid.num_leaves
+    if source.flags.c_contiguous:
+        coef, held = source, np.empty(source.shape)
+    else:
+        coef = held = _kernels.transposed(source.T)
+    leaf_sq = np.empty(n)
+    for heap0, rows in gap.scan(synthesize_levels(in_measure, coef, held)):
+        if heap0 >= n:
+            leaf_sq[heap0 - n : heap0 - n + len(rows)] = np.einsum("ij,ij->i", rows, rows)
+    return _kernels.HeldStage(held, source, basis(in_measure).factor, leaf_sq)
 
-    blocks is the input stage of the map being probed, w its whitened
-    matrix (output slot, input slot): synthesize_leaf_blocks of w.T over
-    in_measure, leaf-major; the pass scales each block in place.
-    """
+
+def _output_stage(stage, in_measure, out_measure, pair_offsets, pair_partner):
+    """Restricted/global image norms and pairings for all boxes at once, from
+    the held input stage of the map being probed (_kernels.testing_images)."""
     grid = in_measure.grid
     ob = basis(out_measure)
     return _kernels.testing_images(
-        blocks, in_measure.masses, ob.alpha, ob.beta, ob.inv_sqrt_total,
+        stage, in_measure.box_mass, ob.alpha, ob.beta, ob.inv_sqrt_total,
         out_measure.box_mass, grid.box_depth, grid.box_lo, grid.box_hi,
         pair_offsets, pair_partner,
     )
@@ -236,32 +252,35 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
                    c3_next: bool = False) -> TestingReport:
     """Full testing profile; r defaults to the operator's EWL radius.
 
-    The adjoint side runs first: its input stage streams block by block
-    through its support gap into its output stage, with no N x N array.
-    Then the forward side: the pairs wait for r, so its input stage is kept
-    as one N x N leaf-major array while its gap is read.  Each side is
-    synthesized once.  With norm=False the (possibly expensive) operator
-    norm and ratio fields are skipped.  c3_next also computes c3 at radius
-    r + 1 from the same image pass (report.c3_next).
+    The adjoint side runs first, then the forward side.  Each side's input
+    stage streams level by level through its support gap, holding every
+    internal box's row in one N x N buffer: a fresh one for W's rows, and
+    for W's columns the tiled copy of W.T that the stream reads and
+    overwrites.  The forward side's pairs wait for r and are read from its
+    buffer, so testing_report holds at most one N x N array besides W.  Each
+    side is synthesized once.  With norm=False the (possibly expensive)
+    operator norm and ratio fields are skipped.  c3_next also computes c3 at
+    radius r + 1 from the same image pass (report.c3_next).
     """
     grid = t.grid
-    n = grid.num_leaves
+    fro = t.frobenius()
     sig_mass = t.sigma.box_mass
     om_mass = t.omega.box_mass
 
-    # adjoint: column E of W over omega is T(sigma h_E) on the omega leaves
-    gap = SupportGap(t.sigma, t.omega)
+    # adjoint: column E of W over omega is T(sigma h_E) on the omega boxes
+    gap = SupportGap(t.sigma, t.omega, fro)
+    stage = _held_stage(t.w, t.omega, gap)
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    restricted2, glob2, _ = _output_stage(gap.scan(synthesize_leaf_blocks(t.omega, t.w)),
-                                          t.omega, t.sigma, *empty)
-    # forward: row R of W over sigma is T*(omega h_R) on the sigma leaves
-    forward_gap = SupportGap(t.omega, t.sigma)
-    forward = list(forward_gap.scan(synthesize_leaf_blocks(t.sigma, t.w.T, np.empty((n, n)))))
+    restricted2, glob2, _ = _output_stage(stage, t.omega, t.sigma, *empty)
+    del stage
+    # forward: row R of W over sigma is T*(omega h_R) on the sigma boxes
+    forward_gap = SupportGap(t.omega, t.sigma, fro)
+    stage = _held_stage(t.w.T, t.sigma, forward_gap)
     if r is None:
         r = max(gap.value, forward_gap.value)
     offsets, partners = admissible_pairs(grid, r + 1 if c3_next else r)
-    restricted, glob, pair_vals = _output_stage(forward, t.sigma, t.omega, offsets, partners)
-    del forward
+    restricted, glob, pair_vals = _output_stage(stage, t.sigma, t.omega, offsets, partners)
+    del stage
 
     c1, w1 = _ratio_max(restricted, sig_mass)
     c1g, w1g = _ratio_max(glob, sig_mass)

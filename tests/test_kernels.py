@@ -10,8 +10,8 @@ import pytest
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
 from twoweight import GridSpec, LeafMeasure, _kernels, build_grid, cli, haar, localization, serialize, testing
-from twoweight.haar import basis, synthesize, synthesize_leaf_blocks
-from twoweight.localization import SUPPORT_TOL, ewl_radius, wl_radius
+from twoweight.haar import basis, synthesize, synthesize_levels
+from twoweight.localization import SUPPORT_TOL, SupportGap, ewl_radius, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
     DyadicOperator,
@@ -21,7 +21,7 @@ from twoweight.operators import (
     paraproduct,
     random_ewl,
 )
-from twoweight.testing import _output_stage, admissible_pairs
+from twoweight.testing import _held_stage, _output_stage, admissible_pairs
 
 from conftest import random_measure, wl_check_loop
 
@@ -75,8 +75,8 @@ def _check_both_sides(t):
         for r in range(4):
             offsets, partners = admissible_pairs(grid, r)
             boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
-            got = _output_stage(synthesize_leaf_blocks(in_measure, w), in_measure, out_measure,
-                                offsets, partners)
+            stage = _held_stage(w, in_measure, SupportGap(out_measure, in_measure, t.frobenius()))
+            got = _output_stage(stage, in_measure, out_measure, offsets, partners)
             for g, want in zip(got, (restricted, glob, pairings[boxes_e, partners])):
                 _assert_close(g, want)
 
@@ -116,7 +116,10 @@ def test_subtree_sums_match_loop(rng, num_leaves):
     assert np.array_equal(np.signbit(sums), np.signbit(want)) and np.array_equal(sums, want)
 
 
-def _per_column_side_radius(grid, w, in_measure, out_measure, tol):
+def _per_column_side_radius(grid, w, in_measure, out_measure, fro):
+    """Each charged column's support radius, support above SUPPORT_TOL times
+    the value of a constant of L^2(out_measure) norm fro."""
+    tol = SUPPORT_TOL * fro / np.sqrt(out_measure.total)
     worst = 0
     in_charged = basis(in_measure).charged
     out_charged = out_measure.charged_leaves()
@@ -150,8 +153,8 @@ def test_ewl_radius_matches_per_column_reference(rng, dimension, depth):
         operators.append((DyadicOperator(grid, sigma, omega, w), grid.tree_depth))
     for t, bound in operators:
         want = max(
-            _per_column_side_radius(grid, t.w, t.sigma, t.omega, SUPPORT_TOL),
-            _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, SUPPORT_TOL),
+            _per_column_side_radius(grid, t.w, t.sigma, t.omega, t.frobenius()),
+            _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, t.frobenius()),
         )
         assert ewl_radius(t) == want <= bound
         # the testing pass reads the same radius from its own input stages
@@ -178,8 +181,8 @@ def test_ewl_radius_independent_of_block_size(monkeypatch, rng, dimension, depth
         w[rng.integers(0, n, 3), rng.integers(0, n, 3)] = rng.uniform(-1.0, 1.0, 3)
         for t in (random_ewl(radius, sigma, omega, radius), DyadicOperator(grid, sigma, omega, w)):
             cases.append((t, max(
-                _per_column_side_radius(grid, t.w, t.sigma, t.omega, SUPPORT_TOL),
-                _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, SUPPORT_TOL))))
+                _per_column_side_radius(grid, t.w, t.sigma, t.omega, t.frobenius()),
+                _per_column_side_radius(grid, t.w.T, t.omega, t.sigma, t.frobenius()))))
     wl_default = [wl_radius(t) for t, _ in cases]
     if n == 64:
         for (t, _), wl in zip(cases, wl_default):
@@ -208,12 +211,20 @@ def _patch_everywhere(monkeypatch, module, name, wrap):
             monkeypatch.setattr(held, name, wrap(name, original))
 
 
+def _axis_read(args):
+    """Which axis of W a synthesize_levels(mu, coef, held) call reads: its
+    rows, or its columns, through the W.T view or a copy held in place."""
+    coef = args[1]
+    held = args[2] if len(args) > 2 else None
+    return "rows" if coef.flags.c_contiguous and held is not coef else "columns"
+
+
 @pytest.mark.parametrize("certify", [True, False])
 def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
-    """One testing pass per trial, two leaf-major input stages (one over the
-    rows of W, one over its columns), no ewl_radius and no other synthesis
-    outside the certificate."""
-    calls = {"testing_report": [], "synthesize_leaf_blocks": [], "synthesize": 0,
+    """One testing pass per trial, two input stages (one over the rows of W,
+    one over its columns), no ewl_radius and no other synthesis outside the
+    certificate."""
+    calls = {"testing_report": [], "synthesize_levels": [], "synthesize": 0,
              "ewl_radius": 0}
     in_certificate = []
 
@@ -221,8 +232,8 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
         def wrapper(*args, **kwargs):
             if name == "testing_report":
                 calls[name].append(kwargs.get("c3_next"))
-            elif name == "synthesize_leaf_blocks":
-                calls[name].append("rows" if args[1].flags.c_contiguous else "columns")
+            elif name == "synthesize_levels":
+                calls[name].append(_axis_read(args))
             elif not (name == "synthesize" and in_certificate):
                 calls[name] += 1
             return fn(*args, **kwargs)
@@ -237,7 +248,7 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
 
     original_certificate = certificates.full_certificate
     monkeypatch.setattr(sweep, "full_certificate", certificate)
-    for module, name in [(testing, "testing_report"), (haar, "synthesize_leaf_blocks"),
+    for module, name in [(testing, "testing_report"), (haar, "synthesize_levels"),
                          (haar, "synthesize"), (localization, "ewl_radius")]:
         _patch_everywhere(monkeypatch, module, name, counted)
     config = sweep.SweepConfig.from_dict({
@@ -251,34 +262,34 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
         row, failures, cert = sweep.run_trial(config, index, d, r, fam, kind)
         assert not failures and (cert is not None) == certify
         assert calls == {"testing_report": [certify],
-                         "synthesize_leaf_blocks": ["rows", "columns"],
+                         "synthesize_levels": ["rows", "columns"],
                          "synthesize": 0, "ewl_radius": 0}
 
 
 def test_classify_synthesizes_each_side_once(monkeypatch, tmp_path, capsys):
-    """twoweight classify reads both radii from two leaf-major input stages,
-    one over the rows of W and one over its columns, with no every-level
-    synthesis besides."""
+    """twoweight classify reads both radii from two input stages, one over
+    the rows of W and one over its columns, with no every-level synthesis
+    besides."""
     grid = build_grid(GridSpec(1, 8))  # 256 leaves, several leaf blocks
     rng = np.random.default_rng(1708)
     t = random_ewl(2, random_measure(grid, rng, zero_fraction=0.2), random_measure(grid, rng), 9)
     path = tmp_path / "op.json"
     serialize.dump_json(path, serialize.operator_to_dict(t))
-    calls = {"synthesize_leaf_blocks": [], "synthesize_boxes": 0}
+    calls = {"synthesize_levels": [], "synthesize_boxes": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if name == "synthesize_leaf_blocks":
-                calls[name].append("rows" if args[1].flags.c_contiguous else "columns")
+            if name == "synthesize_levels":
+                calls[name].append(_axis_read(args))
             else:
                 calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    _patch_everywhere(monkeypatch, haar, "synthesize_leaf_blocks", counted)
+    _patch_everywhere(monkeypatch, haar, "synthesize_levels", counted)
     _patch_everywhere(monkeypatch, _kernels, "synthesize_boxes", counted)
     assert cli.main(["classify", "--operator", str(path)]) == 0
-    assert sorted(calls["synthesize_leaf_blocks"]) == ["columns", "rows"]
+    assert sorted(calls["synthesize_levels"]) == ["columns", "rows"]
     assert calls["synthesize_boxes"] == 0
     monkeypatch.undo()
     radii = list(range(wl_radius(t), grid.tree_depth + 1))
@@ -306,9 +317,9 @@ def _multi_block_operators():
 
 
 # sha256 of every report (c3_next on) and EWL radius of _multi_block_operators,
-# recorded from the coefficient-space testing pass: Parseval sums of the
-# output coefficients and root-path box values, with no output-side synthesis.
-MULTI_BLOCK_SHA256 = "22f3bf7b00d378e09cf815084fb86318156d76cae9b58eb3dbb4eef139feb7aa"
+# recorded from the box-value testing pass: Parseval sums and root-path sums
+# of sigma(B) times box B's synthesized value, with no sum over leaves.
+MULTI_BLOCK_SHA256 = "b2813faf0048e1d2e0dcc2b4aa0d0bb828979e7d925e451f59fb28b1129ce7d0"
 
 
 def test_testing_pass_multi_block_output_unchanged(monkeypatch):
@@ -340,20 +351,171 @@ def test_testing_pass_multi_block_output_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("dimension,depth,columns", [(1, 0, 3), (1, 5, 32), (1, 8, 256),
                                                      (2, 5, 1024), (1, 9, 40)])
-def test_synthesize_leaf_blocks_bit_equal_to_synthesize(rng, dimension, depth, columns):
+def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimension, depth,
+                                                          columns):
+    """Every box comes once, in a level whose rows equal synthesize_boxes bit
+    for bit, sign of zero included: with rows read in place or strided, with
+    and without a held buffer, at the default block size and at 4 leaves a
+    block.  A holding stream leaves every internal box's row in rows 1..N-1,
+    in a buffer of its own or in the coefficients it reads."""
     grid = build_grid(GridSpec(dimension, depth))
     mu = random_measure(grid, rng, zero_fraction=0.25)
     n = grid.num_leaves
     coef = rng.standard_normal((columns, n))
     coef[:, rng.random(n) < 0.2] = 0.0
-    want = synthesize(mu, coef).T
-    for x in (np.ascontiguousarray(coef.T), coef.T):  # rows read in place or strided
-        streamed = [(a, block.copy()) for a, block in synthesize_leaf_blocks(mu, x)]
-        out = np.full((n, columns), np.nan)
-        filled = list(synthesize_leaf_blocks(mu, x, out))
+    b = basis(mu)
+    want = _kernels.synthesize_boxes(b.alpha, b.beta, coef, b.inv_sqrt_total).T  # (2N, M)
+    for max_rows in (_kernels.MAX_BLOCK_ROWS, 4):
+        monkeypatch.setattr(_kernels, "MAX_BLOCK_ROWS", max_rows)
         rows = _kernels.block_rows(n)
-        assert [a for a, _ in streamed] == [a for a, _ in filled] == list(range(0, n, rows))
-        assert all(block.base is out for _, block in filled)
-        got = np.concatenate([block for _, block in streamed])
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
+        for x in (np.ascontiguousarray(coef.T), coef.T):  # rows read in place or strided
+            separate = np.full((n, columns), np.nan)
+            in_place = x.copy()
+            for held in (None, separate, in_place):
+                got = np.full_like(want, np.nan)
+                seen = []
+                source = in_place if held is in_place else x
+                for heap0, level in synthesize_levels(mu, source, held):
+                    assert len(level) <= rows
+                    got[heap0 : heap0 + len(level)] = level
+                    seen.extend(range(heap0, heap0 + len(level)))
+                leaves = [(h - n) // rows for h in seen if h >= n]
+                assert sorted(seen) == list(range(1, 2 * n)) and leaves == sorted(leaves)
+                assert np.array_equal(got[1:], want[1:])
+                assert np.array_equal(np.signbit(got[1:]), np.signbit(want[1:]))
+                if held is not None:
+                    assert np.array_equal(held[1:], want[1:n])
+                    assert np.array_equal(np.signbit(held[1:]), np.signbit(want[1:n]))
+                    held[:] = np.nan
+                    in_place[:] = x
+
+
+# The leaf-sum output stage the box-value pass replaced, kept as its
+# reference: synthesize the leaf values of the input stage a leaf block at a
+# time, scale them by the input leaf masses and add them up, box by box, to
+# the output coefficients c_B of T(sigma 1_B).
+
+def _leaf_blocks(alpha, beta, coef, inv_sqrt_total, out):
+    """synthesize(alpha, beta, coef.T, inv_sqrt_total).T in out, (a, out[a :
+    a + block_rows(N)]) a leaf block at a time, depth first."""
+    n, m = coef.shape
+    rows = _kernels.block_rows(n)
+    roots = n // rows
+    top = roots.bit_length() - 1
+    path = np.empty((top + 1, m))
+    path[0] = coef[0] * inv_sqrt_total
+    for i in range(roots):
+        root = roots + i
+        k0 = top + 1 - (i ^ (i - 1)).bit_length() if i else 1
+        for k in range(k0, top + 1):
+            h = root >> (top - k)
+            p = h >> 1
+            if h & 1:
+                path[k] = path[k - 1] + alpha[p] * coef[p]
+            else:
+                path[k] = path[k - 1] - beta[p] * coef[p]
+        a = i * rows
+        block = out[a : a + rows]
+        block[0] = path[top]
+        step = rows
+        while step > 1:
+            hs = slice(root * rows // step, (root + 1) * rows // step)
+            c = np.ascontiguousarray(coef[hs])
+            parent = block[0::step]
+            block[step >> 1 :: step] = parent + alpha[hs, None] * c
+            parent -= beta[hs, None] * c
+            step >>= 1
+        yield a, block
+
+
+def _level_sums(blocks, n):
+    """(heap0, rows), rows[j] the sum of the leaf-major rows over box heap0 + j."""
+    tops = None
+    for a, rows in blocks:
+        if tops is None:
+            tops = np.empty((n // len(rows), rows.shape[1]))
+        heap0, i = n + a, a // len(rows)
+        while len(rows) > 1:
+            yield heap0, rows
+            rows[0::2] += rows[1::2]
+            rows, heap0 = rows[0::2], heap0 >> 1
+        tops[i] = rows[0]
+    yield from _level_sums([(0, tops)], len(tops)) if len(tops) > 1 else [(1, tops)]
+
+
+def _leaf_sum_images(blocks, in_mass, ob, box_mass, grid, pair_offsets, pair_partner):
+    """restricted, glob and the pairings from the level sums c_B."""
+    n, n2 = grid.num_leaves, grid.num_boxes
+    depth = grid.box_depth
+    factor = ob.factor
+    in_order = np.zeros(n, dtype=np.int64)
+    in_order[(grid.box_lo[1:n] + grid.box_hi[1:n]) // 2 - 1] = np.arange(1, n)
+    restricted, glob, own = np.zeros(n2), np.zeros(n2), np.zeros(n2)
+    pair_vals = np.empty(pair_partner.shape[0])
+    stage = ((a, b * in_mass[a : a + len(b), None]) for a, b in blocks)
+    for heap0, c in _level_sums(stage, n):
+        k = len(c)
+        boxes = np.arange(heap0, heap0 + k)
+        glob[boxes] = np.einsum("ij,ij->i", c, c)
+        j0 = heap0 - (1 << depth[heap0])
+        sub = np.take_along_axis(c, in_order.reshape(-1, n >> depth[heap0])[j0 : j0 + k, :-1],
+                                 axis=1)
+        restricted[boxes] = np.einsum("ij,ij->i", sub, sub)
+        start, stop = pair_offsets[heap0], pair_offsets[heap0 + k]
+        at = np.concatenate((pair_partner[start:stop], boxes))
+        row = np.concatenate((np.repeat(np.arange(k), np.diff(pair_offsets[heap0 : heap0 + k + 1])),
+                              np.arange(k)))
+        node = at[:, None] >> np.arange(int(depth.max()) + 1)
+        val = (factor[node] * c[row[:, None], node >> 1]).sum(axis=1) * box_mass[at]
+        pair_vals[start:stop] = val[: stop - start]
+        own[boxes] = val[stop - start :]
+    charged = box_mass > 0
+    restricted[charged] += own[charged] ** 2 / box_mass[charged]
+    return restricted, glob, pair_vals
+
+
+def _leaf_sum_report(monkeypatch, t):
+    """testing_report(t, c3_next=True) with the leaf-sum output stage."""
+    n = t.grid.num_leaves
+
+    def stage(source, in_measure, gap):
+        b = basis(in_measure)
+        out = np.empty((n, n))
+        blocks = _leaf_blocks(b.alpha, b.beta, source, b.inv_sqrt_total, out)
+        for _ in gap.scan((n + a, block) for a, block in blocks):
+            pass
+        return out
+
+    def output(out, in_measure, out_measure, pair_offsets, pair_partner):
+        rows = _kernels.block_rows(n)
+        blocks = [(a, out[a : a + rows]) for a in range(0, n, rows)]
+        return _leaf_sum_images(blocks, in_measure.masses, basis(out_measure),
+                                out_measure.box_mass, t.grid, pair_offsets, pair_partner)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(testing, "_held_stage", stage)
+        patched.setattr(testing, "_output_stage", output)
+        return testing.testing_report(t, c3_next=True)
+
+
+def _leaf_witness_operator():
+    """A 256-leaf random_ewl operator whose c3 witness pairs a leaf box E with
+    a box G other than E, of another depth."""
+    grid = build_grid(GridSpec(1, 8))
+    rng = np.random.default_rng(24)
+    return random_ewl(2, random_measure(grid, rng), random_measure(grid, rng), 24)
+
+
+def test_box_value_pass_matches_leaf_sums(monkeypatch):
+    """Every constant of the box-value pass within 1e-13 of the leaf-sum
+    pass, with the same radius and witnesses, on several leaf blocks and on
+    a c3 witness read one recurrence step below the held rows."""
+    t = _leaf_witness_operator()
+    e, g = testing.testing_report(t, norm=False).witnesses["c3"]
+    assert e >= t.grid.num_leaves and t.grid.box_depth[g] < t.grid.box_depth[e]
+    for t in [*_multi_block_operators(), t]:
+        got, want = testing.testing_report(t, c3_next=True), _leaf_sum_report(monkeypatch, t)
+        assert got.r_used == want.r_used and got.witnesses == want.witnesses
+        for name in ("norm", "c1", "c2", "c3", "c1_global", "c2_global", "c1_cube", "c2_cube",
+                     "c3_cube", "c3_next", "ratio_sum", "ratio_max"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * abs(getattr(want, name))

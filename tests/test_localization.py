@@ -82,6 +82,21 @@ def test_bridge_in_two_dimensions(rng):
         assert wl_check(t, r0 + 1)
 
 
+def test_ewl_radius_independent_of_the_coefficient_scale():
+    """The support tolerance scales with ||W||_F, so W -> cW keeps the radius.
+    With an absolute tolerance this operator read 0, 2, 2 and 5."""
+    grid = build_grid(GridSpec(1, 6))
+    rng = np.random.default_rng(0)
+    sigma = LeafMeasure(grid, rng.random(grid.num_leaves))
+    omega = LeafMeasure(grid, rng.random(grid.num_leaves))
+    t = random_ewl(2, sigma, omega, 0)
+    radii = [localization.radii(DyadicOperator(grid, sigma, omega, c * t.w))
+             for c in (1e-14, 1e-6, 1.0, 1e6)]
+    assert radii == [(2, 3)] * 4
+    assert [ewl_radius(DyadicOperator(grid, sigma, omega, c * t.w))
+            for c in (1e-14, 1e-6, 1.0, 1e6)] == [2] * 4
+
+
 def test_wl_check_rejects_r_zero(rng):
     grid = build_grid(GridSpec(1, 2))
     sigma, omega = pair(rng, grid)

@@ -404,8 +404,9 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
 # preceded the array versions: summary counts and maxima, and the verdict
 # dict and stopping-member count of every trial.  GOLDEN_CERT_SHA256 hashes
 # every certificate document (JSON, sorted keys) in trial order; it was
-# recorded from the coefficient-space testing pass (Parseval sums and
-# root-path box values, no output-side synthesis).
+# recorded from the box-value testing pass (the output coefficients of
+# T(sigma 1_B) read as sigma(B) times box B's synthesized value, with no sum
+# over leaves).
 GOLDEN_SWEEP = {
     "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
     "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
@@ -424,7 +425,7 @@ GOLDEN_VERDICT_KEYS = [
     "packing_f", "packing_g", "partner_count", "projection_norms",
 ]
 GOLDEN_MEMBERS = {"total": 457, "max": 8}
-GOLDEN_CERT_SHA256 = "2b8bf1195809ca9bf4b5f38ad483b74909a3c24a42edadc45b15a749acccab38"
+GOLDEN_CERT_SHA256 = "39827c5a6485a8c9ff8f03e1368435f48082ae56d03200b42e0a39f7e18285a8"
 
 
 def test_certified_sweep_output_unchanged(tmp_path):

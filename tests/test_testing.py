@@ -377,14 +377,13 @@ def test_report_of_the_adjoint_swaps_the_sides(t):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(report_cases(), st.sampled_from([1e-8, 1e8]))
 def test_report_invariant_under_reciprocal_rescaling(t, scale):
-    """sigma -> scale sigma and omega -> omega / scale with W fixed keep the norm
-    and c1, c2, c3.  r is passed: SUPPORT_TOL is absolute, so a measured radius
-    would depend on the units."""
+    """sigma -> scale sigma and omega -> omega / scale with W fixed keep the
+    measured radius, the norm and c1, c2, c3."""
     scaled = DyadicOperator(t.grid, LeafMeasure(t.grid, t.sigma.masses * scale),
                             LeafMeasure(t.grid, t.omega.masses / scale), t.w.copy())
     assert np.array_equal(scaled.w, t.w)
-    r = ewl_radius(t)
-    rep, got = make_report(t, r=r), make_report(scaled, r=r)
+    rep, got = make_report(t), make_report(scaled)
+    assert got.r_used == rep.r_used == ewl_radius(t) == ewl_radius(scaled)
     for name in ("norm", "c1", "c2", "c3"):
         assert getattr(got, name) == pytest.approx(getattr(rep, name), rel=1e-12)
 
@@ -393,12 +392,13 @@ def test_report_invariant_under_reciprocal_rescaling(t, scale):
 @given(report_cases())
 def test_report_homogeneous_in_the_coefficients(t):
     """W -> cW scales the norm and every testing constant by |c| and keeps the
-    ratios and witnesses: no sum in the pass meets an absolute threshold.  r
-    is passed: SUPPORT_TOL is absolute, so a measured radius would move."""
-    r = ewl_radius(t)
-    rep = make_report(t, r=r, c3_next=True)
+    measured radius, the ratios and the witnesses: no sum in the pass meets
+    an absolute threshold, and the support tolerance scales with ||W||_F."""
+    rep = make_report(t, c3_next=True)
+    assert rep.r_used == ewl_radius(t)
     for c in (1e-8, 1.0, 1e8):
-        got = make_report(DyadicOperator(t.grid, t.sigma, t.omega, c * t.w), r=r, c3_next=True)
+        got = make_report(DyadicOperator(t.grid, t.sigma, t.omega, c * t.w), c3_next=True)
+        assert got.r_used == rep.r_used
         assert got.witnesses == rep.witnesses
         for name in ("norm", "c1", "c2", "c3", "c1_global", "c2_global", "c1_cube", "c2_cube",
                      "c3_cube", "c3_next", "ratio_sum", "ratio_max"):
