@@ -3,9 +3,10 @@
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
-(batch) axes, except synthesize_levels, which works along the leading axis
-and is vectorized over the trailing one, and the readers of the rows it
-holds (held_values, testing_images).
+(batch) axes, except synthesize_levels, which builds every box's row of M
+functions from the nonzero coefficients of an (N, M) array (nonzeros),
+vectorized over the nonzeros and the M columns, and the readers of the rows
+it holds (held_values, testing_images).
 """
 
 from typing import NamedTuple
@@ -15,10 +16,11 @@ import numpy as np
 HAVE_NUMBA = False  # no compiled kernels; the benchmark's environment record reads it
 
 # Floats and rows per block: block_rows(N) = min(N, MAX_BLOCK_ROWS, CHUNK_FLOATS // N).
-# testing_report(norm=False) in ms against 1 << 15 floats and no cap, one BLAS thread,
-# 2 MB L2 per core: 256 leaves 4 (same blocks), 512 13-14 (was 16), 1024 43-44 (was
-# 55), 2048 153-159 (was 146-211), 4096 559-586 (was 601-709).  With no cap 256
-# leaves are one block and localization.radii runs 9-25% slower.
+# random_ewl r=1, median testing_report(norm=False) in ms against 1 << 15 floats and
+# no cap, one BLAS thread, 2 MB L2 per core, two runs: 256 leaves 2.3-2.5 (same
+# blocks), 512 5.1-6.0 (4.8-5.1), 1024 13.0-15.3 (13.1-14.9), 2048 46-56 (47-55),
+# 4096 196-222 (202-236); localization.radii at 512 and 1024 leaves 8.5-9.8 and
+# 27.9-36.4 (6.9-7.6 and 25.3-31.0).
 CHUNK_FLOATS = 1 << 17
 MAX_BLOCK_ROWS = 128
 
@@ -118,81 +120,88 @@ def block_rows(n):
     return max(1, min(n, MAX_BLOCK_ROWS, CHUNK_FLOATS // n))
 
 
-def synthesize_levels(alpha, beta, coef, inv_sqrt_total, held=None):
+def nonzeros(a):
+    """(rows, cols, values) of the entries of the 2-D array a other than +0.0,
+    in row-major order.  Zero is read off the bit pattern, so a -0.0 entry is
+    listed: it gives a box value a sign of zero a +0.0 one does not (see
+    synthesize_levels).  Positions are 16-bit (operators have at most 4096
+    leaves)."""
+    rows, cols = np.divmod(np.flatnonzero(a.view(np.int64) != 0), a.shape[1])
+    return rows.astype(np.uint16), cols.astype(np.uint16), a[rows, cols]
+
+
+def transpose_nonzeros(nz):
+    """nonzeros(a.T) from nz = nonzeros(a): a stable sort of the 16-bit
+    columns, which numpy makes a radix sort."""
+    rows, cols, vals = nz
+    order = np.argsort(cols, kind="stable")
+    return cols[order], rows[order], vals[order]
+
+
+def synthesize_levels(alpha, beta, inv_sqrt_total, nz, held):
     """The value of every column's synthesis on every box, a level at a time.
 
-    coef: (N, M) whitened coefficients along the leading axis (row = input
-    slot), one function per column.  Yields (heap0, rows), rows[j] the value
-    of every column on box heap0 + j: synthesize_boxes(alpha, beta, coef.T,
-    inv_sqrt_total)[:, heap0 + j], bit for bit.  A level is valid until the
-    next is asked for.  The walk is depth first over the leaf blocks of
-    block_rows(N) leaves.  The tree above the block roots comes one box at a
-    time as the root path moves, so one row per level of it is live.  Below a
-    block root each level is built in place in the block: a box's row sits
-    at the first row of its leaf range and its upper half's row is written
-    before its lower half overwrites it, down to the leaves, yielded as
-    (N + a, block) for the block of leaves a, a + 1, ...
+    nz: nonzeros(coef) of whitened coefficients coef (N, M) along the
+    leading axis (row = input slot), one function per column.  held: a
+    C-contiguous (N, M) buffer that receives box H's row, 1 <= H < N.
+    Yields (heap0, rows), rows[j] the value of every column on box heap0 + j:
+    synthesize_boxes(alpha, beta, coef.T, inv_sqrt_total)[:, heap0 + j], bit
+    for bit.  The walk is breadth first.  Box 1's row is slot 0's nonzeros
+    times inv_sqrt_total; each further internal level is built whole in held
+    from the one above and yielded in pieces of at most block_rows(N) rows.
+    The leaves come last, in blocks of block_rows(N), each built from the
+    last held level into one buffer and valid until the next is asked for.
 
-    held: None, or an (N, M) array that receives box H's row once both
-    halves of H are built (1 <= H < N), so that after the stream it holds
-    every internal box's value.  held may be coef itself, whose rows are
-    then overwritten once read.
+    A level is built with synthesize_boxes' float operations: every child
+    starts as its parent's row x, as x - beta * 0.0 (that is x) on a lower
+    half and x + alpha * 0.0 (x + 0.0, which turns -0.0 into +0.0) on an
+    upper one; then each nonzero (p, c, v) at the parents' slots writes
+    x - beta[p] * v and x + alpha[p] * v into column c of p's two children.
     """
-    n, m = coef.shape
+    slots, cols, vals = nz
+    n, m = held.shape
     rows = block_rows(n)
-    roots = n // rows
-    top = roots.bit_length() - 1  # heap depth of the block roots
-    path = np.empty((top + 1, m))  # path[k]: the current root path's box at depth k
-    path[0] = coef[0] * inv_sqrt_total
-    block = np.empty((rows, m))
-    if top:
-        yield 1, path[:1]
-    for i in range(roots):
-        root = roots + i
-        # the path's boxes below depth k0 are block i - 1's too
-        k0 = top + 1 - (i ^ (i - 1)).bit_length() if i else 1
-        for k in range(k0, top + 1):
-            h = root >> (top - k)
-            p = h >> 1
-            if h & 1:
-                path[k] = path[k - 1] + alpha[p] * coef[p]
-                if held is not None:  # p's lower half was built before
-                    held[p] = path[k - 1]
-            else:
-                path[k] = path[k - 1] - beta[p] * coef[p]
-            if k < top:
-                yield h, path[k : k + 1]
-        block[0] = path[top]
-        step = rows
-        while step > 1:
-            hs = slice(root * rows // step, (root + 1) * rows // step)  # the level's boxes
-            parent = block[0::step]
-            yield hs.start, parent
-            c = np.ascontiguousarray(coef[hs])  # a strided view (W.T) is read once
-            block[step >> 1 :: step] = parent + alpha[hs, None] * c
-            lower = beta[hs, None] * c
-            if held is not None:
-                held[hs] = parent
-            parent -= lower
-            step >>= 1
-        yield n + i * rows, block
+    start = np.zeros(n + 1, dtype=np.int64)  # slot p's nonzeros: start[p]:start[p + 1]
+    np.cumsum(np.bincount(slots, minlength=n), out=start[1:])
+    # per nonzero (p, c, v): x is held[p, c], its children's entries are
+    # (2p, c) and (2p + 1, c), flat in heap rows, and get x - down and x + up
+    p = slots.astype(np.intp)
+    src = p * m + cols
+    lower = src + p * m
+    down, up = beta[p] * vals, alpha[p] * vals
+    del p
+    flat = held.reshape(-1)
 
+    def children(p0, p1, child):
+        # child: the rows of the halves of the boxes p0 <= p < p1, from 2 p0 on
+        parent = held[p0:p1]
+        child[0::2] = parent
+        np.add(parent, 0.0, out=child[1::2])
+        s = slice(start[p0], start[p1])
+        x = flat[src[s]]
+        at = lower[s] - 2 * p0 * m
+        out = child.reshape(-1)
+        out[at] = x - down[s]
+        out[at + m] = x + up[s]
 
-# Rows and columns of a tile of transposed.  One core, 2 MB L2: 2.1 ms at
-# 1024 leaves and 74 ms at 4096, where np.ascontiguousarray(w.T) takes 5.1
-# and 221 ms and 128 x 128 tiles 1.9 and 136 ms.
-TILE = 64
-
-
-def transposed(w):
-    """A C-contiguous copy of w.T, copied a TILE x TILE tile at a time, so each
-    tile's reads and writes stay in cache."""
-    n, m = w.shape
-    out = np.empty((m, n))
-    for i in range(0, m, TILE):
-        for j in range(0, n, TILE):
-            out[i : i + TILE, j : j + TILE] = w[j : j + TILE, i : i + TILE].T
-    return out
+    block = np.empty((max(rows, 2), m))  # one-row blocks are built in pairs
+    root = held[1:2] if n > 1 else block[:1]
+    root[:] = 0.0
+    root[0, cols[: start[1]]] = vals[: start[1]] * inv_sqrt_total
+    yield 1, root
+    h = 1
+    while 2 * h < n:
+        children(h, 2 * h, held[2 * h : 4 * h])
+        for a in range(2 * h, 4 * h, rows):
+            yield a, held[a : min(a + rows, 4 * h)]
+        h <<= 1
+    if n == 1:
+        return
+    for a in range(0, n, len(block)):
+        p0 = (n + a) >> 1
+        children(p0, p0 + len(block) // 2, block)
+        for j in range(0, len(block), rows):
+            yield n + a + j, block[j : j + rows]
 
 
 # Root-path values per piece of testing_images' gathers.  About eight arrays of
@@ -202,10 +211,10 @@ GATHER_VALUES = 1 << 14
 
 
 class HeldStage(NamedTuple):
-    """An input stage after a holding synthesize_levels stream."""
+    """An input stage after its synthesize_levels stream."""
 
     held: np.ndarray  # held[H]: box H's value row, 1 <= H < N
-    source: np.ndarray  # the coefficients synthesized (N, M), not overwritten
+    source: np.ndarray  # the coefficients synthesized (N, M): W or the view W.T
     factor: np.ndarray  # the input basis' WeightedBasis.factor
     leaf_sq: np.ndarray  # (N,) each leaf box's squared row norm, read as it streamed
 

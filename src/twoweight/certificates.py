@@ -125,17 +125,18 @@ class Analyzed:
 
 
 def prepare(values, mu: LeafMeasure) -> Analyzed:
-    """The Analyzed record of leaf values on mu: two analyses, two norms."""
+    """The Analyzed record of leaf values on mu.  f0's coefficients are those
+    of f - mean with the constant slot zeroed, where the subtraction leaves
+    about eps |mean|, and its leaf values are synthesized from them, so both
+    describe one mean-zero function (zero where mu charges no rectangle)."""
     values = np.asarray(values, dtype=np.float64)
     total = mu.total
     mean = float(np.sum(values * mu.masses)) / total if total > 0 else 0.0
-    values0 = values - mean
-    if not basis(mu).charged.any():
-        # mu charges one leaf at most: f equals its mean mu-a.e. and f0 is
-        # zero, not the rounding error the subtraction leaves behind
-        values0 = np.zeros_like(values)
+    coef0 = analyze(mu, values - mean)
+    coef0[0] = 0.0
+    values0 = synthesize(mu, coef0)
     return Analyzed(mu, analyze(mu, values), mu.norm(values),
-                    mean, values0, analyze(mu, values0), mu.norm(values0))
+                    mean, values0, coef0, mu.norm(values0))
 
 
 def boundary_terms_check(t: DyadicOperator, f: Analyzed, g: Analyzed, c1: float, c2: float):
@@ -173,10 +174,11 @@ def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int):
     fnorm, gnorm = f.norm0, g.norm0
 
     tiny = 1e-13 * (1.0 + t.frobenius())
-    gs, es = np.divmod(np.flatnonzero(np.abs(t.w) > tiny), t.w.shape[1])
-    keep = (gs >= 1) & (es >= 1)  # the constant slots of f0, g0 are rounding
-    gs, es = gs[keep], es[keep]
-    contrib = t.w[gs, es] * ghat[gs] * fhat[es]
+    rows, cols, vals = t.nonzeros()
+    # f0 and g0 have no constant part
+    keep = (np.abs(vals) > tiny) & (rows >= 1) & (cols >= 1)
+    gs, es = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
+    contrib = vals[keep] * ghat[gs] * fhat[es]
 
     gap = grid.box_depth[es] - grid.box_depth[gs]
     mask_a = np.abs(gap) <= r

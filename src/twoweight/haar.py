@@ -112,14 +112,16 @@ def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
     return out.reshape(coef.shape)
 
 
-def synthesize_levels(mu: LeafMeasure, coef: np.ndarray, held=None):
-    """synthesize_boxes of every column of coef (N, M), one whitened function
-    per column, a level of boxes at a time (see _kernels.synthesize_levels).
-    With coef = W over the output measure omega, column E gives T(sigma h_E)
-    on the omega boxes; with coef = W.T over sigma, column R gives
-    T*(omega h_R): the input stages of the testing pass and the classifiers."""
+def synthesize_levels(mu: LeafMeasure, nz, held):
+    """synthesize_boxes of every column of whitened coefficients coef (N, M),
+    one function per column, from their nonzeros nz = _kernels.nonzeros(coef),
+    a level of boxes at a time, every internal box's row left in held (see
+    _kernels.synthesize_levels).  With coef = W over the output measure
+    omega, column E gives T(sigma h_E) on the omega boxes; with coef = W.T
+    over sigma, column R gives T*(omega h_R): the input stages of the testing
+    pass and the classifiers."""
     b = basis(mu)
-    return _kernels.synthesize_levels(b.alpha, b.beta, coef, b.inv_sqrt_total, held)
+    return _kernels.synthesize_levels(b.alpha, b.beta, b.inv_sqrt_total, nz, held)
 
 
 def indicator_coefficients(mu: LeafMeasure, heap: int):

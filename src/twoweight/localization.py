@@ -13,9 +13,10 @@ so the radius of any operator on the grid is at most tree_depth - 1, the
 depth of the smallest rectangles; a dense generic W attains that bound.
 The images are the leaf levels of the input stages of the testing pass
 (which reads the radius from them too), synthesize_levels of the rows and
-of the columns of W.  SupportGap keeps each rectangle's first and last
-support leaf as the leaf blocks stream past and reads the radius from those
-alone, so the radius does not depend on the block size.
+of the columns of W, built from W's nonzeros (DyadicOperator.nonzeros).
+SupportGap keeps each rectangle's first and last support leaf as the leaf
+blocks stream past and reads the radius from those alone, so the radius
+does not depend on the block size.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -108,19 +109,22 @@ def support_gap(levels, rect_measure, leaf_measure, fro) -> int:
 
 
 def _stages(t: DyadicOperator):
-    """(input stage, input measure, output measure) of T and of T*: the rows
-    of W over sigma give T*(omega h_R), its columns over omega T(sigma h_E)."""
-    return ((synthesize_levels(t.sigma, t.w.T), t.sigma, t.omega),
-            (synthesize_levels(t.omega, t.w), t.omega, t.sigma))
+    """(input stage, input measure, output measure) of T and of T*, one
+    after the other: the rows of W over sigma give T*(omega h_R), its
+    columns over omega T(sigma h_E).  Each stage holds its internal rows in
+    an N x N buffer of its own, freed once the stream ends."""
+    n = t.grid.num_leaves
+    for transpose, in_m, out_m in ((True, t.sigma, t.omega), (False, t.omega, t.sigma)):
+        yield synthesize_levels(in_m, t.nonzeros(transpose), np.empty((n, n))), in_m, out_m
 
 
 def ewl_radius(t: DyadicOperator) -> int:
     """Smallest uniform localization radius, at most tree_depth - 1.
 
-    Each side's input stage is streamed level by level into its gap, with
-    no N x N array held.  The smallest box holding a rectangle and its
-    support is the root at the largest, a gap of at most the rectangle's
-    depth, and rectangles sit above leaf scale.
+    Each side's input stage is streamed level by level into its gap.  The
+    smallest box holding a rectangle and its support is the root at the
+    largest, a gap of at most the rectangle's depth, and rectangles sit
+    above leaf scale.
     """
     if t._ewl is None:
         t._ewl = max(support_gap(levels, out_m, in_m, t.frobenius())

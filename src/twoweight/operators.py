@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .exceptions import DimensionError, GridSizeError
 from .grid import Grid
 from .haar import WeightedBasis, analyze, basis, synthesize
@@ -84,7 +85,7 @@ class DyadicOperator:
         self.meta = meta or {}
         _mask_uncharged(w, basis(sigma), basis(omega))
         w.flags.writeable = False  # operators are immutable once built
-        self._fro = self._ewl = self._wl = None  # read once (W is read-only)
+        self._fro = self._nz = self._ewl = self._wl = None  # read once (W is read-only)
 
     # -- action --------------------------------------------------------------
 
@@ -111,6 +112,14 @@ class DyadicOperator:
         if self._fro is None:
             self._fro = float(np.linalg.norm(self.w))
         return self._fro
+
+    def nonzeros(self, transpose: bool = False):
+        """(rows, cols, values) of W's nonzero entries, -0.0 included, in
+        row-major order (_kernels.nonzeros), or with transpose those of W.T:
+        the input stages synthesize from them.  W is scanned once."""
+        if self._nz is None:
+            self._nz = _kernels.nonzeros(self.w)
+        return _kernels.transpose_nonzeros(self._nz) if transpose else self._nz
 
     def leaf_matrix(self) -> np.ndarray:
         """Dense leaf matrix A with (A f)(x) = T(sigma f)(x); small grids only."""

@@ -20,13 +20,14 @@ plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
 side and returns them as the fields of one TestingReport.  Each pass starts
 from one input stage (haar.synthesize_levels), the value of every input
-box's synthesis a level at a time, which holds the internal boxes' rows as
-it streams, and stays in coefficient space: the output coefficients of
-T(sigma 1_E) are sigma(E) times box E's row, and the whitened output basis
-is orthonormal in L^2(omega), so every norm above is a Parseval sum of them
-and every pairing omega(G) times their root-path sum at G
-(_kernels.testing_images); nothing is synthesized on the output side, and
-nothing is summed over leaves.  Its radius defaults to ewl_radius(T), at
+box's synthesis a level at a time, built from W's nonzeros (read once per
+operator, as the Lanczos norm reads them), which holds the internal boxes'
+rows as it streams, and stays in coefficient space: the output
+coefficients of T(sigma 1_E) are sigma(E) times box E's row, and the
+whitened output basis is orthonormal in L^2(omega), so every norm above is
+a Parseval sum of them and every pairing omega(G) times their root-path sum
+at G (_kernels.testing_images); nothing is synthesized on the output side,
+and nothing is summed over leaves.  Its radius defaults to ewl_radius(T), at
 most tree_depth - 1, read from the support gaps of those input stages as
 their leaf levels stream past.  Every constant is bounded by the operator
 norm, exactly; that necessity chain is asserted by the sweep harness and
@@ -69,15 +70,16 @@ def operator_norm(t: DyadicOperator) -> float:
         raise NormError("operator norm undefined: a side carries no mass")
     if t.grid.num_leaves < LANCZOS_MIN_LEAVES:
         return float(np.linalg.svd(t.w, compute_uv=False)[0])
-    return lanczos_norm(t.w)
+    return lanczos_norm(t)
 
 
-def lanczos_norm(w: np.ndarray) -> float:
-    """Largest singular value of w by Lanczos on its smaller Gram matrix.
+def lanczos_norm(t: DyadicOperator) -> float:
+    """Largest singular value of W by Lanczos on its smaller Gram matrix.
 
-    W and W^T are applied from the nonzero entries of w with np.bincount, in
+    W and W^T are applied from the nonzero entries of W (t.nonzeros(), read
+    once for the input stages too, less any -0.0) with np.bincount, in
     the coordinates of the nonzero rows and columns.  The Gram matrix A is
-    W^T W when w has no more nonzero columns than nonzero rows and W W^T
+    W^T W when W has no more nonzero columns than nonzero rows and W W^T
     otherwise, so A is k x k with k = min(#nonzero rows, #nonzero columns).
     When no two nonzeros share a slot of the larger side, A is diagonal (if
     either Gram matrix is, this one is) and the result is the square root of
@@ -95,13 +97,14 @@ def lanczos_norm(w: np.ndarray) -> float:
     In the last two cases theta is an eigenvalue of A to rounding.  The
     result is sqrt(theta).
     """
-    rows, cols = np.divmod(np.flatnonzero(w != 0), w.shape[1])
+    rows, cols, vals = t.nonzeros()
+    live = vals != 0
+    rows, cols, vals = rows[live], cols[live], vals[live]
     if rows.size == 0:
         return 0.0
-    vals = w[rows, cols]
-    used_rows = np.zeros(w.shape[0], dtype=bool)
+    used_rows = np.zeros(t.w.shape[0], dtype=bool)
     used_rows[rows] = True
-    used_cols = np.zeros(w.shape[1], dtype=bool)
+    used_cols = np.zeros(t.w.shape[1], dtype=bool)
     used_cols[cols] = True
     rows = np.cumsum(used_rows)[rows] - 1  # compressed row and column numbers
     cols = np.cumsum(used_cols)[cols] - 1
@@ -159,19 +162,17 @@ def admissible_pairs(grid: Grid, r: int):
     return grid.subtree_boxes(anc, counts)
 
 
-def _held_stage(source, in_measure, gap):
-    """One input stage, synthesize_levels of source over in_measure, streamed
-    through gap and drained into a HeldStage: every internal box's row is
-    held, and each leaf's squared row norm read as its level passes.  A
-    strided source (W.T) is first copied tile by tile into the buffer that
-    then holds the rows, so the stream reads it along rows, in place."""
-    n = in_measure.grid.num_leaves
-    if source.flags.c_contiguous:
-        coef, held = source, np.empty(source.shape)
-    else:
-        coef = held = _kernels.transposed(source.T)
+def _held_stage(t: DyadicOperator, transpose: bool, gap):
+    """One input stage of t, synthesize_levels of W's columns over omega or,
+    with transpose, of its rows (the columns of W.T) over sigma, from W's
+    nonzeros, streamed through gap and drained into a HeldStage: every
+    internal box's row is held, and each leaf's squared row norm read as its
+    block passes."""
+    source, in_measure = (t.w.T, t.sigma) if transpose else (t.w, t.omega)
+    n = t.grid.num_leaves
+    held = np.empty((n, n))
     leaf_sq = np.empty(n)
-    for heap0, rows in gap.scan(synthesize_levels(in_measure, coef, held)):
+    for heap0, rows in gap.scan(synthesize_levels(in_measure, t.nonzeros(transpose), held)):
         if heap0 >= n:
             leaf_sq[heap0 - n : heap0 - n + len(rows)] = np.einsum("ij,ij->i", rows, rows)
     return _kernels.HeldStage(held, source, basis(in_measure).factor, leaf_sq)
@@ -253,13 +254,12 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     """Full testing profile; r defaults to the operator's EWL radius.
 
     The adjoint side runs first, then the forward side.  Each side's input
-    stage streams level by level through its support gap, holding every
-    internal box's row in one N x N buffer: a fresh one for W's rows, and
-    for W's columns the tiled copy of W.T that the stream reads and
-    overwrites.  The forward side's pairs wait for r and are read from its
-    buffer, so testing_report holds at most one N x N array besides W.  Each
-    side is synthesized once.  With norm=False the (possibly expensive)
-    operator norm and ratio fields are skipped.  c3_next also computes c3 at
+    stage is built from W's nonzeros and streams level by level through its
+    support gap, holding every internal box's row in one N x N buffer.  The
+    forward side's pairs wait for r and are read from its buffer, so
+    testing_report holds at most one N x N array besides W.  Each side is
+    synthesized once.  With norm=False the (possibly expensive) operator
+    norm and ratio fields are skipped.  c3_next also computes c3 at
     radius r + 1 from the same image pass (report.c3_next).
     """
     grid = t.grid
@@ -269,13 +269,13 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
 
     # adjoint: column E of W over omega is T(sigma h_E) on the omega boxes
     gap = SupportGap(t.sigma, t.omega, fro)
-    stage = _held_stage(t.w, t.omega, gap)
+    stage = _held_stage(t, False, gap)
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
     restricted2, glob2, _ = _output_stage(stage, t.omega, t.sigma, *empty)
     del stage
     # forward: row R of W over sigma is T*(omega h_R) on the sigma boxes
     forward_gap = SupportGap(t.omega, t.sigma, fro)
-    stage = _held_stage(t.w.T, t.sigma, forward_gap)
+    stage = _held_stage(t, True, forward_gap)
     if r is None:
         r = max(gap.value, forward_gap.value)
     offsets, partners = admissible_pairs(grid, r + 1 if c3_next else r)

@@ -583,3 +583,27 @@ def test_full_certificate_a_bound_verdict():
     assert cert.verdicts["bound_A"]
     report.c3_next = 0.5 * abs(cert.a_term) / (4 * 7 * norm0)
     assert not full_certificate(t, f, g, report=report).verdicts["bound_A"]
+
+
+@pytest.mark.parametrize("n,d", [(1, 4), (1, 6), (2, 3)])
+def test_certificate_near_constant_f_or_g(rng, n, d):
+    """f = 3 + eps noise, g = -7 + eps noise, or both, exactly constant at
+    eps = 0, on random_ewl operators of radius 1 and 2: every certificate
+    passes.  With f0 the leaf subtraction f - mean, eps |mean| stayed in
+    f0's constant slot, which Pi kept and A + B + C dropped."""
+    grid = build_grid(GridSpec(n, d))
+    size = grid.num_leaves
+    for r in (1, 2):
+        sigma, omega = pair(rng, grid)
+        t = random_ewl(r, sigma, omega, r)
+        for eps in (0.0, 1e-14, 1e-10, 1e-8, 1e-4):
+            near_f = 3.0 + eps * rng.standard_normal(size)
+            near_g = -7.0 + eps * rng.standard_normal(size)
+            f, g = rng.standard_normal(size), rng.standard_normal(size)
+            for pair_fg in ((near_f, g), (f, near_g), (near_f, near_g)):
+                cert = full_certificate(t, *pair_fg)
+                assert cert.passed, (r, eps, cert.failures())
+                # f0's coefficients and leaf values describe one mean-zero function
+                f0 = prepare(pair_fg[0], sigma)
+                assert f0.coef0[0] == 0.0
+                assert np.array_equal(f0.values0, haar.synthesize(sigma, f0.coef0))

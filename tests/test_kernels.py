@@ -68,14 +68,14 @@ def test_testing_images_match_leaf_matrix_reference(monkeypatch, rng, dimension,
 
 def _check_both_sides(t):
     grid = t.grid
-    sides = [(t.w.T, t.sigma, t.omega, t.leaf_matrix()),  # forward
-             (t.w, t.omega, t.sigma, t.adjoint().leaf_matrix())]  # adjoint: measures swapped
-    for w, in_measure, out_measure, a in sides:
+    sides = [(True, t.sigma, t.omega, t.leaf_matrix()),  # forward: W.T over sigma
+             (False, t.omega, t.sigma, t.adjoint().leaf_matrix())]  # adjoint: measures swapped
+    for transpose, in_measure, out_measure, a in sides:
         restricted, glob, pairings = _reference_pass(a, grid, out_measure.masses)
         for r in range(4):
             offsets, partners = admissible_pairs(grid, r)
             boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
-            stage = _held_stage(w, in_measure, SupportGap(out_measure, in_measure, t.frobenius()))
+            stage = _held_stage(t, transpose, SupportGap(out_measure, in_measure, t.frobenius()))
             got = _output_stage(stage, in_measure, out_measure, offsets, partners)
             for g, want in zip(got, (restricted, glob, pairings[boxes_e, partners])):
                 _assert_close(g, want)
@@ -211,29 +211,39 @@ def _patch_everywhere(monkeypatch, module, name, wrap):
             monkeypatch.setattr(held, name, wrap(name, original))
 
 
-def _axis_read(args):
-    """Which axis of W a synthesize_levels(mu, coef, held) call reads: its
-    rows, or its columns, through the W.T view or a copy held in place."""
-    coef = args[1]
-    held = args[2] if len(args) > 2 else None
-    return "rows" if coef.flags.c_contiguous and held is not coef else "columns"
+def _axis_reader(monkeypatch):
+    """axis_read(args): which axis of W a synthesize_levels(mu, nz, held)
+    call reads, told by the nonzero list nz, which DyadicOperator.nonzeros
+    hands out: W's rows (W's own list) or its columns (W.T's)."""
+    listed = {}
+    nonzeros = DyadicOperator.nonzeros
+
+    def recorded(t, transpose=False):
+        nz = nonzeros(t, transpose)
+        listed[id(nz)] = "columns" if transpose else "rows"
+        return nz
+
+    monkeypatch.setattr(DyadicOperator, "nonzeros", recorded)
+    return lambda args: listed[id(args[1])]
 
 
 @pytest.mark.parametrize("certify", [True, False])
 def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
     """One testing pass per trial, two input stages (one over the rows of W,
     one over its columns), no ewl_radius and no other synthesis outside the
-    certificate."""
+    certificate; one scan of W for its nonzeros, and in the certificate one
+    of the adjoint's W."""
     calls = {"testing_report": [], "synthesize_levels": [], "synthesize": 0,
-             "ewl_radius": 0}
+             "ewl_radius": 0, "nonzeros": 0}
     in_certificate = []
+    axis_read = _axis_reader(monkeypatch)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             if name == "testing_report":
                 calls[name].append(kwargs.get("c3_next"))
             elif name == "synthesize_levels":
-                calls[name].append(_axis_read(args))
+                calls[name].append(axis_read(args))
             elif not (name == "synthesize" and in_certificate):
                 calls[name] += 1
             return fn(*args, **kwargs)
@@ -249,7 +259,8 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
     original_certificate = certificates.full_certificate
     monkeypatch.setattr(sweep, "full_certificate", certificate)
     for module, name in [(testing, "testing_report"), (haar, "synthesize_levels"),
-                         (haar, "synthesize"), (localization, "ewl_radius")]:
+                         (haar, "synthesize"), (localization, "ewl_radius"),
+                         (_kernels, "nonzeros")]:
         _patch_everywhere(monkeypatch, module, name, counted)
     config = sweep.SweepConfig.from_dict({
         "dimension": 1, "depths": [4], "radii": [1], "trials": 2,
@@ -263,24 +274,25 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
         assert not failures and (cert is not None) == certify
         assert calls == {"testing_report": [certify],
                          "synthesize_levels": ["rows", "columns"],
-                         "synthesize": 0, "ewl_radius": 0}
+                         "synthesize": 0, "ewl_radius": 0, "nonzeros": 1 + certify}
 
 
 def test_classify_synthesizes_each_side_once(monkeypatch, tmp_path, capsys):
     """twoweight classify reads both radii from two input stages, one over
     the rows of W and one over its columns, with no every-level synthesis
-    besides."""
+    besides, from one scan of W for its nonzeros."""
     grid = build_grid(GridSpec(1, 8))  # 256 leaves, several leaf blocks
     rng = np.random.default_rng(1708)
     t = random_ewl(2, random_measure(grid, rng, zero_fraction=0.2), random_measure(grid, rng), 9)
     path = tmp_path / "op.json"
     serialize.dump_json(path, serialize.operator_to_dict(t))
-    calls = {"synthesize_levels": [], "synthesize_boxes": 0}
+    calls = {"synthesize_levels": [], "synthesize_boxes": 0, "nonzeros": 0}
+    axis_read = _axis_reader(monkeypatch)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             if name == "synthesize_levels":
-                calls[name].append(_axis_read(args))
+                calls[name].append(axis_read(args))
             else:
                 calls[name] += 1
             return fn(*args, **kwargs)
@@ -288,9 +300,10 @@ def test_classify_synthesizes_each_side_once(monkeypatch, tmp_path, capsys):
 
     _patch_everywhere(monkeypatch, haar, "synthesize_levels", counted)
     _patch_everywhere(monkeypatch, _kernels, "synthesize_boxes", counted)
+    _patch_everywhere(monkeypatch, _kernels, "nonzeros", counted)
     assert cli.main(["classify", "--operator", str(path)]) == 0
     assert sorted(calls["synthesize_levels"]) == ["columns", "rows"]
-    assert calls["synthesize_boxes"] == 0
+    assert calls["synthesize_boxes"] == 0 and calls["nonzeros"] == 1
     monkeypatch.undo()
     radii = list(range(wl_radius(t), grid.tree_depth + 1))
     assert capsys.readouterr().out.splitlines()[2:] == [
@@ -354,40 +367,50 @@ def test_testing_pass_multi_block_output_unchanged(monkeypatch):
 def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimension, depth,
                                                           columns):
     """Every box comes once, in a level whose rows equal synthesize_boxes bit
-    for bit, sign of zero included: with rows read in place or strided, with
-    and without a held buffer, at the default block size and at 4 leaves a
-    block.  A holding stream leaves every internal box's row in rows 1..N-1,
-    in a buffer of its own or in the coefficients it reads."""
+    for bit, sign of zero included, and the stream leaves every internal
+    box's row in held: at the default block size, at 4 leaves a block and at
+    one (CHUNK_FLOATS = N).  The coefficients: a draw with zero slots and
+    scattered -0.0 entries, whose first half of columns are signed zeros
+    only (-0.0 coefficients under -0.0 parent rows, and +0.0 ones); all
+    zeros; a single nonzero.  The nonzeros of the strided view coef.T are
+    those of coef, transposed."""
     grid = build_grid(GridSpec(dimension, depth))
     mu = random_measure(grid, rng, zero_fraction=0.25)
     n = grid.num_leaves
-    coef = rng.standard_normal((columns, n))
-    coef[:, rng.random(n) < 0.2] = 0.0
     b = basis(mu)
-    want = _kernels.synthesize_boxes(b.alpha, b.beta, coef, b.inv_sqrt_total).T  # (2N, M)
-    for max_rows in (_kernels.MAX_BLOCK_ROWS, 4):
-        monkeypatch.setattr(_kernels, "MAX_BLOCK_ROWS", max_rows)
-        rows = _kernels.block_rows(n)
-        for x in (np.ascontiguousarray(coef.T), coef.T):  # rows read in place or strided
-            separate = np.full((n, columns), np.nan)
-            in_place = x.copy()
-            for held in (None, separate, in_place):
+    drawn = rng.standard_normal((columns, n))
+    drawn[:, rng.random(n) < 0.2] = 0.0
+    drawn[rng.random(drawn.shape) < 0.2] = -0.0
+    drawn[: columns // 2] = np.where(rng.random((columns // 2, n)) < 0.5, -0.0, 0.0)
+    single = np.zeros((columns, n))
+    single[rng.integers(columns), rng.integers(n)] = rng.standard_normal()
+    for coef in (drawn, np.zeros((columns, n)), single):
+        want = _kernels.synthesize_boxes(b.alpha, b.beta, coef, b.inv_sqrt_total).T  # (2N, M)
+        nz = _kernels.nonzeros(coef.T)
+        for got_list, want_list in zip(_kernels.transpose_nonzeros(_kernels.nonzeros(coef)), nz):
+            assert np.array_equal(got_list, want_list)
+            assert np.array_equal(np.signbit(got_list), np.signbit(want_list))
+        assert len(nz[0]) == np.count_nonzero(np.signbit(coef) | (coef != 0))
+        for chunk_floats, max_rows in [(_kernels.CHUNK_FLOATS, _kernels.MAX_BLOCK_ROWS),
+                                       (_kernels.CHUNK_FLOATS, 4), (n, _kernels.MAX_BLOCK_ROWS)]:
+            with monkeypatch.context() as patched:
+                patched.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
+                patched.setattr(_kernels, "MAX_BLOCK_ROWS", max_rows)
+                rows = _kernels.block_rows(n)
+                held = np.full((n, columns), np.nan)
                 got = np.full_like(want, np.nan)
                 seen = []
-                source = in_place if held is in_place else x
-                for heap0, level in synthesize_levels(mu, source, held):
+                for heap0, level in synthesize_levels(mu, nz, held):
                     assert len(level) <= rows
                     got[heap0 : heap0 + len(level)] = level
                     seen.extend(range(heap0, heap0 + len(level)))
-                leaves = [(h - n) // rows for h in seen if h >= n]
-                assert sorted(seen) == list(range(1, 2 * n)) and leaves == sorted(leaves)
-                assert np.array_equal(got[1:], want[1:])
-                assert np.array_equal(np.signbit(got[1:]), np.signbit(want[1:]))
-                if held is not None:
-                    assert np.array_equal(held[1:], want[1:n])
-                    assert np.array_equal(np.signbit(held[1:]), np.signbit(want[1:n]))
-                    held[:] = np.nan
-                    in_place[:] = x
+            assert rows == 1 or chunk_floats != n
+            leaves = [(h - n) // rows for h in seen if h >= n]
+            assert sorted(seen) == list(range(1, 2 * n)) and leaves == sorted(leaves)
+            assert np.array_equal(got[1:], want[1:])
+            assert np.array_equal(np.signbit(got[1:]), np.signbit(want[1:]))
+            assert np.array_equal(held[1:], want[1:n])
+            assert np.array_equal(np.signbit(held[1:]), np.signbit(want[1:n]))
 
 
 # The leaf-sum output stage the box-value pass replaced, kept as its
@@ -478,7 +501,8 @@ def _leaf_sum_report(monkeypatch, t):
     """testing_report(t, c3_next=True) with the leaf-sum output stage."""
     n = t.grid.num_leaves
 
-    def stage(source, in_measure, gap):
+    def stage(t, transpose, gap):
+        source, in_measure = (t.w.T, t.sigma) if transpose else (t.w, t.omega)
         b = basis(in_measure)
         out = np.empty((n, n))
         blocks = _leaf_blocks(b.alpha, b.beta, source, b.inv_sqrt_total, out)

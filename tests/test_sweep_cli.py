@@ -403,10 +403,13 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
 # the per-rectangle split_B loop and the stack-built stopping families that
 # preceded the array versions: summary counts and maxima, and the verdict
 # dict and stopping-member count of every trial.  GOLDEN_CERT_SHA256 hashes
-# every certificate document (JSON, sorted keys) in trial order; it was
-# recorded from the box-value testing pass (the output coefficients of
-# T(sigma 1_B) read as sigma(B) times box B's synthesized value, with no sum
-# over leaves).
+# every certificate document (JSON, sorted keys) in trial order.  The
+# summary maximum, the member count and the digest were recorded with f0 and
+# g0 synthesized from their coefficients, constant slot zeroed
+# (certificates.prepare).  Trial 70 (lacunary, d=4) then has 2 stopping
+# members, not 3: there g0 is positive on one charged leaf alone, so that
+# leaf's <|g0|> is exactly twice the root's and the strict doubling test
+# ties; the last bit decides it.
 GOLDEN_SWEEP = {
     "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
     "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
@@ -415,7 +418,7 @@ GOLDEN_SWEEP = {
     "seed": 31, "dump_certificates": True,
 }
 GOLDEN_SUMMARY = {"trials": 144, "passes": 144, "failures": [], "cells": 144,
-                  "max_embedding_ratio": 1.599375095920924, "max_packing_slack": 0.0}
+                  "max_embedding_ratio": 1.5993750959209243, "max_packing_slack": 0.0}
 GOLDEN_VERDICT_KEYS = [
     "abc_partition", "b1_sum", "b2_collapse", "b_partition", "b_s_split", "b_structure",
     "bound_A", "bound_B1", "bound_B2", "bound_I", "bound_II", "bound_total",
@@ -424,8 +427,8 @@ GOLDEN_VERDICT_KEYS = [
     "c_is_adjoint_b", "c_projection_norms", "embedding_f", "embedding_g", "mean_reduction",
     "packing_f", "packing_g", "partner_count", "projection_norms",
 ]
-GOLDEN_MEMBERS = {"total": 457, "max": 8}
-GOLDEN_CERT_SHA256 = "39827c5a6485a8c9ff8f03e1368435f48082ae56d03200b42e0a39f7e18285a8"
+GOLDEN_MEMBERS = {"total": 456, "max": 8}
+GOLDEN_CERT_SHA256 = "1b6fded1aaf8ba1a3c987b57d142a84f6cb1f8dd150919034e7b732b1a0d9a25"
 
 
 def test_certified_sweep_output_unchanged(tmp_path):

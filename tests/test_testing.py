@@ -157,13 +157,13 @@ def test_lanczos_norm_doubled_top_singular_value(n, d, rng, monkeypatch):
     values[[3, grid.num_leaves - 5]] = [1.0, -1.0]
     t = _coupled_martingale(values, sigma, omega, 1, 2, 0.05)
     assert np.sort(np.linalg.svd(t.w, compute_uv=False))[-2] == pytest.approx(1.0, rel=1e-15)
-    norm, steps = _lanczos_steps(monkeypatch, t.w)
+    norm, steps = _lanczos_steps(monkeypatch, t)
     assert steps > 1
     assert operator_norm(t) == norm == pytest.approx(1.0, rel=1e-13)
 
 
-def _lanczos_steps(monkeypatch, w):
-    """(lanczos_norm(w), its step count): it solves one tridiagonal eigh per step."""
+def _lanczos_steps(monkeypatch, t):
+    """(lanczos_norm(t), its step count): it solves one tridiagonal eigh per step."""
     sizes = []
     eigh = np.linalg.eigh
 
@@ -173,7 +173,7 @@ def _lanczos_steps(monkeypatch, w):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", counted)
-        norm = lanczos_norm(w)
+        norm = lanczos_norm(t)
     assert sizes == list(range(1, len(sizes) + 1))
     return norm, len(sizes)
 
@@ -189,7 +189,7 @@ def test_lanczos_norm_rank_one_single_row_and_zero_charged_block(n, d, rng, monk
     u, v = rng.standard_normal(size), rng.standard_normal(size)
     rank_one = DyadicOperator(grid, sigma, omega, np.outer(u, v))
     closed = np.linalg.norm(u[rows]) * np.linalg.norm(v[cols])
-    norm, steps = _lanczos_steps(monkeypatch, rank_one.w)
+    norm, steps = _lanczos_steps(monkeypatch, rank_one)
     # breakdown: the start vector and the one image direction span the space
     assert steps == 2
     assert operator_norm(rank_one) == norm == pytest.approx(closed, rel=1e-13)
@@ -213,7 +213,7 @@ def test_lanczos_norm_krylov_exhaustion_small_grids(d, rng):
         sigma, omega = pair(rng, grid, zero_fraction=zero_fraction)
         for family in [*NORM_FAMILIES, "perfect_dyadic"]:
             t = _family_operator(family, grid, sigma, omega, rng)
-            assert lanczos_norm(t.w) == pytest.approx(_svd_norm(t), rel=1e-13), family
+            assert lanczos_norm(t) == pytest.approx(_svd_norm(t), rel=1e-13), family
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
@@ -227,7 +227,7 @@ def test_lanczos_norm_top_cluster_at_exhaustion(d, rng, monkeypatch):
     values[1:] = 1.0 - np.geomspace(1e-15, 1.0, grid.num_leaves - 1)
     last = grid.num_leaves - 2  # values[-1] is 0
     t = _coupled_martingale(values, sigma, omega, last, last - 1, 0.01)
-    norm, steps = _lanczos_steps(monkeypatch, t.w)
+    norm, steps = _lanczos_steps(monkeypatch, t)
     assert steps == _compressed_gram(t.w).shape[0]
     assert norm == pytest.approx(_svd_norm(t), rel=1e-13)
 
@@ -279,7 +279,7 @@ def test_lanczos_norm_stops_at_the_documented_rule(rng, monkeypatch):
     b = CoefficientSequence.random(grid, rng)
     t = _coupled_martingale(b.values, sigma, omega, 1, 2, 0.05)
     want = _lanczos_reference_steps(_compressed_gram(t.w))
-    norm, steps = _lanczos_steps(monkeypatch, t.w)
+    norm, steps = _lanczos_steps(monkeypatch, t)
     assert 50 < want < grid.num_leaves - 1
     assert abs(steps - want) <= 1
     assert norm == pytest.approx(_svd_norm(t), rel=1e-13)
@@ -287,13 +287,22 @@ def test_lanczos_norm_stops_at_the_documented_rule(rng, monkeypatch):
 
 def test_lanczos_norm_closed_form_on_a_diagonal_gram(rng, monkeypatch):
     # a martingale transform, a Haar shift and their adjoints: no two
-    # nonzeros of W share a row (or, for the adjoints, a column)
+    # nonzeros of W share a row (or, for the adjoints, a column).  Then the
+    # martingale transform with -0.0 entries beside its nonzeros: W's
+    # nonzero list holds them (the input stages need their sign), but they
+    # are no entries of the Gram matrix, which stays diagonal
     grid = build_grid(GridSpec(1, 10))
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
     b = CoefficientSequence.random(grid, rng)
-    for t in (martingale_transform(b, sigma, omega), haar_shift(b, sigma, omega)):
+    t = martingale_transform(b, sigma, omega)
+    w = t.w.copy()
+    live = np.flatnonzero(np.diag(w))
+    w[live[:-1], live[1:]] = -0.0
+    signed = DyadicOperator(grid, sigma, omega, w)
+    assert len(signed.nonzeros()[0]) == 2 * len(live) - 1
+    for t in (t, haar_shift(b, sigma, omega), signed):
         for op in (t, t.adjoint()):
-            norm, steps = _lanczos_steps(monkeypatch, op.w)
+            norm, steps = _lanczos_steps(monkeypatch, op)
             assert steps == 0, op.family
             assert norm == pytest.approx(_svd_norm(op), rel=1e-13), op.family
 
