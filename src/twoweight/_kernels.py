@@ -3,10 +3,11 @@
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
-(batch) axes, except synthesize_levels, which builds every box's row of M
-functions from the nonzero coefficients of an (N, M) array (nonzeros),
-vectorized over the nonzeros and the M columns, and the readers of the rows
-it holds (held_values, testing_images).
+(batch) axes, except synthesize_levels, which builds every internal box's
+row of M functions from the nonzero coefficients of an (N, M) array
+(nonzeros), vectorized over the nonzeros and the M columns; leaf_steps,
+which reads the leaf level one step off the last of those rows, so no leaf
+row is built; and the readers of the rows held (held_values, testing_images).
 """
 
 from typing import NamedTuple
@@ -138,70 +139,100 @@ def transpose_nonzeros(nz):
     return cols[order], rows[order], vals[order]
 
 
-def synthesize_levels(alpha, beta, inv_sqrt_total, nz, held):
-    """The value of every column's synthesis on every box, a level at a time.
+def synthesize_levels(factor, nz, held):
+    """The value of every column's synthesis on every internal box, a level
+    at a time.
 
-    nz: nonzeros(coef) of whitened coefficients coef (N, M) along the
-    leading axis (row = input slot), one function per column.  held: a
-    C-contiguous (N, M) buffer that receives box H's row, 1 <= H < N.
-    Yields (heap0, rows), rows[j] the value of every column on box heap0 + j:
-    synthesize_boxes(alpha, beta, coef.T, inv_sqrt_total)[:, heap0 + j], bit
-    for bit.  The walk is breadth first.  Box 1's row is slot 0's nonzeros
-    times inv_sqrt_total; each further internal level is built whole in held
-    from the one above and yielded in pieces of at most block_rows(N) rows.
-    The leaves come last, in blocks of block_rows(N), each built from the
-    last held level into one buffer and valid until the next is asked for.
+    factor: the basis' WeightedBasis.factor (-beta on a lower half, alpha on
+    an upper one, inv_sqrt_total at the root).  nz: nonzeros(coef) of
+    whitened coefficients coef (N, M) along the leading axis (row = input
+    slot), one function per column.  held: a C-contiguous (N, M) buffer that
+    receives box H's row, 1 <= H < N.  Yields (heap0, rows), rows[j] the
+    value of every column on box heap0 + j: synthesize_boxes(alpha, beta,
+    coef.T, inv_sqrt_total)[:, heap0 + j], bit for bit.  The walk is breadth
+    first.  Box 1's row is slot 0's nonzeros times inv_sqrt_total; each
+    further internal level is built whole in held from the one above and
+    yielded in pieces of at most block_rows(N) rows.  The leaves are not
+    built: leaf_steps reads them off the last held level once the stream
+    has ended.
 
     A level is built with synthesize_boxes' float operations: every child
     starts as its parent's row x, as x - beta * 0.0 (that is x) on a lower
     half and x + alpha * 0.0 (x + 0.0, which turns -0.0 into +0.0) on an
     upper one; then each nonzero (p, c, v) at the parents' slots writes
-    x - beta[p] * v and x + alpha[p] * v into column c of p's two children.
+    x + factor * v (x - beta[p] v and x + alpha[p] v) into column c of p's
+    two children.
+    """
+    slots, cols, vals = nz
+    n, m = held.shape
+    if n == 1:  # the root is the only box, and a leaf
+        return
+    rows = block_rows(n)
+    # parent p's nonzeros: start[p]:start[p + 1], for the parents of internal boxes
+    start = np.searchsorted(slots, np.arange(n // 2 + 1, dtype=slots.dtype))
+    # per nonzero (p, c, v): x is held[p, c], flat src; its children's entries
+    # are (2p, c) and (2p + 1, c), flat at, and get x + step
+    p = slots[: start[-1]].astype(np.intp)
+    src = p * m + cols[: start[-1]]
+    at = (src + p * m)[:, None] + (0, m)
+    step = factor.reshape(-1, 2)[p] * vals[: start[-1], None]
+    del p
+    flat = held.reshape(-1)
+    held[1] = 0.0
+    held[1, cols[: start[1]]] = vals[: start[1]] * factor[1]
+    yield 1, held[1:2]
+    h = 1
+    while 2 * h < n:
+        held[2 * h : 4 * h : 2] = held[h : 2 * h]
+        np.add(held[h : 2 * h], 0.0, out=held[2 * h + 1 : 4 * h : 2])
+        s = slice(start[h], start[2 * h])
+        flat[at[s]] = flat[src[s], None] + step[s]
+        for a in range(2 * h, 4 * h, rows):
+            yield a, held[a : min(a + rows, 4 * h)]
+        h <<= 1
+
+
+class LeafStep(NamedTuple):
+    """The leaves 2 p0 .. 2 p1 - 1 (heap) of an input stage, read off the
+    rows of their parents p0 .. p1 - 1 (leaf_steps)."""
+
+    p0: int
+    mag: np.ndarray  # (p1 - p0, M): |parent row|, 0.0 at the listed entries
+    at: np.ndarray  # parent (less p0) of each listed entry
+    cols: np.ndarray  # its column
+    children: np.ndarray  # (listed, 2): the lower and the upper child's value there
+
+
+def leaf_steps(factor, nz, held):
+    """The leaf level of a synthesize_levels stream, a step off the last
+    held level, block_rows(N) parents at a time, once the stream has ended.
+
+    factor: the basis' WeightedBasis.factor.  A leaf's value in column c is
+    its parent p's value x, or x + 0.0 on an upper half, unless nz lists
+    (p, c, v); then it is x + factor[leaf] v, synthesize_boxes' x - beta v
+    or x + alpha v.  Every leaf reader wants magnitudes only, so a step
+    hands out |x| for both children (zeroed where nz lists an entry) and the
+    listed entries' two child values apart.  No leaf row is built.  At
+    N = 1 the parent level is slot 0, a row of -0.0 whose upper child (heap
+    1, factor inv_sqrt_total) is the root; heap 0 is no box, and readers
+    find no charge or mass there.
     """
     slots, cols, vals = nz
     n, m = held.shape
     rows = block_rows(n)
-    start = np.zeros(n + 1, dtype=np.int64)  # slot p's nonzeros: start[p]:start[p + 1]
-    np.cumsum(np.bincount(slots, minlength=n), out=start[1:])
-    # per nonzero (p, c, v): x is held[p, c], its children's entries are
-    # (2p, c) and (2p + 1, c), flat in heap rows, and get x - down and x + up
-    p = slots.astype(np.intp)
-    src = p * m + cols
-    lower = src + p * m
-    down, up = beta[p] * vals, alpha[p] * vals
-    del p
-    flat = held.reshape(-1)
-
-    def children(p0, p1, child):
-        # child: the rows of the halves of the boxes p0 <= p < p1, from 2 p0 on
-        parent = held[p0:p1]
-        child[0::2] = parent
-        np.add(parent, 0.0, out=child[1::2])
-        s = slice(start[p0], start[p1])
-        x = flat[src[s]]
-        at = lower[s] - 2 * p0 * m
-        out = child.reshape(-1)
-        out[at] = x - down[s]
-        out[at + m] = x + up[s]
-
-    block = np.empty((max(rows, 2), m))  # one-row blocks are built in pairs
-    root = held[1:2] if n > 1 else block[:1]
-    root[:] = 0.0
-    root[0, cols[: start[1]]] = vals[: start[1]] * inv_sqrt_total
-    yield 1, root
-    h = 1
-    while 2 * h < n:
-        children(h, 2 * h, held[2 * h : 4 * h])
-        for a in range(2 * h, 4 * h, rows):
-            yield a, held[a : min(a + rows, 4 * h)]
-        h <<= 1
-    if n == 1:
-        return
-    for a in range(0, n, len(block)):
-        p0 = (n + a) >> 1
-        children(p0, p0 + len(block) // 2, block)
-        for j in range(0, len(block), rows):
-            yield n + a + j, block[j : j + rows]
+    half = n // 2
+    top = held if n > 1 else np.full((1, m), -0.0)  # -0.0 + y is y, sign of zero included
+    pair = factor.reshape(-1, 2)  # by parent: the lower and the upper child's factor
+    bounds = np.searchsorted(slots, np.arange(half, n + rows, rows, dtype=slots.dtype))
+    mag = np.empty((min(rows, n - half), m))
+    for i, p0 in enumerate(range(half, n, rows)):
+        s = slice(bounds[i], bounds[i + 1])
+        p, c = slots[s].astype(np.intp), cols[s]
+        block = mag[: min(rows, n - p0)]
+        np.abs(top[p0 : p0 + len(block)], out=block)
+        at = p - p0
+        block[at, c] = 0.0
+        yield LeafStep(p0, block, at, c, top[p, c, None] + pair[p] * vals[s, None])
 
 
 # Root-path values per piece of testing_images' gathers.  About eight arrays of
@@ -216,11 +247,12 @@ class HeldStage(NamedTuple):
     held: np.ndarray  # held[H]: box H's value row, 1 <= H < N
     source: np.ndarray  # the coefficients synthesized (N, M): W or the view W.T
     factor: np.ndarray  # the input basis' WeightedBasis.factor
-    leaf_sq: np.ndarray  # (N,) each leaf box's squared row norm, read as it streamed
+    leaf_sq: np.ndarray  # (N,) each leaf box's squared row norm, read off its leaf step
 
 
 def held_values(stage, boxes, slots):
-    """stage's value of box boxes[i] at slot slots[i, j].
+    """stage's value of box boxes[i] at slot slots[i] (or at each slot of the
+    row slots[i] when slots has one more axis).
 
     An internal box's is its held row; a leaf's is its parent p's held row
     plus one step of the recurrence, factor[leaf] * source[p], which is
@@ -232,9 +264,26 @@ def held_values(stage, boxes, slots):
     leaf = np.flatnonzero(boxes >= n)
     rows = boxes.copy()
     rows[leaf] >>= 1
-    val = stage.held[rows[:, None], slots]
-    parent = rows[leaf, None]
-    val[leaf] += stage.factor[boxes[leaf], None] * stage.source[parent, slots[leaf]]
+    per_row = (slice(None),) + (None,) * (slots.ndim - boxes.ndim)
+    val = stage.held[rows[per_row], slots]
+    parent = rows[leaf][per_row]
+    val[leaf] += stage.factor[boxes[leaf]][per_row] * stage.source[parent, slots[leaf]]
+    return val
+
+
+def root_path_sums(stage, factor, boxes, targets, depth):
+    """The value of box boxes[i]'s row of stage on box targets[i] of the
+    output basis (factor): the sum of factor[H] row[H >> 1] over targets[i]'s
+    root path H, from the root down, then zeros (so a box and a leaf below
+    it that adds only a zero term sum alike), GATHER_VALUES values a piece."""
+    steps = np.arange(int(depth.max()) + 1)
+    piece = max(1, GATHER_VALUES // len(steps))
+    val = np.empty(len(targets))
+    for a in range(0, len(targets), piece):
+        bc, gc = boxes[a : a + piece], targets[a : a + piece]
+        shift = depth[gc, None] - steps
+        node = np.where(shift >= 0, gc[:, None] >> np.maximum(shift, 0), 0)
+        val[a : a + len(gc)] = (np.take(factor, node) * held_values(stage, bc, node >> 1)).sum(axis=1)
     return val
 
 
@@ -261,12 +310,16 @@ def testing_images(stage, in_box_mass, alpha, beta, inv_sqrt_total, box_mass,
         <T(sigma 1_E), 1_G>                    = sigma(E) omega(G) u,
 
     with u the value of v_E on box G: the constant and the components of
-    G's strict ancestors along its root path, the sum synthesize_at walks.
-    The leaves' |v_B|^2 are read as the stage streams (stage.leaf_sq).  The
-    rectangles inside the boxes of a depth are one gather from the held rows,
-    and the root-path sums of the boxes and of the pairs one gather in all.
-    Returns restricted, glob and, for each box's slice of the admissible pair
-    list, the pairings.
+    G's strict ancestors along its root path (root_path_sums).  The leaves'
+    |v_B|^2 come with the stage (stage.leaf_sq), and the rectangles inside
+    the boxes of a depth are one gather from the held rows.  E's partners
+    are the breadth-first subtree of A = anc_r(E) (admissible_pairs), so
+    A's root path is summed once per box and every further partner G is
+    its parent's value plus one step, factor[G] v_E[G >> 1], a level of
+    every list at a time; E itself is on its list, which gives
+    <T(sigma 1_E), 1_E>.  Without pairs (the adjoint side) each box's own
+    root path is summed.  Returns restricted, glob and, for each box's slice
+    of the admissible pair list, the pairings.
 
     alpha/beta/inv_sqrt_total, box_mass: the output basis and box masses.
     in_box_mass: the input box masses.  depth, lo, hi: the heap depth and leaf
@@ -291,33 +344,37 @@ def testing_images(stage, in_box_mass, alpha, beta, inv_sqrt_total, box_mass,
     in_order = np.zeros(n, dtype=np.int64)
     in_order[(lo[1:n] + hi[1:n]) // 2 - 1] = np.arange(1, n)
     inside = np.zeros(n2)
+    rows = np.arange(n)[:, None]
     h = 1
     while h < n:
-        sub = np.take_along_axis(held[h : 2 * h], in_order.reshape(h, -1)[:, :-1], axis=1)
+        sub = held[rows[h : 2 * h], in_order.reshape(h, -1)[:, :-1]]
         inside[h : 2 * h] = np.einsum("ij,ij->i", sub, sub)
         h <<= 1
-    # the pairs and every box with itself, a piece of GATHER_VALUES root-path
-    # values at a time
     boxes = np.arange(1, n2)
-    e = np.concatenate((np.repeat(np.arange(n2), np.diff(pair_offsets)), boxes))
-    g = np.concatenate((pair_partner, boxes))
-    steps = np.arange(int(depth.max()) + 1)
-    piece = max(1, GATHER_VALUES // len(steps))
-    val = np.empty(len(g))
-    for a in range(0, len(g), piece):
-        ec, gc = e[a : a + piece], g[a : a + piece]
-        # G's root path from the root down, then zeros: a box and a leaf below
-        # it that adds only a zero term sum alike
-        shift = depth[gc, None] - steps
-        node = np.where(shift >= 0, gc[:, None] >> np.maximum(shift, 0), 0)
-        val[a : a + len(gc)] = (np.take(factor, node) * held_values(stage, ec, node >> 1)).sum(axis=1)
-    val *= in_box_mass[e] * box_mass[g]
-    count = pair_partner.shape[0]
     own = np.zeros(n2)  # <T(sigma 1_B), 1_B>
-    own[1:] = val[count:]
+    if pair_partner.size == 0:
+        own[1:] = root_path_sums(stage, factor, boxes, boxes, depth) * (in_box_mass[1:] * box_mass[1:])
+        val = np.zeros(0)
+    else:
+        head = pair_offsets[:-1]  # box E's list starts at A = anc_r(E)
+        e = np.repeat(np.arange(n2), np.diff(pair_offsets))
+        val = factor[pair_partner] * held_values(stage, e, pair_partner >> 1)
+        val[head[1:]] = root_path_sums(stage, factor, boxes, pair_partner[head[1:]], depth)
+        # the partner at position k of a list is at level log2(k + 1) and
+        # hangs below the one at (k + 1) // 2 - 1, (k + 2) // 2 entries back
+        at = np.arange(len(e))
+        pos = at - head[e]
+        order = np.argsort(pos, kind="stable")
+        ends = np.searchsorted(pos[order], (1 << np.arange(int(depth.max()) + 2)) - 1)
+        parent = at - ((pos + 2) >> 1)
+        for a, b in zip(ends[1:-1], ends[2:]):
+            seg = order[a:b]
+            val[seg] += val[parent[seg]]
+        val *= in_box_mass[e] * box_mass[pair_partner]
+        own[1:] = val[np.flatnonzero(pair_partner == e)]  # E is once on its own list
     square = in_box_mass * in_box_mass
     glob *= square
     restricted = square * inside
     charged = box_mass > 0
     restricted[charged] += own[charged] ** 2 / box_mass[charged]
-    return restricted, glob, val[:count]
+    return restricted, glob, val

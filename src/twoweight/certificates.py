@@ -144,14 +144,16 @@ def boundary_terms_check(t: DyadicOperator, f: Analyzed, g: Analyzed, c1: float,
 
     term1 pairs the Haar part of f against the mean of g (bound c2), term2
     the mean of f against the Haar part of g (bound c1), term3 mean against
-    mean (bound c1), each with constant 1 times ||f|| ||g||.
+    mean (bound c1), each with constant 1 times ||f|| ||g||.  Each pairing is
+    read from W and the coefficients, with no synthesis: <T(sigma f0), 1> is
+    sqrt(omega(Q0)) (W f0^)[0], <T(sigma 1), g0> is sqrt(sigma(Q0)) g0^ . W[:, 0]
+    and <T(sigma 1), 1> is sqrt(sigma(Q0) omega(Q0)) W[0, 0].
     """
-    omega = t.omega
-    t_f0 = synthesize(omega, f.coef0 @ t.w.T)  # t.apply(f0) from f0's coefficients
-    t_ones = t.apply(np.ones(t.grid.num_leaves))
-    term1 = g.mean * float(np.sum(t_f0 * omega.masses))
-    term2 = f.mean * float(np.sum(t_ones * g.values0 * omega.masses))
-    term3 = f.mean * g.mean * float(np.sum(t_ones * omega.masses))
+    # read off W: 1 has coefficients sqrt(mu(Q0)) in the constant slot alone
+    w, root_s, root_o = t.w, basis(t.sigma).sqrt_total, basis(t.omega).sqrt_total
+    term1 = g.mean * (root_o * float(w[0] @ f.coef0))  # <T(sigma f0), 1>_omega
+    term2 = f.mean * (root_s * float(g.coef0 @ w[:, 0]))  # <T(sigma 1), g0>_omega
+    term3 = f.mean * g.mean * (root_s * root_o * float(w[0, 0]))  # <T(sigma 1), 1>_omega
     scale = f.norm * g.norm
     atol = 1e-12 * (1.0 + scale) * (1.0 + t.frobenius())
     verdicts = {

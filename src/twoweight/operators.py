@@ -83,9 +83,9 @@ class DyadicOperator:
         self.family = family
         self.claimed_radius = claimed_radius
         self.meta = meta or {}
-        _mask_uncharged(w, basis(sigma), basis(omega))
+        self._nz = _mask_uncharged(w, basis(sigma), basis(omega))
         w.flags.writeable = False  # operators are immutable once built
-        self._fro = self._nz = self._ewl = self._wl = None  # read once (W is read-only)
+        self._fro = self._ewl = self._wl = None  # read once (W is read-only)
 
     # -- action --------------------------------------------------------------
 
@@ -116,9 +116,8 @@ class DyadicOperator:
     def nonzeros(self, transpose: bool = False):
         """(rows, cols, values) of W's nonzero entries, -0.0 included, in
         row-major order (_kernels.nonzeros), or with transpose those of W.T:
-        the input stages synthesize from them.  W is scanned once."""
-        if self._nz is None:
-            self._nz = _kernels.nonzeros(self.w)
+        the input stages synthesize from them.  W is scanned once, as the
+        operator is built (_mask_uncharged)."""
         return _kernels.transpose_nonzeros(self._nz) if transpose else self._nz
 
     def leaf_matrix(self) -> np.ndarray:
@@ -133,8 +132,18 @@ class DyadicOperator:
 
 
 def _mask_uncharged(w: np.ndarray, bs: WeightedBasis, bo: WeightedBasis):
+    """Zero W's rows at uncharged output slots and its columns at uncharged
+    input slots, in place, and return the nonzeros of the result.  The rows
+    are zeroed whole; the columns only at their entries in the one scan of
+    W, which then drops them: a strided write of whole columns costs about
+    2 ms at 1024 leaves."""
     w[~bo.charged_slots(), :] = 0.0
-    w[:, ~bs.charged_slots()] = 0.0
+    rows, cols, vals = _kernels.nonzeros(w)
+    keep = bs.charged_slots()[cols]
+    if not keep.all():
+        w[rows[~keep], cols[~keep]] = 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, cols, vals
 
 
 def from_leaf_matrix(grid: Grid, sigma: LeafMeasure, omega: LeafMeasure,

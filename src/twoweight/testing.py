@@ -19,17 +19,19 @@ own base, so it belongs to the rectangle system as a set):
 plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
 side and returns them as the fields of one TestingReport.  Each pass starts
-from one input stage (haar.synthesize_levels), the value of every input
-box's synthesis a level at a time, built from W's nonzeros (read once per
-operator, as the Lanczos norm reads them), which holds the internal boxes'
-rows as it streams, and stays in coefficient space: the output
+from one input stage (haar.synthesize_levels), the value of every internal
+input box's synthesis a level at a time, built from W's nonzeros (read once
+per operator, as the Lanczos norm reads them) and held in one buffer; the
+leaf level is read one step off the last internal level (haar.leaf_steps),
+and no leaf row is built.  The pass stays in coefficient space: the output
 coefficients of T(sigma 1_E) are sigma(E) times box E's row, and the
 whitened output basis is orthonormal in L^2(omega), so every norm above is
 a Parseval sum of them and every pairing omega(G) times their root-path sum
-at G (_kernels.testing_images); nothing is synthesized on the output side,
-and nothing is summed over leaves.  Its radius defaults to ewl_radius(T), at
+at G, each partner's one step off its parent partner's
+(_kernels.testing_images); nothing is synthesized on the output side, and
+nothing is summed over leaves.  Its radius defaults to ewl_radius(T), at
 most tree_depth - 1, read from the support gaps of those input stages as
-their leaf levels stream past.  Every constant is bounded by the operator
+their leaf steps stream past.  Every constant is bounded by the operator
 norm, exactly; that necessity chain is asserted by the sweep harness and
 the acceptance suite.
 """
@@ -43,7 +45,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis, synthesize_levels
+from .haar import basis, leaf_steps, synthesize_levels
 from .localization import SupportGap
 from .operators import DyadicOperator
 
@@ -165,17 +167,29 @@ def admissible_pairs(grid: Grid, r: int):
 def _held_stage(t: DyadicOperator, transpose: bool, gap):
     """One input stage of t, synthesize_levels of W's columns over omega or,
     with transpose, of its rows (the columns of W.T) over sigma, from W's
-    nonzeros, streamed through gap and drained into a HeldStage: every
-    internal box's row is held, and each leaf's squared row norm read as its
-    block passes."""
+    nonzeros, drained into a HeldStage: every internal box's row is held,
+    and its leaf steps stream through gap, each leaf's squared row norm read
+    off its step."""
     source, in_measure = (t.w.T, t.sigma) if transpose else (t.w, t.omega)
     n = t.grid.num_leaves
+    nz = t.nonzeros(transpose)
     held = np.empty((n, n))
-    leaf_sq = np.empty(n)
-    for heap0, rows in gap.scan(synthesize_levels(in_measure, t.nonzeros(transpose), held)):
-        if heap0 >= n:
-            leaf_sq[heap0 - n : heap0 - n + len(rows)] = np.einsum("ij,ij->i", rows, rows)
-    return _kernels.HeldStage(held, source, basis(in_measure).factor, leaf_sq)
+    for _ in synthesize_levels(in_measure, nz, held):
+        pass
+    leaf_sq = np.empty(2 * n)  # heap-indexed; slot 0 is written at N = 1 and dropped
+    for step in gap.scan(leaf_steps(in_measure, nz, held)):
+        k = len(step.mag)
+        pairs = leaf_sq[2 * step.p0 : 2 * (step.p0 + k)].reshape(k, 2)  # by parent
+        pairs[:] = np.einsum("ij,ij->i", step.mag, step.mag)[:, None]
+        # a parent's listed entries lie together: one pairwise sum each (a
+        # dense row summed in order drifts past 1e-15 at 256 leaves)
+        at = step.at
+        before = np.empty_like(at)
+        before[:1] = -1
+        before[1:] = at[:-1]
+        first = np.flatnonzero(at != before)
+        pairs[at[first]] += np.add.reduceat(step.children ** 2, first)
+    return _kernels.HeldStage(held, source, basis(in_measure).factor, leaf_sq[n:])
 
 
 def _output_stage(stage, in_measure, out_measure, pair_offsets, pair_partner):
@@ -223,28 +237,22 @@ class TestingReport:
                               for k, v in self.witnesses.items()}}
 
 
-def _ratio_max(num: np.ndarray, den: np.ndarray, subset=None):
-    """(max of sqrt(num)/sqrt(den) over den > 0, witness index)."""
-    ratios = np.zeros_like(num)
-    mask = den > 0
-    if subset is not None:
-        mask = mask & subset
-    ratios[mask] = np.sqrt(num[mask]) / np.sqrt(den[mask])
-    if not np.any(mask):
-        return 0.0, 0
-    arg = int(np.argmax(ratios))
-    return float(ratios[arg]), arg
-
-
-def _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, subset=None):
-    den = den_e * den_g
+def _ratios(num: np.ndarray, den: np.ndarray, scale):
+    """scale(num) / sqrt(den) where den > 0, else 0, with the mask den > 0."""
     ok = den > 0
+    ratios = np.zeros_like(num)
+    ratios[ok] = scale(num[ok]) / np.sqrt(den[ok])
+    return ratios, ok
+
+
+def _pair_sup(ratios, ok, boxes_e, partners, subset=None):
+    """(max of the pair ratios over ok and subset, witness pair); (0, 0)
+    when no pair qualifies."""
     if subset is not None:
         ok = ok & subset
+        ratios = np.where(subset, ratios, 0.0)
     if not np.any(ok):
         return 0.0, (0, 0)
-    ratios = np.zeros_like(pair_vals)
-    ratios[ok] = np.abs(pair_vals[ok]) / np.sqrt(den[ok])
     arg = int(np.argmax(ratios))
     return float(ratios[arg]), (int(boxes_e[arg]), int(partners[arg]))
 
@@ -254,8 +262,8 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     """Full testing profile; r defaults to the operator's EWL radius.
 
     The adjoint side runs first, then the forward side.  Each side's input
-    stage is built from W's nonzeros and streams level by level through its
-    support gap, holding every internal box's row in one N x N buffer.  The
+    stage is built from W's nonzeros, holding every internal box's row in
+    one N x N buffer, and its leaf steps stream through its support gap.  The
     forward side's pairs wait for r and are read from its buffer, so
     testing_report holds at most one N x N array besides W.  Each side is
     synthesized once.  With norm=False the (possibly expensive) operator
@@ -282,25 +290,26 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     restricted, glob, pair_vals = _output_stage(stage, t.sigma, t.omega, offsets, partners)
     del stage
 
-    c1, w1 = _ratio_max(restricted, sig_mass)
-    c1g, w1g = _ratio_max(glob, sig_mass)
-    c2, w2 = _ratio_max(restricted2, om_mass)
-    c2g, w2g = _ratio_max(glob2, om_mass)
-
+    # box constants, one row each: c1, c1_global, c2, c2_global, then c1 and
+    # c2 over the cubes; an all-zero row has its maximum 0 at index 0
+    ratios, _ = _ratios(np.stack((restricted, glob, restricted2, glob2)),
+                        np.stack((sig_mass, sig_mass, om_mass, om_mass)), np.sqrt)
     cube_mask = grid.box_depth % grid.dimension == 0
-    c1c, w1c = _ratio_max(restricted, sig_mass, cube_mask)
-    c2c, w2c = _ratio_max(restricted2, om_mass, cube_mask)
+    ratios = np.concatenate((ratios, np.where(cube_mask, ratios[0::2], 0.0)))
+    wit = ratios.argmax(axis=1)
+    c1, c1g, c2, c2g, c1c, c2c = ratios[np.arange(len(wit)), wit].tolist()
+    w1, w1g, w2, w2g, w1c, w2c = wit.tolist()
 
     # pair constants: normalize |<T(sigma 1_E), 1_G>| by sqrt(sigma(E) omega(G))
     boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
-    den_e, den_g = sig_mass[boxes_e], om_mass[partners]
+    pair_ratios, ok = _ratios(pair_vals, sig_mass[boxes_e] * om_mass[partners], np.abs)
     at_r = _pair_mask(grid, boxes_e, partners, r) if c3_next else None
-    c3, w3 = _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, at_r)
-    c3n = _pair_sup(pair_vals, den_e, den_g, boxes_e, partners)[0] if c3_next else None
+    c3, w3 = _pair_sup(pair_ratios, ok, boxes_e, partners, at_r)
+    c3n = _pair_sup(pair_ratios, ok, boxes_e, partners)[0] if c3_next else None
     cubes = cube_mask[boxes_e] & cube_mask[partners]
     if at_r is not None:
         cubes = cubes & at_r
-    c3c, w3c = _pair_sup(pair_vals, den_e, den_g, boxes_e, partners, cubes)
+    c3c, w3c = _pair_sup(pair_ratios, ok, boxes_e, partners, cubes)
 
     nrm = operator_norm(t) if norm else 0.0
     csum = c1 + c2 + c3

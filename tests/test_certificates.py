@@ -382,8 +382,9 @@ def test_full_certificate_rejects_a_report_at_another_radius():
 
 
 def test_full_certificate_analyzes_each_function_once(rng, monkeypatch):
-    """f, g, f0, g0 and T(sigma 1) are analyzed once each; the other box
-    sums are one signed and one absolute average per stopping side."""
+    """f, g, f0 and g0 are analyzed once each, and T(sigma 1) not at all:
+    the boundary terms read it off W; the other box sums are one signed and
+    one absolute average per stopping side."""
     grid = build_grid(GridSpec(1, 4))
     sigma, omega = pair(rng, grid, zero_fraction=0.2)
     t = random_ewl(1, sigma, omega, 3)
@@ -403,7 +404,7 @@ def test_full_certificate_analyzes_each_function_once(rng, monkeypatch):
             monkeypatch.setattr(module, "analyze", counted("analyze", original))
     monkeypatch.setattr(_kernels, "box_sums", counted("box_sums", _kernels.box_sums))
     full_certificate(t, f, g, report=rep)
-    assert calls == {"analyze": 5, "box_sums": 9}
+    assert calls == {"analyze": 4, "box_sums": 8}
 
 
 @st.composite

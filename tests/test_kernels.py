@@ -10,8 +10,8 @@ import pytest
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
 from twoweight import GridSpec, LeafMeasure, _kernels, build_grid, cli, haar, localization, serialize, testing
-from twoweight.haar import basis, synthesize, synthesize_levels
-from twoweight.localization import SUPPORT_TOL, SupportGap, ewl_radius, wl_radius
+from twoweight.haar import basis, leaf_steps, synthesize, synthesize_levels
+from twoweight.localization import SUPPORT_TOL, WL_RTOL, SupportGap, ewl_radius, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
     DyadicOperator,
@@ -331,8 +331,11 @@ def _multi_block_operators():
 
 # sha256 of every report (c3_next on) and EWL radius of _multi_block_operators,
 # recorded from the box-value testing pass: Parseval sums and root-path sums
-# of sigma(B) times box B's synthesized value, with no sum over leaves.
-MULTI_BLOCK_SHA256 = "b2813faf0048e1d2e0dcc2b4aa0d0bb828979e7d925e451f59fb28b1129ce7d0"
+# of sigma(B) times box B's synthesized value, with no sum over leaves, the
+# leaf norms read off the leaf steps and each pairing one step off its
+# partner's parent (added in order, where np.sum adds 8 or more terms
+# pairwise).
+MULTI_BLOCK_SHA256 = "2a60eeaa1b4813cefc364b3de05d52613c8a51d49a3905142f3b5fb681bccbc1"
 
 
 def test_testing_pass_multi_block_output_unchanged(monkeypatch):
@@ -362,18 +365,21 @@ def test_testing_pass_multi_block_output_unchanged(monkeypatch):
     assert results[1][1:] == results[0][1:] and results[2][1:] == results[0][1:]
 
 
-@pytest.mark.parametrize("dimension,depth,columns", [(1, 0, 3), (1, 5, 32), (1, 8, 256),
-                                                     (2, 5, 1024), (1, 9, 40)])
+@pytest.mark.parametrize("dimension,depth,columns", [(1, 0, 3), (1, 1, 4), (1, 5, 32),
+                                                     (1, 8, 256), (2, 5, 1024), (1, 9, 40)])
 def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimension, depth,
                                                           columns):
-    """Every box comes once, in a level whose rows equal synthesize_boxes bit
-    for bit, sign of zero included, and the stream leaves every internal
-    box's row in held: at the default block size, at 4 leaves a block and at
-    one (CHUNK_FLOATS = N).  The coefficients: a draw with zero slots and
-    scattered -0.0 entries, whose first half of columns are signed zeros
-    only (-0.0 coefficients under -0.0 parent rows, and +0.0 ones); all
-    zeros; a single nonzero.  The nonzeros of the strided view coef.T are
-    those of coef, transposed."""
+    """Every internal box comes once, in a level whose rows equal
+    synthesize_boxes bit for bit, sign of zero included, and the stream
+    leaves every internal box's row in held; then the leaf steps cover the
+    last internal level in order, and the leaf values formed from them (a
+    parent's row, plus 0.0 on an upper half, and the listed children) equal
+    synthesize_boxes' leaves, sign of zero included.  At the default block
+    size, at 4 leaves a block and at one (CHUNK_FLOATS = N).  The
+    coefficients: a draw with zero slots and scattered -0.0 entries, whose
+    first half of columns are signed zeros only (-0.0 coefficients under -0.0
+    parent rows, and +0.0 ones); all zeros; a single nonzero.  The nonzeros
+    of the strided view coef.T are those of coef, transposed."""
     grid = build_grid(GridSpec(dimension, depth))
     mu = random_measure(grid, rng, zero_fraction=0.25)
     n = grid.num_leaves
@@ -404,13 +410,188 @@ def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimen
                     assert len(level) <= rows
                     got[heap0 : heap0 + len(level)] = level
                     seen.extend(range(heap0, heap0 + len(level)))
+                parents = []
+                for step in leaf_steps(mu, nz, held):
+                    k = len(step.mag)
+                    assert k <= rows and step.at.dtype == np.intp
+                    parents.extend(range(step.p0, step.p0 + k))
+                    top = held[step.p0 : step.p0 + k] if n > 1 else np.full((1, columns), -0.0)
+                    mag = np.abs(top)
+                    mag[step.at, step.cols] = 0.0
+                    assert np.array_equal(step.mag, mag)
+                    leaves = np.repeat(top, 2, axis=0)
+                    leaves[1::2] += 0.0
+                    for half in (0, 1):
+                        leaves[2 * step.at + half, step.cols] = step.children[:, half]
+                    got[2 * step.p0 : 2 * (step.p0 + k)][-n:] = leaves[-n:]  # heap 0 is no box
             assert rows == 1 or chunk_floats != n
-            leaves = [(h - n) // rows for h in seen if h >= n]
-            assert sorted(seen) == list(range(1, 2 * n)) and leaves == sorted(leaves)
+            assert sorted(seen) == list(range(1, n)) and parents == list(range(n // 2, n))
             assert np.array_equal(got[1:], want[1:])
             assert np.array_equal(np.signbit(got[1:]), np.signbit(want[1:]))
             assert np.array_equal(held[1:], want[1:n])
             assert np.array_equal(np.signbit(held[1:]), np.signbit(want[1:n]))
+
+
+# The leaf-block walk the leaf steps replaced, kept as their reference: the
+# leaf rows built whole from the last held level, block_rows(N) leaves at a
+# time, and the support gap, the leaf norms and the vanishing test read from
+# them.
+
+def _leaf_blocks(factor, nz, held):
+    """(heap0, rows): the leaf rows heap0 .. heap0 + len(rows) - 1 of the
+    stage whose internal rows held holds, synthesize_boxes' leaves."""
+    slots, cols, vals = nz
+    n, m = held.shape
+    top = held if n > 1 else np.full((1, m), -0.0)
+    size = _kernels.block_rows(n)
+    for a in range(n, 2 * n, size):
+        heaps = np.arange(a, min(a + size, 2 * n))
+        block = top[heaps >> 1] + np.where(heaps & 1, 0.0, -0.0)[:, None]
+        for half in (0, 1):
+            h = 2 * slots.astype(np.int64) + half
+            at = np.flatnonzero((h >= a) & (h < a + len(block)))
+            block[h[at] - a, cols[at]] = top[slots[at], cols[at]] + factor[h[at]] * vals[at]
+        yield a, block
+
+
+def _scan_blocks(gap, charged, blocks):
+    """gap's first and last support leaves from leaf rows (the leaf-block
+    scan SupportGap ran), charged the leaf measure's charged leaves."""
+    n = len(gap.first)
+    for heap0, block in blocks:
+        a, rows = heap0 - n, block.shape[0]
+        supp = (np.abs(block) > gap.tol) & charged[a : a + rows, None]
+        hs = np.flatnonzero(supp.any(axis=0) & gap.rects)
+        sub = supp[:, hs]
+        gap.first[hs] = np.minimum(gap.first[hs], a + np.argmax(sub, axis=0))
+        gap.last[hs] = np.maximum(gap.last[hs], a + rows - 1 - np.argmax(sub[::-1], axis=0))
+    return gap
+
+
+def _vanishing_from_rows(levels, in_measure, out_measure, fro):
+    """_vanishing_radius over whole rows of every level, leaves included."""
+    grid = in_measure.grid
+    depth = grid.box_depth
+    rect = np.flatnonzero(basis(out_measure).charged)
+    first = np.searchsorted(depth[rect], np.arange(grid.tree_depth + 1) - 1)
+    mass = in_measure.box_mass
+    out_tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[rect])
+    worst = 0
+    for heap0, rows in levels:
+        k = first[depth[heap0]]
+        at = slice(heap0, heap0 + len(rows))
+        qi, ri = np.nonzero(np.abs(rows[:, rect[k:]] * mass[at, None])
+                            > np.sqrt(mass)[at, None] * out_tol[k:])
+        q, r = heap0 + qi, rect[k + ri]
+        need = np.maximum(depth[q] - grid.lca_depth(r, q),
+                          np.where(grid.contains(q, r), 0, depth[r] - depth[q] + 1))
+        worst = max(worst, int(need.max(initial=0)))
+    return worst
+
+
+def _block_side(t, transpose):
+    """One input stage read through leaf blocks: (gap, leaf norms, vanishing radius)."""
+    in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
+    n = t.grid.num_leaves
+    nz, held = t.nonzeros(transpose), np.empty((n, n))
+    levels = [(heap0, rows.copy()) for heap0, rows in synthesize_levels(in_m, nz, held)]
+    blocks = list(_leaf_blocks(basis(in_m).factor, nz, held))
+    gap = _scan_blocks(SupportGap(out_m, in_m, t.frobenius()), in_m.charged_leaves(), blocks)
+    leaf_sq = np.concatenate([np.einsum("ij,ij->i", rows, rows) for _, rows in blocks])
+    return gap, leaf_sq, _vanishing_from_rows(levels + blocks, in_m, out_m, t.frobenius())
+
+
+def _crafted_gap_operators(rng):
+    """On 64 leaves, fully charged: W's column 3 holds a constant and, at the
+    first last-level rectangle, the entry whose lower child cancels its
+    parent, so the first support leaf is 1; column 5 does it at the last
+    one's upper child, so the last support leaf is 62.  Returns the operator
+    and those (column, first, last)."""
+    grid = build_grid(GridSpec(1, 6))
+    n = grid.num_leaves
+    sigma, omega = random_measure(grid, rng), random_measure(grid, rng)
+    b = basis(omega)
+    w = np.zeros((n, n))
+    x = 0.7 * b.inv_sqrt_total  # the column's value on every box above leaf scale
+    w[0, [3, 5]] = 0.7
+    w[n // 2, 3] = x / b.beta[n // 2]
+    w[n - 1, 5] = -x / b.alpha[n - 1]
+    return DyadicOperator(grid, sigma, omega, w), [(3, 1, n - 1), (5, 0, n - 2)]
+
+
+def _leaf_step_cases():
+    """_multi_block_operators, then grids of 1, 2 and 4 leaves, a measure
+    charging one leaf, and columns whose coefficients are -0.0 only."""
+    yield from _multi_block_operators()
+    rng = np.random.default_rng(2404)
+    for depth in (0, 1, 2):
+        grid = build_grid(GridSpec(1, depth))
+        sigma, omega = random_measure(grid, rng), random_measure(grid, rng, zero_fraction=0.3)
+        for r in range(2):
+            yield random_ewl(r, sigma, omega, 7 + r)
+        yield DyadicOperator(grid, sigma, omega, rng.standard_normal((grid.num_leaves,) * 2))
+    grid = build_grid(GridSpec(1, 5))
+    point = np.zeros(grid.num_leaves)
+    point[rng.integers(grid.num_leaves)] = 2.0
+    yield random_ewl(1, random_measure(grid, rng), LeafMeasure(grid, point), 3)
+    yield random_ewl(1, LeafMeasure(grid, point), random_measure(grid, rng), 3)
+    sigma, omega = random_measure(grid, rng), random_measure(grid, rng)
+    w = rng.standard_normal((grid.num_leaves,) * 2)
+    w[:, :8] = -0.0
+    w[rng.random(w.shape) < 0.3] = -0.0
+    yield DyadicOperator(grid, sigma, omega, w)
+
+
+def test_leaf_steps_match_leaf_blocks(monkeypatch):
+    """The leaf steps against the leaf-block walk: equal SupportGap first and
+    last, ewl_radius, wl_radius and radii, and leaf norms within 1e-15, per
+    side, under the three block rules of the multi-block test, on the
+    operators of _leaf_step_cases; and on a crafted column whose first (last)
+    support leaf is an upper (lower) child whose charged sibling cancels."""
+    cases = list(_leaf_step_cases())
+    crafted, expected = _crafted_gap_operators(np.random.default_rng(24))
+    for chunk_floats, max_rows in [(_kernels.CHUNK_FLOATS, _kernels.MAX_BLOCK_ROWS),
+                                   (1 << 15, 1 << 30), (_kernels.CHUNK_FLOATS, 4)]:
+        monkeypatch.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(_kernels, "MAX_BLOCK_ROWS", max_rows)
+        for t in [*cases, crafted]:
+            ewl, wl = 0, 1
+            for transpose in (True, False):
+                want_gap, want_sq, want_wl = _block_side(t, transpose)
+                in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
+                gap = SupportGap(out_m, in_m, t.frobenius())
+                stage = _held_stage(t, transpose, gap)
+                assert np.array_equal(gap.first, want_gap.first)
+                assert np.array_equal(gap.last, want_gap.last)
+                assert np.all(np.abs(stage.leaf_sq - want_sq) <= 1e-15 * want_sq)
+                ewl, wl = max(ewl, want_gap.value), max(wl, want_wl)
+            assert ewl_radius(_fresh(t)) == ewl and wl_radius(_fresh(t)) == wl
+            assert localization.radii(_fresh(t)) == (ewl, wl)
+        gap = SupportGap(crafted.sigma, crafted.omega, crafted.frobenius())
+        _held_stage(crafted, False, gap)
+        for column, first, last in expected:
+            assert (gap.first[column], gap.last[column]) == (first, last)
+
+
+def test_mask_uncharged_keeps_signed_zeros_at_charged_slots(rng):
+    """Building an operator zeroes W at uncharged output rows and input
+    columns to +0.0, and keeps every other entry bit for bit, -0.0 included;
+    its nonzero list is a fresh scan of the masked W."""
+    grid = build_grid(GridSpec(1, 5))
+    sigma = random_measure(grid, rng, zero_fraction=0.3)
+    omega = random_measure(grid, rng, zero_fraction=0.3)
+    rows, cols = basis(omega).charged_slots(), basis(sigma).charged_slots()
+    assert not rows.all() and not cols.all()
+    w = rng.standard_normal((grid.num_leaves,) * 2)
+    w[rng.random(w.shape) < 0.4] = -0.0
+    t = DyadicOperator(grid, sigma, omega, w.copy())
+    kept = np.ix_(rows, cols)
+    assert np.array_equal(t.w[kept].view(np.int64), w[kept].view(np.int64))
+    assert np.signbit(t.w[kept]).any()
+    masked = ~(rows[:, None] & cols[None, :])
+    assert not t.w[masked].view(np.int64).any()  # +0.0, not -0.0
+    for got, want in zip(t.nonzeros(), _kernels.nonzeros(t.w)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 # The leaf-sum output stage the box-value pass replaced, kept as its
@@ -418,7 +599,7 @@ def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimen
 # time, scale them by the input leaf masses and add them up, box by box, to
 # the output coefficients c_B of T(sigma 1_B).
 
-def _leaf_blocks(alpha, beta, coef, inv_sqrt_total, out):
+def _leaf_walk(alpha, beta, coef, inv_sqrt_total, out):
     """synthesize(alpha, beta, coef.T, inv_sqrt_total).T in out, (a, out[a :
     a + block_rows(N)]) a leaf block at a time, depth first."""
     n, m = coef.shape
@@ -505,9 +686,8 @@ def _leaf_sum_report(monkeypatch, t):
         source, in_measure = (t.w.T, t.sigma) if transpose else (t.w, t.omega)
         b = basis(in_measure)
         out = np.empty((n, n))
-        blocks = _leaf_blocks(b.alpha, b.beta, source, b.inv_sqrt_total, out)
-        for _ in gap.scan((n + a, block) for a, block in blocks):
-            pass
+        blocks = list(_leaf_walk(b.alpha, b.beta, source, b.inv_sqrt_total, out))
+        _scan_blocks(gap, in_measure.charged_leaves(), ((n + a, block) for a, block in blocks))
         return out
 
     def output(out, in_measure, out_measure, pair_offsets, pair_partner):

@@ -409,7 +409,10 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
 # (certificates.prepare).  Trial 70 (lacunary, d=4) then has 2 stopping
 # members, not 3: there g0 is positive on one charged leaf alone, so that
 # leaf's <|g0|> is exactly twice the root's and the strict doubling test
-# ties; the last bit decides it.
+# ties; the last bit decides it.  The digest was re-recorded once the
+# boundary terms were read off W and the coefficients (no synthesis of T(sigma
+# f0) or T(sigma 1)): their values moved by at most 5.9e-15 relative, and
+# those at the rounding floor (|value| < 1e-13, at most 1.7e-16) now read 0.
 GOLDEN_SWEEP = {
     "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
     "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
@@ -428,7 +431,7 @@ GOLDEN_VERDICT_KEYS = [
     "packing_f", "packing_g", "partner_count", "projection_norms",
 ]
 GOLDEN_MEMBERS = {"total": 456, "max": 8}
-GOLDEN_CERT_SHA256 = "1b6fded1aaf8ba1a3c987b57d142a84f6cb1f8dd150919034e7b732b1a0d9a25"
+GOLDEN_CERT_SHA256 = "079e22da35f8df2466412c7b9dc78aa301be0792686959fb29021ede9b36f406"
 
 
 def test_certified_sweep_output_unchanged(tmp_path):
