@@ -3,9 +3,9 @@
 Arrays follow the heap layout used throughout the package: a full binary tree
 over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
-(batch) axes, except synthesize_levels, which builds every internal box's
-row of M functions from the nonzero coefficients of an (N, M) array
-(nonzeros), vectorized over the nonzeros and the M columns; leaf_steps,
+(batch) axes, except synthesize_levels, which fills a buffer with every
+internal box's row of M functions from the nonzero coefficients of an (N, M)
+array (nonzeros), vectorized over the nonzeros and the M columns; leaf_steps,
 which reads the leaf level one step off the last of those rows, so no leaf
 row is built; and the readers of the rows held (held_values, testing_images).
 """
@@ -110,11 +110,6 @@ def synthesize_at(factor, coef, boxes, cols, depth, inv_sqrt_total):
     return val
 
 
-def synthesize(alpha, beta, coef, inv_sqrt_total):
-    """Inverse of analyze: whitened coefficients -> leaf values (..., N)."""
-    return synthesize_boxes(alpha, beta, coef, inv_sqrt_total)[..., alpha.shape[-1]:]
-
-
 def block_rows(n):
     """Rows per block of an n-column array (see CHUNK_FLOATS): a power of two
     that divides n when n is a power of two."""
@@ -140,21 +135,17 @@ def transpose_nonzeros(nz):
 
 
 def synthesize_levels(factor, nz, held):
-    """The value of every column's synthesis on every internal box, a level
-    at a time.
+    """The value of every column's synthesis on every internal box, in held.
 
     factor: the basis' WeightedBasis.factor (-beta on a lower half, alpha on
     an upper one, inv_sqrt_total at the root).  nz: nonzeros(coef) of
     whitened coefficients coef (N, M) along the leading axis (row = input
     slot), one function per column.  held: a C-contiguous (N, M) buffer that
-    receives box H's row, 1 <= H < N.  Yields (heap0, rows), rows[j] the
-    value of every column on box heap0 + j: synthesize_boxes(alpha, beta,
-    coef.T, inv_sqrt_total)[:, heap0 + j], bit for bit.  The walk is breadth
-    first.  Box 1's row is slot 0's nonzeros times inv_sqrt_total; each
-    further internal level is built whole in held from the one above and
-    yielded in pieces of at most block_rows(N) rows.  The leaves are not
-    built: leaf_steps reads them off the last held level once the stream
-    has ended.
+    receives box H's row, 1 <= H < N: synthesize_boxes(alpha, beta, coef.T,
+    inv_sqrt_total)[:, H], bit for bit.  Box 1's row is slot 0's nonzeros
+    times inv_sqrt_total; each further internal level is built whole from
+    the one above, breadth first.  The leaves are not built: leaf_steps
+    reads them off the last held level.
 
     A level is built with synthesize_boxes' float operations: every child
     starts as its parent's row x, as x - beta * 0.0 (that is x) on a lower
@@ -167,7 +158,6 @@ def synthesize_levels(factor, nz, held):
     n, m = held.shape
     if n == 1:  # the root is the only box, and a leaf
         return
-    rows = block_rows(n)
     # parent p's nonzeros: start[p]:start[p + 1], for the parents of internal boxes
     start = np.searchsorted(slots, np.arange(n // 2 + 1, dtype=slots.dtype))
     # per nonzero (p, c, v): x is held[p, c], flat src; its children's entries
@@ -180,15 +170,12 @@ def synthesize_levels(factor, nz, held):
     flat = held.reshape(-1)
     held[1] = 0.0
     held[1, cols[: start[1]]] = vals[: start[1]] * factor[1]
-    yield 1, held[1:2]
     h = 1
     while 2 * h < n:
         held[2 * h : 4 * h : 2] = held[h : 2 * h]
         np.add(held[h : 2 * h], 0.0, out=held[2 * h + 1 : 4 * h : 2])
         s = slice(start[h], start[2 * h])
         flat[at[s]] = flat[src[s], None] + step[s]
-        for a in range(2 * h, 4 * h, rows):
-            yield a, held[a : min(a + rows, 4 * h)]
         h <<= 1
 
 
@@ -204,8 +191,8 @@ class LeafStep(NamedTuple):
 
 
 def leaf_steps(factor, nz, held):
-    """The leaf level of a synthesize_levels stream, a step off the last
-    held level, block_rows(N) parents at a time, once the stream has ended.
+    """The leaf level of the stage synthesize_levels left in held, a step
+    off the last held level, block_rows(N) parents at a time.
 
     factor: the basis' WeightedBasis.factor.  A leaf's value in column c is
     its parent p's value x, or x + 0.0 on an upper half, unless nz lists
@@ -242,7 +229,7 @@ GATHER_VALUES = 1 << 14
 
 
 class HeldStage(NamedTuple):
-    """An input stage after its synthesize_levels stream."""
+    """An input stage as synthesize_levels left it, with its leaf norms."""
 
     held: np.ndarray  # held[H]: box H's value row, 1 <= H < N
     source: np.ndarray  # the coefficients synthesized (N, M): W or the view W.T

@@ -175,7 +175,7 @@ def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int):
     fhat, ghat = f.coef0, g.coef0
     fnorm, gnorm = f.norm0, g.norm0
 
-    tiny = 1e-13 * (1.0 + t.frobenius())
+    tiny = 1e-13 * t.frobenius()  # relative to W alone, so scaling W keeps every class
     rows, cols, vals = t.nonzeros()
     # f0 and g0 have no constant part
     keep = (np.abs(vals) > tiny) & (rows >= 1) & (cols >= 1)
@@ -193,7 +193,7 @@ def decompose_ABC(t: DyadicOperator, f: Analyzed, g: Analyzed, r: int):
     c = float(np.sum(contrib[mask_c]))
     pi = float(ghat @ (t.w @ fhat))  # t.pairing(f0, g0)
     residual = pi - (a + b + c)
-    if abs(residual) > PARTITION_RTOL * max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300):
+    if abs(residual) > PARTITION_RTOL * max(fnorm * gnorm * t.frobenius(), 1e-300):
         pair = None
         if np.any(mask_x):
             worst = int(np.argmax(np.abs(contrib[mask_x])))
@@ -242,7 +242,7 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int, c2: 
     omega = t.omega
     fhat = parts["fhat"]
     fnorm, gnorm = parts["fnorm"], parts["gnorm"]
-    scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
+    scale = max(fnorm * gnorm * t.frobenius(), 1e-300)
     om_mass = omega.box_mass
     num_boxes = grid.num_boxes
     gavg = family.average
@@ -359,7 +359,7 @@ def full_certificate(t: DyadicOperator, f_values, g_values, report=None) -> Bili
     boundary, verdicts = boundary_terms_check(t, f, g, c1, c2)
 
     a, b, c, parts = decompose_ABC(t, f, g, r)
-    scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
+    scale = max(fnorm * gnorm * t.frobenius(), 1e-300)
     pi_full = float(g.coef @ (t.w @ f.coef))  # t.pairing(f, g)
     residuals = {
         "abc_partition": abs(parts["residual"]) / scale,

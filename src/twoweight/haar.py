@@ -107,27 +107,9 @@ def synthesize(mu: LeafMeasure, coef: np.ndarray) -> np.ndarray:
     block = _kernels.block_rows(rows.shape[1])
     out = np.empty(rows.shape)
     for a in range(0, rows.shape[0], block):
-        out[a : a + block] = _kernels.synthesize(b.alpha, b.beta, rows[a : a + block],
-                                                 b.inv_sqrt_total)
+        out[a : a + block] = _kernels.synthesize_boxes(b.alpha, b.beta, rows[a : a + block],
+                                                       b.inv_sqrt_total)[:, rows.shape[1]:]
     return out.reshape(coef.shape)
-
-
-def synthesize_levels(mu: LeafMeasure, nz, held):
-    """synthesize_boxes of every column of whitened coefficients coef (N, M),
-    one function per column, from their nonzeros nz = _kernels.nonzeros(coef),
-    a level of internal boxes at a time, every internal box's row left in
-    held (see _kernels.synthesize_levels); the leaves are read off the last
-    held level by leaf_steps.  With coef = W over the output measure omega,
-    column E gives T(sigma h_E) on the omega boxes; with coef = W.T over
-    sigma, column R gives T*(omega h_R): the input stages of the testing
-    pass and the classifiers."""
-    return _kernels.synthesize_levels(basis(mu).factor, nz, held)
-
-
-def leaf_steps(mu: LeafMeasure, nz, held):
-    """The leaf level of the same stage, one step off the last internal level
-    of held once synthesize_levels has ended (_kernels.leaf_steps)."""
-    return _kernels.leaf_steps(basis(mu).factor, nz, held)
 
 
 def indicator_coefficients(mu: LeafMeasure, heap: int):

@@ -12,12 +12,13 @@ either measure keeps the radius.  Every support lies in Q0 = E^(depth(E)),
 so the radius of any operator on the grid is at most tree_depth - 1, the
 depth of the smallest rectangles; a dense generic W attains that bound.
 The images are the leaf levels of the input stages of the testing pass
-(which reads the radius from them too), synthesize_levels of the rows and
-of the columns of W, built from W's nonzeros (DyadicOperator.nonzeros),
-each leaf read one step off its parent's row (leaf_steps): the parent's
-magnitude, or a listed child's value.  SupportGap keeps each rectangle's
-first and last support leaf as the leaf steps stream past and reads the
-radius from those alone, so the radius does not depend on the block size.
+(which reads the radius from them too): input_stage holds every internal
+box's row of the synthesis of the rows and of the columns of W, built from
+W's nonzeros (DyadicOperator.nonzeros), and each leaf is read one step off
+its parent's row (leaf_steps): the parent's magnitude, or a listed child's
+value.  SupportGap keeps each rectangle's first and last support leaf as
+the leaf steps stream past and reads the radius from those alone, so the
+radius does not depend on the block size.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -37,8 +38,9 @@ exceeds WL_RTOL ||W||_F sqrt(mu(Q) nu(R)) (mu the input measure, nu the
 output one), and at least 1; wl_check(T, r) is r >= wl_radius(T).  The
 pairing is <1_Q, T*(nu h_R)>_mu, mu(Q) times the same input stage's value on
 box Q (at leaf scale, where R lies on the last internal level, read off
-the leaf steps), so radii(T) reads both radii from one synthesis per side.  An
-operator keeps both radii once read (W is read-only), as it keeps ||W||_F.
+the leaf steps), so radii(T) reads both radii from one input stage per
+side, and ewl_radius and wl_radius are its two fields.  An operator keeps
+both radii once read (W is read-only), as it keeps ||W||_F.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .haar import basis, leaf_steps, synthesize_levels
+from .haar import basis
 from .operators import DyadicOperator
 
 SUPPORT_TOL = 1e-12
@@ -126,49 +128,43 @@ class SupportGap:
         return int((grid.box_depth[e] - top).max(initial=0))
 
 
-def _stages(t: DyadicOperator):
-    """(internal levels, leaf steps, input measure, output measure) of the
-    input stage of T and of T*, one after the other: the rows of W over
-    sigma give T*(omega h_R), its columns over omega T(sigma h_E).  Each
-    stage holds its internal rows in an N x N buffer of its own, which its
-    leaf steps read once the levels have streamed past."""
+def input_stage(t: DyadicOperator, transpose: bool):
+    """(nz, held, factor, input measure, output measure) of one input stage
+    of t: with transpose, the rows of W (the columns of W.T) synthesized
+    over sigma, whose row R on the sigma boxes is T*(omega h_R); without,
+    the columns of W over omega, whose column E is T(sigma h_E) on the omega
+    boxes.  nz is the side's nonzero list, held an N x N buffer of its own
+    holding every internal box's row (_kernels.synthesize_levels), and
+    factor the input basis' WeightedBasis.factor; the leaves are read off
+    held by _kernels.leaf_steps(factor, nz, held)."""
+    in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
     n = t.grid.num_leaves
-    for transpose, in_m, out_m in ((True, t.sigma, t.omega), (False, t.omega, t.sigma)):
-        nz, held = t.nonzeros(transpose), np.empty((n, n))
-        yield synthesize_levels(in_m, nz, held), leaf_steps(in_m, nz, held), in_m, out_m
+    nz, held, factor = t.nonzeros(transpose), np.empty((n, n)), basis(in_m).factor
+    _kernels.synthesize_levels(factor, nz, held)
+    return nz, held, factor, in_m, out_m
 
 
 def ewl_radius(t: DyadicOperator) -> int:
-    """Smallest uniform localization radius, at most tree_depth - 1.
+    """Smallest uniform localization radius, at most tree_depth - 1 (radii).
 
-    Each side's leaf steps are streamed into its gap once its internal
-    levels are built.  The smallest box holding a rectangle and its support
-    is the root at the largest, a gap of at most the rectangle's depth, and
-    rectangles sit above leaf scale.
+    The smallest box holding a rectangle and its support is the root at the
+    largest, a gap of at most the rectangle's depth, and rectangles sit
+    above leaf scale.
     """
-    if t._ewl is None:
-        ewl, fro = 0, t.frobenius()
-        for levels, steps, in_m, out_m in _stages(t):
-            for _ in levels:
-                pass
-            gap = SupportGap(out_m, in_m, fro)
-            for _ in gap.scan(steps):
-                pass
-            ewl = max(ewl, gap.value)
-        t._ewl = ewl
-    return t._ewl
+    return radii(t)[0]
 
 
-def _vanishing_radius(levels, steps, in_measure, out_measure, fro):
+def _vanishing_radius(held, steps, in_measure, out_measure, fro):
     """Smallest r >= 0 at which one side's vanishing conditions hold.
 
-    levels and steps are the side's input stage, rows[Q, R] = v, the value
-    on box Q of T*(nu h_R): mu(Q) v is <T(mu 1_Q), h_R> (mu, nu the input
-    and output measures), since each component of a rectangle inside Q has
-    mu-mean zero on Q.  A pair of a charged R with |R| <= 2|Q| whose pairing
-    exceeds the tolerance raises r to its bound (module docstring).  At leaf
-    scale that is R of the last internal level, read off the leaf steps:
-    |v| is the step's magnitude, or a listed child's value.
+    held and steps are the side's input stage (input_stage, leaf_steps),
+    rows[Q, R] = v, the value on box Q of T*(nu h_R): mu(Q) v is
+    <T(mu 1_Q), h_R> (mu, nu the input and output measures), since each
+    component of a rectangle inside Q has mu-mean zero on Q.  A pair of a
+    charged R with |R| <= 2|Q| whose pairing exceeds the tolerance raises r
+    to its bound (module docstring).  At leaf scale that is R of the last
+    internal level, read off the leaf steps: |v| is the step's magnitude,
+    or a listed child's value.
     """
     grid = in_measure.grid
     depth = grid.box_depth
@@ -180,7 +176,7 @@ def _vanishing_radius(levels, steps, in_measure, out_measure, fro):
         return int(need.max(initial=0))
 
     worst, batch, count = 0, [], 0
-    for pair in _exceeding(levels, steps, in_measure, out_measure, fro):
+    for pair in _exceeding(held, steps, in_measure, out_measure, fro):
         batch.append(pair)
         count += len(pair[0])
         if count > _kernels.CHUNK_FLOATS:  # in bounded batches
@@ -188,9 +184,9 @@ def _vanishing_radius(levels, steps, in_measure, out_measure, fro):
     return max(worst, bound(batch))
 
 
-def _exceeding(levels, steps, in_measure, out_measure, fro):
+def _exceeding(held, steps, in_measure, out_measure, fro):
     """(boxes Q, rectangles R) of the pairs of _vanishing_radius above the
-    tolerance, a level of internal boxes or a leaf step at a time."""
+    tolerance, block_rows(N) held rows of a level or a leaf step at a time."""
     grid = in_measure.grid
     depth = grid.box_depth
     rect = np.flatnonzero(basis(out_measure).charged)
@@ -198,17 +194,19 @@ def _exceeding(levels, steps, in_measure, out_measure, fro):
     mass = in_measure.box_mass
     sqrt_in = np.sqrt(mass)
     out_tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[rect])
-    for heap0, rows in levels:
-        k = first[depth[heap0]]
-        at = slice(heap0, heap0 + len(rows))
-        pairing = rows[:, rect[k:]] * mass[at, None]
-        qi, ri = np.nonzero(np.abs(pairing) > sqrt_in[at, None] * out_tol[k:])
-        yield heap0 + qi, rect[k + ri]
+    n, size = grid.num_leaves, _kernels.block_rows(grid.num_leaves)
+    for d in range(grid.tree_depth):
+        h, k = 1 << d, first[d]
+        for heap0 in range(h, 2 * h, size):
+            at = slice(heap0, min(heap0 + size, 2 * h))
+            pairing = held[at, rect[k:]] * mass[at, None]
+            qi, ri = np.nonzero(np.abs(pairing) > sqrt_in[at, None] * out_tol[k:])
+            yield heap0 + qi, rect[k + ri]
     k = first[grid.tree_depth]
     leaf_rect, leaf_tol = rect[k:], out_tol[k:]
-    is_leaf_rect = np.zeros(grid.num_leaves, dtype=bool)
+    is_leaf_rect = np.zeros(n, dtype=bool)
     is_leaf_rect[leaf_rect] = True
-    col_tol = np.zeros(grid.num_leaves)  # the listed entries' tolerance by column
+    col_tol = np.zeros(n)  # the listed entries' tolerance by column
     col_tol[leaf_rect] = leaf_tol
     for step in steps:
         sub = step.mag[:, leaf_rect]
@@ -226,23 +224,26 @@ def _exceeding(levels, steps, in_measure, out_measure, fro):
 
 def wl_radius(t: DyadicOperator) -> int:
     """Smallest r >= 1 with wl_check(t, r); wl_check holds exactly from it on.
-    The tolerance scales with ||W||_F (module docstring), so scaling W keeps r."""
-    if t._wl is None:
-        t._wl = max(1, *(_vanishing_radius(*stage, t.frobenius()) for stage in _stages(t)))
-    return t._wl
+    The tolerance scales with ||W||_F (module docstring), so scaling W keeps
+    r (radii)."""
+    return radii(t)[1]
 
 
 def radii(t: DyadicOperator) -> tuple:
-    """(ewl_radius(t), wl_radius(t)) from one synthesis per side: each input
-    stage streams through its support gap into its vanishing test."""
-    if t._ewl is None or t._wl is None:
+    """(ewl_radius(t), wl_radius(t)) from one input stage per side, each
+    side's leaf steps streamed through its support gap into its vanishing
+    test; read once per operator."""
+    if t._radii is None:
         fro, ewl, wl = t.frobenius(), 0, 1
-        for levels, steps, in_m, out_m in _stages(t):
+        for transpose in (True, False):
+            nz, held, factor, in_m, out_m = input_stage(t, transpose)
             gap = SupportGap(out_m, in_m, fro)
-            wl = max(wl, _vanishing_radius(levels, gap.scan(steps), in_m, out_m, fro))
+            steps = gap.scan(_kernels.leaf_steps(factor, nz, held))
+            wl = max(wl, _vanishing_radius(held, steps, in_m, out_m, fro))
             ewl = max(ewl, gap.value)
-        t._ewl, t._wl = ewl, wl
-    return t._ewl, t._wl
+            del nz, held, steps  # one stage's N x N buffer at a time
+        t._radii = ewl, wl
+    return t._radii
 
 
 def wl_check(t: DyadicOperator, r: int) -> bool:

@@ -85,7 +85,7 @@ class DyadicOperator:
         self.meta = meta or {}
         self._nz = _mask_uncharged(w, basis(sigma), basis(omega))
         w.flags.writeable = False  # operators are immutable once built
-        self._fro = self._ewl = self._wl = None  # read once (W is read-only)
+        self._fro = self._radii = None  # read once (W is read-only)
 
     # -- action --------------------------------------------------------------
 

@@ -19,11 +19,11 @@ own base, so it belongs to the rectangle system as a set):
 plus the global (unrestricted) and cube-indexed variants.  Zero-mass boxes
 are skipped.  testing_report computes all of them in one image pass per
 side and returns them as the fields of one TestingReport.  Each pass starts
-from one input stage (haar.synthesize_levels), the value of every internal
-input box's synthesis a level at a time, built from W's nonzeros (read once
-per operator, as the Lanczos norm reads them) and held in one buffer; the
-leaf level is read one step off the last internal level (haar.leaf_steps),
-and no leaf row is built.  The pass stays in coefficient space: the output
+from one input stage (localization.input_stage), the value of every internal
+input box's synthesis, built from W's nonzeros (read once per operator, as
+the Lanczos norm reads them) and held in one buffer; the leaf level is read
+one step off the last internal level (_kernels.leaf_steps), and no leaf row
+is built.  The pass stays in coefficient space: the output
 coefficients of T(sigma 1_E) are sigma(E) times box E's row, and the
 whitened output basis is orthonormal in L^2(omega), so every norm above is
 a Parseval sum of them and every pairing omega(G) times their root-path sum
@@ -45,8 +45,8 @@ import numpy as np
 from . import _kernels
 from .exceptions import NormError
 from .grid import Grid
-from .haar import basis, leaf_steps, synthesize_levels
-from .localization import SupportGap
+from .haar import basis
+from .localization import SupportGap, input_stage
 from .operators import DyadicOperator
 
 
@@ -165,19 +165,13 @@ def admissible_pairs(grid: Grid, r: int):
 
 
 def _held_stage(t: DyadicOperator, transpose: bool, gap):
-    """One input stage of t, synthesize_levels of W's columns over omega or,
-    with transpose, of its rows (the columns of W.T) over sigma, from W's
-    nonzeros, drained into a HeldStage: every internal box's row is held,
-    and its leaf steps stream through gap, each leaf's squared row norm read
-    off its step."""
-    source, in_measure = (t.w.T, t.sigma) if transpose else (t.w, t.omega)
+    """One input stage of t (localization.input_stage) as a HeldStage:
+    every internal box's row is held, and its leaf steps stream through
+    gap, each leaf's squared row norm read off its step."""
+    nz, held, factor, _, _ = input_stage(t, transpose)
     n = t.grid.num_leaves
-    nz = t.nonzeros(transpose)
-    held = np.empty((n, n))
-    for _ in synthesize_levels(in_measure, nz, held):
-        pass
     leaf_sq = np.empty(2 * n)  # heap-indexed; slot 0 is written at N = 1 and dropped
-    for step in gap.scan(leaf_steps(in_measure, nz, held)):
+    for step in gap.scan(_kernels.leaf_steps(factor, nz, held)):
         k = len(step.mag)
         pairs = leaf_sq[2 * step.p0 : 2 * (step.p0 + k)].reshape(k, 2)  # by parent
         pairs[:] = np.einsum("ij,ij->i", step.mag, step.mag)[:, None]
@@ -189,7 +183,7 @@ def _held_stage(t: DyadicOperator, transpose: bool, gap):
         before[1:] = at[:-1]
         first = np.flatnonzero(at != before)
         pairs[at[first]] += np.add.reduceat(step.children ** 2, first)
-    return _kernels.HeldStage(held, source, basis(in_measure).factor, leaf_sq[n:])
+    return _kernels.HeldStage(held, t.w.T if transpose else t.w, factor, leaf_sq[n:])
 
 
 def _output_stage(stage, in_measure, out_measure, pair_offsets, pair_partner):

@@ -218,6 +218,27 @@ def test_partition_residual_sweep(r, rng):
     assert passes >= 45
 
 
+def test_full_certificate_scales_with_the_coefficients(rng):
+    """full_certificate on c W, c from 1e-12 to 1e6: A, B, C, B1 and B2 are c
+    times their values at c = 1 within 1e-9 relative, with the same
+    verdicts.  The floor below which an entry of W is dropped and the
+    residual scale both follow ||W||_F, so no unit decides which pairs
+    count."""
+    grid = build_grid(GridSpec(1, 5))
+    keys = ("a_term", "b_term", "c_term", "b1_term", "b2_term")
+    for seed in range(6):
+        sigma, omega = pair(rng, grid)
+        t = random_ewl(1, sigma, omega, seed)
+        f, g = rng.standard_normal((2, grid.num_leaves))
+        base = full_certificate(t, f, g)
+        for c in (1e-12, 1e-6, 1.0, 1e6):
+            cert = full_certificate(DyadicOperator(grid, sigma, omega, c * t.w), f, g)
+            for key in keys:
+                want = c * getattr(base, key)
+                assert abs(getattr(cert, key) - want) <= 1e-9 * abs(want), (seed, c, key)
+            assert cert.verdicts == base.verdicts, (seed, c)
+
+
 def test_decomposition_error_names_pair(rng):
     # a dense operator is not localized at radius 0: cousin pairs survive
     grid = build_grid(GridSpec(1, 3))

@@ -1,6 +1,7 @@
 """The batched testing pass and ewl_radius against direct references."""
 
 import hashlib
+import inspect
 import json
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
 from twoweight import GridSpec, LeafMeasure, _kernels, build_grid, cli, haar, localization, serialize, testing
-from twoweight.haar import basis, leaf_steps, synthesize, synthesize_levels
+from twoweight.haar import basis, synthesize
 from twoweight.localization import SUPPORT_TOL, WL_RTOL, SupportGap, ewl_radius, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
@@ -197,6 +198,18 @@ def test_ewl_radius_independent_of_block_size(monkeypatch, rng, dimension, depth
             assert localization.radii(_fresh(t)) == (want, wl), (chunk_floats, t.family)
 
 
+def test_benchmark_entry_points():
+    """The benchmark's per-layer counters read testing_images' argument 7
+    (lo, one entry per heap slot) and argument 10 (pair_partner), its
+    environment record reads HAVE_NUMBA, and its workloads and spans call
+    these functions by name."""
+    params = list(inspect.signature(_kernels.testing_images).parameters)
+    assert params[7] == "lo" and params[10] == "pair_partner"
+    assert _kernels.HAVE_NUMBA is False
+    for fn in (localization.ewl_radius, localization.wl_check, haar.synthesize):
+        assert callable(fn)
+
+
 def _fresh(t):
     return DyadicOperator(t.grid, t.sigma, t.omega, t.w.copy(), family=t.family)
 
@@ -212,7 +225,7 @@ def _patch_everywhere(monkeypatch, module, name, wrap):
 
 
 def _axis_reader(monkeypatch):
-    """axis_read(args): which axis of W a synthesize_levels(mu, nz, held)
+    """axis_read(args): which axis of W a synthesize_levels(factor, nz, held)
     call reads, told by the nonzero list nz, which DyadicOperator.nonzeros
     hands out: W's rows (W's own list) or its columns (W.T's)."""
     listed = {}
@@ -258,7 +271,7 @@ def test_run_trial_synthesizes_each_side_once(monkeypatch, certify):
 
     original_certificate = certificates.full_certificate
     monkeypatch.setattr(sweep, "full_certificate", certificate)
-    for module, name in [(testing, "testing_report"), (haar, "synthesize_levels"),
+    for module, name in [(testing, "testing_report"), (_kernels, "synthesize_levels"),
                          (haar, "synthesize"), (localization, "ewl_radius"),
                          (_kernels, "nonzeros")]:
         _patch_everywhere(monkeypatch, module, name, counted)
@@ -298,7 +311,7 @@ def test_classify_synthesizes_each_side_once(monkeypatch, tmp_path, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    _patch_everywhere(monkeypatch, haar, "synthesize_levels", counted)
+    _patch_everywhere(monkeypatch, _kernels, "synthesize_levels", counted)
     _patch_everywhere(monkeypatch, _kernels, "synthesize_boxes", counted)
     _patch_everywhere(monkeypatch, _kernels, "nonzeros", counted)
     assert cli.main(["classify", "--operator", str(path)]) == 0
@@ -369,10 +382,9 @@ def test_testing_pass_multi_block_output_unchanged(monkeypatch):
                                                      (1, 8, 256), (2, 5, 1024), (1, 9, 40)])
 def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimension, depth,
                                                           columns):
-    """Every internal box comes once, in a level whose rows equal
-    synthesize_boxes bit for bit, sign of zero included, and the stream
-    leaves every internal box's row in held; then the leaf steps cover the
-    last internal level in order, and the leaf values formed from them (a
+    """synthesize_levels returns nothing and leaves every internal box's row
+    in held, equal to synthesize_boxes bit for bit, sign of zero included;
+    then the leaf steps cover the last internal level in order, and the leaf values formed from them (a
     parent's row, plus 0.0 on an upper half, and the listed children) equal
     synthesize_boxes' leaves, sign of zero included.  At the default block
     size, at 4 leaves a block and at one (CHUNK_FLOATS = N).  The
@@ -405,13 +417,10 @@ def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimen
                 rows = _kernels.block_rows(n)
                 held = np.full((n, columns), np.nan)
                 got = np.full_like(want, np.nan)
-                seen = []
-                for heap0, level in synthesize_levels(mu, nz, held):
-                    assert len(level) <= rows
-                    got[heap0 : heap0 + len(level)] = level
-                    seen.extend(range(heap0, heap0 + len(level)))
+                assert _kernels.synthesize_levels(b.factor, nz, held) is None
+                got[1:n] = held[1:]
                 parents = []
-                for step in leaf_steps(mu, nz, held):
+                for step in _kernels.leaf_steps(b.factor, nz, held):
                     k = len(step.mag)
                     assert k <= rows and step.at.dtype == np.intp
                     parents.extend(range(step.p0, step.p0 + k))
@@ -425,7 +434,7 @@ def test_synthesize_levels_bit_equal_to_synthesize_boxes(monkeypatch, rng, dimen
                         leaves[2 * step.at + half, step.cols] = step.children[:, half]
                     got[2 * step.p0 : 2 * (step.p0 + k)][-n:] = leaves[-n:]  # heap 0 is no box
             assert rows == 1 or chunk_floats != n
-            assert sorted(seen) == list(range(1, n)) and parents == list(range(n // 2, n))
+            assert parents == list(range(n // 2, n))
             assert np.array_equal(got[1:], want[1:])
             assert np.array_equal(np.signbit(got[1:]), np.signbit(want[1:]))
             assert np.array_equal(held[1:], want[1:n])
@@ -491,11 +500,9 @@ def _vanishing_from_rows(levels, in_measure, out_measure, fro):
 
 def _block_side(t, transpose):
     """One input stage read through leaf blocks: (gap, leaf norms, vanishing radius)."""
-    in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
-    n = t.grid.num_leaves
-    nz, held = t.nonzeros(transpose), np.empty((n, n))
-    levels = [(heap0, rows.copy()) for heap0, rows in synthesize_levels(in_m, nz, held)]
-    blocks = list(_leaf_blocks(basis(in_m).factor, nz, held))
+    nz, held, factor, in_m, out_m = localization.input_stage(t, transpose)
+    levels = [(h, held[h : 2 * h]) for h in 1 << np.arange(t.grid.tree_depth)]
+    blocks = list(_leaf_blocks(factor, nz, held))
     gap = _scan_blocks(SupportGap(out_m, in_m, t.frobenius()), in_m.charged_leaves(), blocks)
     leaf_sq = np.concatenate([np.einsum("ij,ij->i", rows, rows) for _, rows in blocks])
     return gap, leaf_sq, _vanishing_from_rows(levels + blocks, in_m, out_m, t.frobenius())

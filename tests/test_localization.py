@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twoweight import GridSpec, LeafMeasure, build_grid, localization
+from twoweight import GridSpec, LeafMeasure, _kernels, build_grid, localization
 from twoweight.localization import ewl_radius, wl_check, wl_radius
 from twoweight.operators import (
     CoefficientSequence,
@@ -145,13 +145,24 @@ def test_wl_radius_small_rectangle_condition_binds(monkeypatch):
 
 def test_radii_read_once_per_operator(monkeypatch, rng):
     """radii fills both caches, so ewl_radius, wl_radius and wl_check over
-    every r run no further vanishing test; wl_check alone runs one per side."""
+    every r run no further vanishing test; wl_check alone runs one per side.
+    ewl_radius, then wl_check at every r (the benchmark's kernel
+    classification) builds one input stage per side."""
     grid = build_grid(GridSpec(1, 5))
     sigma, omega = pair(rng, grid, 0.2)
-    calls = []
+    calls, stages = [], []
     vanishing = localization._vanishing_radius
     monkeypatch.setattr(localization, "_vanishing_radius",
                         lambda *args: calls.append(1) or vanishing(*args))
+    levels = _kernels.synthesize_levels
+    monkeypatch.setattr(_kernels, "synthesize_levels",
+                        lambda *args: stages.append(1) or levels(*args))
+    u = perfect_dyadic_operator(random_kernel(grid, 1, 5), sigma, omega)
+    ewl = ewl_radius(u)
+    verdicts = [wl_check(u, r) for r in range(1, grid.tree_depth + 1)]
+    assert len(stages) == 2 and len(calls) == 2
+    assert (ewl, verdicts) == (ewl_radius(u), [r >= wl_radius(u) for r in range(1, grid.tree_depth + 1)])
+    calls.clear()
     t = perfect_dyadic_operator(random_kernel(grid, 1, 3), sigma, omega)
     ewl, wl = localization.radii(t)
     assert len(calls) == 2

@@ -413,6 +413,10 @@ def test_sweep_isolates_a_raising_trial(tmp_path, monkeypatch, workers):
 # boundary terms were read off W and the coefficients (no synthesis of T(sigma
 # f0) or T(sigma 1)): their values moved by at most 5.9e-15 relative, and
 # those at the rounding floor (|value| < 1e-13, at most 1.7e-16) now read 0.
+# It was re-recorded again when the residual scale became ||f|| ||g|| ||W||_F
+# with no floor of 1 on ||W||_F: only the abc_partition (4) and
+# mean_reduction (6) residuals of trials with ||W||_F < 1 moved, every
+# verdict held and every term, A/B/C included, stayed equal.
 GOLDEN_SWEEP = {
     "dimension": 1, "depths": [4, 5], "radii": [0, 1, 2], "trials": 1,
     "families": ["martingale_transform", "paraproduct", "haar_shift", "random_ewl"],
@@ -431,7 +435,7 @@ GOLDEN_VERDICT_KEYS = [
     "packing_f", "packing_g", "partner_count", "projection_norms",
 ]
 GOLDEN_MEMBERS = {"total": 456, "max": 8}
-GOLDEN_CERT_SHA256 = "079e22da35f8df2466412c7b9dc78aa301be0792686959fb29021ede9b36f406"
+GOLDEN_CERT_SHA256 = "dfbde23113bfd3025e31037e57eae28abe0c7427b6638a7979900c896ba8f8dc"
 
 
 def test_certified_sweep_output_unchanged(tmp_path):
