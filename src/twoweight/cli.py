@@ -8,6 +8,7 @@ pool size for sweeps (default 1; any value reproduces identical rows).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +21,9 @@ from .sweep import SweepConfig, replay_trial, run_sweep, worker_count
 USAGE_ERROR = 2
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="twoweight",
         description="Two-weight testing constants and proof certificates "

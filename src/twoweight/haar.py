@@ -47,7 +47,6 @@ class WeightedBasis:
             beta[1:] = np.where(charged, np.sqrt(np.where(charged, m_r, 1.0) /
                                                  np.where(charged, m_h * m_l, 1.0)), 0.0)
         self.grid = grid
-        self.mu = mu
         self.alpha = alpha
         self.beta = beta
         self.charged = np.zeros(n, dtype=bool)
@@ -66,7 +65,7 @@ class WeightedBasis:
     def charged_slots(self) -> np.ndarray:
         """Whitened slots carrying a basis function (constant if mu != 0)."""
         slots = self.charged.copy()
-        slots[0] = self.mu.total > 0
+        slots[0] = self.sqrt_total > 0
         return slots
 
     def average_coefficients(self, boxes):

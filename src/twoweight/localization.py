@@ -31,19 +31,21 @@ and the same for T* with the measures swapped.  Q ranges over all boxes
 condition to halves, which may sit at leaf scale).
 
 The set of pairs that must vanish only shrinks as r grows: a pair (Q, R)
-must vanish exactly when r < max(d(Q) - d(lca(Q, R)), d(R) - d(Q) + 1 if R
-is not inside Q), with d the heap depth.  So the radii that pass are all
-r >= wl_radius(T), the maximum of that bound over the pairs whose pairing
-exceeds WL_RTOL ||W||_F sqrt(mu(Q) nu(R)) (mu the input measure, nu the
-output one), and at least 1; wl_check(T, r) is r >= wl_radius(T).  The
-pairing is <1_Q, T*(nu h_R)>_mu, mu(Q) times the same input stage's value on
-box Q (at leaf scale, where R lies on the last internal level, read off
-the leaf steps), so radii(T) reads both radii from one input stage per
-side, and ewl_radius and wl_radius are its two fields.  An operator keeps
-both radii once read (W is read-only), as it keeps ||W||_F.
+must vanish exactly when r < need(Q, R) = max(d(Q) - d(lca(Q, R)),
+d(R) - d(Q) + 1 if R is not inside Q), d the heap depth (_need_table).  So
+the radii that pass are all r >= wl_radius(T), the largest need of the pairs
+whose pairing exceeds WL_RTOL ||W||_F sqrt(mu(Q) nu(R)) (mu, nu the input
+and output measures), and at least 1; wl_check(T, r) is r >= wl_radius(T).
+The pairing is <1_Q, T*(nu h_R)>_mu, mu(Q) times the same input stage's
+value on box Q (at leaf scale, where R lies on the last internal level,
+read off the leaf steps), so radii(T) reads both radii from one input
+stage per side, and ewl_radius and wl_radius are its two fields.  An
+operator keeps both radii once read (W is read-only), as it keeps ||W||_F.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -154,72 +156,69 @@ def ewl_radius(t: DyadicOperator) -> int:
     return radii(t)[0]
 
 
+@functools.cache
+def _need_table(tree_depth):
+    """(levels, leaf), read-only int8, built on first use and kept: levels[d][i, j]
+    is need(Q, R) at Q = 2^d + i, R = 2^(d-1) + j (R = j at the root), and
+    leaf[i, j] = 1 + bit_length(i ^ j) that of N/2 + i's halves and R = N/2 + j.
+    0.83 N^2 + N^2 / 4 bytes: 70 KB at 256 leaves, 1.1 MB at 1024, 18 MB at 4096."""
+    n, half = 1 << tree_depth, max(1, 1 << tree_depth >> 1)
+    bits = np.zeros((half, half), dtype=np.int8)  # bit_length(i ^ j), by doubling
+    for h in (1 << np.arange(tree_depth - 1)).tolist():
+        bits[:h, h : 2 * h] = bits[h : 2 * h, :h] = h.bit_length()
+        bits[h : 2 * h, h : 2 * h] = bits[:h, :h]
+    levels = []
+    for d in range(tree_depth):
+        h, lo = 1 << d, (1 << d) >> 1
+        need = np.zeros((h, n - lo), dtype=np.int8)
+        if d:  # R one level up meets Q's parent at d - 1 - bit_length((Q >> 1) ^ R)
+            need[:, :lo] = 1 + np.repeat(bits[:lo, :lo], 2, axis=0)
+        own = bits[:h, :h]  # Q ^ (R >> (e - d)): 0 when R lies in Q
+        for e in range(d, tree_depth):
+            need[:, (1 << e) - lo : (2 << e) - lo] = np.repeat(
+                np.maximum(own, e - d + 1) * (own > 0), 1 << e - d, axis=1)
+        need.flags.writeable = False
+        levels.append(need)
+    bits += 1
+    bits.flags.writeable = False
+    return tuple(levels), bits
+
+
 def _vanishing_radius(held, steps, in_measure, out_measure, fro):
     """Smallest r >= 0 at which one side's vanishing conditions hold.
 
-    held and steps are the side's input stage (input_stage, leaf_steps),
-    rows[Q, R] = v, the value on box Q of T*(nu h_R): mu(Q) v is
-    <T(mu 1_Q), h_R> (mu, nu the input and output measures), since each
-    component of a rectangle inside Q has mu-mean zero on Q.  A pair of a
-    charged R with |R| <= 2|Q| whose pairing exceeds the tolerance raises r
-    to its bound (module docstring).  At leaf scale that is R of the last
-    internal level, read off the leaf steps: |v| is the step's magnitude,
-    or a listed child's value.
-    """
-    grid = in_measure.grid
-    depth = grid.box_depth
-
-    def bound(batch):  # the largest radius bound of the pairs (Q, R) in batch
-        q, r = np.concatenate(batch, axis=1) if batch else np.zeros((2, 0), dtype=np.intp)
-        need = np.maximum(depth[q] - grid.lca_depth(r, q),
-                          np.where(grid.contains(q, r), 0, depth[r] - depth[q] + 1))
-        return int(need.max(initial=0))
-
-    worst, batch, count = 0, [], 0
-    for pair in _exceeding(held, steps, in_measure, out_measure, fro):
-        batch.append(pair)
-        count += len(pair[0])
-        if count > _kernels.CHUNK_FLOATS:  # in bounded batches
-            worst, batch, count = max(worst, bound(batch)), [], 0
-    return max(worst, bound(batch))
-
-
-def _exceeding(held, steps, in_measure, out_measure, fro):
-    """(boxes Q, rectangles R) of the pairs of _vanishing_radius above the
-    tolerance, block_rows(N) held rows of a level or a leaf step at a time."""
-    grid = in_measure.grid
-    depth = grid.box_depth
-    rect = np.flatnonzero(basis(out_measure).charged)
-    first = np.searchsorted(depth[rect], np.arange(grid.tree_depth + 1) - 1)  # |R| <= 2|Q|
-    mass = in_measure.box_mass
-    sqrt_in = np.sqrt(mass)
-    out_tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[rect])
-    n, size = grid.num_leaves, _kernels.block_rows(grid.num_leaves)
-    for d in range(grid.tree_depth):
-        h, k = 1 << d, first[d]
-        for heap0 in range(h, 2 * h, size):
-            at = slice(heap0, min(heap0 + size, 2 * h))
-            pairing = held[at, rect[k:]] * mass[at, None]
-            qi, ri = np.nonzero(np.abs(pairing) > sqrt_in[at, None] * out_tol[k:])
-            yield heap0 + qi, rect[k + ri]
-    k = first[grid.tree_depth]
-    leaf_rect, leaf_tol = rect[k:], out_tol[k:]
-    is_leaf_rect = np.zeros(n, dtype=bool)
-    is_leaf_rect[leaf_rect] = True
-    col_tol = np.zeros(n)  # the listed entries' tolerance by column
-    col_tol[leaf_rect] = leaf_tol
-    for step in steps:
-        sub = step.mag[:, leaf_rect]
-        listed = np.flatnonzero(is_leaf_rect[step.cols])
-        at, cols = step.at[listed], step.cols[listed]
-        for half in (0, 1):
-            q = 2 * np.arange(step.p0, step.p0 + len(sub)) + half
-            qi, ri = np.nonzero(sub * mass[q, None] > sqrt_in[q, None] * leaf_tol)
-            yield q[qi], leaf_rect[ri]
-            q = 2 * (step.p0 + at) + half
-            value = np.abs(step.children[listed, half])
-            hit = np.flatnonzero(value * mass[q] > sqrt_in[q] * col_tol[cols])
-            yield q[hit], cols[hit]
+    held and steps are the side's input stage (input_stage, leaf_steps):
+    (Q, R) exceeds when |held[Q, R]| mu(Q) > sqrt(mu(Q)) WL_RTOL ||W||_F
+    sqrt(nu(R)) (module docstring).  Each level is compared whole,
+    block_rows(N) rows at a time, over the columns R >= 2^(d-1) (at leaf
+    scale a leaf step's magnitudes and listed children), uncharged columns
+    masked after; one masked maximum of _need_table takes the largest need."""
+    n, half = len(held), len(held) >> 1
+    levels, leaf = _need_table(in_measure.grid.tree_depth)
+    charged = basis(out_measure).charged
+    mass, sqrt_in = in_measure.box_mass, np.sqrt(in_measure.box_mass)
+    tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[:n])
+    size, worst = _kernels.block_rows(n), 0
+    for d, need in enumerate(levels):
+        h, lo = 1 << d, (1 << d) >> 1
+        for a in range(0, h, size):
+            rows = slice(h + a, h + min(a + size, h))
+            value = np.abs(held[rows, lo:]) * mass[rows, None]
+            exceeds = (value > sqrt_in[rows, None] * tol[lo:]) & charged[lo:]
+            worst = max(worst, int(np.max(need[a : a + size], where=exceeds, initial=0)))
+    for step in steps:  # both halves of a parent share its bound
+        k, p0 = len(step.mag), step.p0
+        listed = np.flatnonzero(step.cols >= half)
+        at, cols = step.at[listed], step.cols[listed] - half
+        exceeds = np.zeros((k, n - half), dtype=bool)
+        for child in (0, 1):
+            q = 2 * np.arange(p0, p0 + k) + child
+            value = step.mag[:, half:] * mass[q, None]
+            value[at, cols] = np.abs(step.children[listed, child]) * mass[q[at]]
+            exceeds |= value > sqrt_in[q, None] * tol[half:]
+        exceeds &= charged[half:]
+        worst = max(worst, int(np.max(leaf[p0 - half : p0 - half + k], where=exceeds, initial=0)))
+    return worst
 
 
 def wl_radius(t: DyadicOperator) -> int:

@@ -1,5 +1,8 @@
 """Haar functions, weighted bases, martingale calculus."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,23 @@ def test_weighted_haar_uniform_reduces_to_unweighted():
         ratio = hw.values[rect.leaf_slice()] / h0.values[rect.leaf_slice()]
         assert np.allclose(ratio, ratio[0])
         assert inner(hw, hw, leb) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_measure_and_its_basis_freed_without_the_cycle_collector():
+    """A measure's cached basis keeps no reference back to the measure, so
+    both are freed with the last outside reference, not at a later gc pass
+    (a measure per operator piled up between passes of the classify loop)."""
+    grid = build_grid(GridSpec(1, 3))
+    mu = LeafMeasure(grid, np.full(8, 0.125))
+    b = basis(mu)
+    assert b.charged_slots().all()
+    refs = weakref.ref(mu), weakref.ref(b)
+    gc.disable()
+    try:
+        del mu, b
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_weighted_haar_zero_half_convention(rng):

@@ -105,8 +105,10 @@ def test_wl_check_rejects_r_zero(rng):
                                       sigma, omega), 0)
 
 
-@pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
-@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 4), (1, 6), (2, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n,d,zero_fraction", [
+    (n, d, zero_fraction)
+    for n, d in [(1, 0), (1, 1), (1, 2), (1, 4), (1, 6), (2, 1), (2, 2), (2, 3)]
+    for zero_fraction in (0.0, 0.3)] + [(2, 4, 0.3)])
 def test_wl_check_matches_per_box_loop(n, d, zero_fraction):
     rng = np.random.default_rng(1000 * n + 10 * d + int(10 * zero_fraction))
     grid = build_grid(GridSpec(n, d))
@@ -141,6 +143,43 @@ def test_wl_radius_small_rectangle_condition_binds(monkeypatch):
         assert wl_radius(t) == radius
         for r in range(1, grid.tree_depth + 2):
             assert wl_check(t, r) == wl_check_loop(t, r, rtol), (rtol, r)
+
+
+def test_wl_radius_bound_from_rectangle_one_level_up():
+    """One entry W[R, E], R = heap 4 (depth 2), E the root, on 16 uniform
+    leaves: T*(omega h_R) is a multiple of h_E, nonzero on every box inside
+    a half of the root.  The pairs with |R| <= 2|Q| have d(Q) <= 3; those of
+    depth-3 boxes Q have R one level above Q, and their largest bound,
+    1 + bit_length((Q >> 1) ^ R) = 3 at Q = 12 .. 15, is the radius: every
+    shallower box bounds at most 2, and no leaf is paired with R."""
+    grid = build_grid(GridSpec(1, 4))
+    uniform = LeafMeasure(grid, np.full(16, 1 / 16))
+    w = np.zeros((16, 16))
+    w[4, 1] = 1.0
+    t = DyadicOperator(grid, uniform, uniform, w)
+    assert wl_radius(t) == 3
+    for r in range(1, grid.tree_depth + 2):
+        assert wl_check(t, r) == wl_check_loop(t, r) == (r >= 3), r
+
+
+def test_wl_radius_with_empty_boxes_and_uncharged_rectangles(rng):
+    """sigma is empty on the right half and omega on leaves 8 .. 11, each
+    also on about 30% of the other leaves.  So the side whose output measure
+    is sigma has an uncharged rectangle on every level (the root and every
+    one inside the right half) and input boxes of zero mass, and the other
+    side has both too: the masked columns and the zero-mass rows agree with
+    the per-box loop."""
+    grid = build_grid(GridSpec(1, 5))
+    sigma, omega = (random_measure(grid, rng, 0.3).masses.copy() for _ in range(2))
+    sigma[16:], omega[8:12] = 0.0, 0.0
+    sigma, omega = LeafMeasure(grid, sigma), LeafMeasure(grid, omega)
+    ops = [random_ewl(r, sigma, omega, 30 + r) for r in range(3)]
+    ops += [perfect_dyadic_operator(random_kernel(grid, 1, 6), sigma, omega),
+            DyadicOperator(grid, sigma, omega, rng.standard_normal((32, 32)))]
+    for t in ops:
+        radius = wl_radius(t)
+        for r in range(1, grid.tree_depth + 2):
+            assert wl_check(t, r) == wl_check_loop(t, r) == (r >= radius), (t.family, r)
 
 
 def test_radii_read_once_per_operator(monkeypatch, rng):

@@ -184,6 +184,31 @@ def test_cli_report_ranks_only_finite_trials(tmp_path, capsys):
     assert err == "FAIL trial 1 seed 1: raised NormError\n"
 
 
+def test_cli_parser_built_once_per_process(tmp_path, rng, capsys):
+    """main builds its parser once per process, and a usage error does not
+    change what the next call prints or returns."""
+    from conftest import random_measure
+    from twoweight import cli
+    from twoweight.operators import CoefficientSequence, haar_shift
+
+    grid = build_grid(GridSpec(1, 3))
+    t = haar_shift(CoefficientSequence.random(grid, rng),
+                   random_measure(grid, rng, low=0.1), random_measure(grid, rng, low=0.1))
+    op_path = tmp_path / "op.json"
+    serialize.dump_json(op_path, serialize.operator_to_dict(t))
+    cli._build_parser.cache_clear()
+    assert main(["classify"]) == 2  # no --operator
+    assert "--operator" in capsys.readouterr().err
+    assert main(["classify", "--operator", str(op_path)]) == 0
+    shown = capsys.readouterr().out
+    assert main(["report", "--in", str(tmp_path / "nowhere")]) == 2
+    assert "report error" in capsys.readouterr().err
+    assert cli._build_parser.cache_info().misses == 1
+    cli._build_parser.cache_clear()
+    assert main(["classify", "--operator", str(op_path)]) == 0
+    assert capsys.readouterr().out == shown and "ewl_radius: 1" in shown
+
+
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": 2, "families": ["haar_shift"]}))
