@@ -32,7 +32,7 @@ Every inequality of the chain carries an explicit constant, built once by
 bound_factors, recorded in bound_constants and pre-validated by the
 exhaustive small-instance tests:
 
-    |A|    <= 4 M(r, n) c3' ||f|| ||g||     (c3' enumerated at radius r+1:
+    |A|    <= 4 M c3' ||f|| ||g||           (c3' enumerated at radius r+1:
                                              half pairs of admissible Haar
                                              pairs meet the (r+1)-ancestor)
     |B2|   <= sqrt(8) c2 ||f|| ||g||
@@ -40,8 +40,17 @@ exhaustive small-instance tests:
     |II_S| <= c2 <|g|>_S omega(S)^{1/2} ||P~_S f||
     |B1|   <= (2 sqrt(M) + 1) sqrt(8) c2 ||f|| ||g||
 
-with M(r, n) = (2^{n(2r+1)} - 1) / (2^n - 1), plus the three boundary-term
-estimates of the mean-zero reduction (constants c2, c1, c1).
+plus the three boundary-term estimates of the mean-zero reduction
+(constants c2, c1, c1).  M is the Schur-test count, the most admissible
+partners one rectangle has.  Radii count heap levels: the partners of E are
+the boxes of E^(r)'s subtree whose depth is within r of E's, and those
+2r + 1 levels hold at most M = 1 + 2 + ... + 2^{2r} = 2^{2r+1} - 1 boxes at
+every n, as a heap box has two children.  Counting r in cube generations
+(n heap levels each) would give (2^{n(2r+1)} - 1) / (2^n - 1) instead.
+
+A verdict holds when its left side is at most the bound times 1 +
+BOUND_SLACK plus 1e-12 ||f|| ||g|| ||W||_F (_within): the slack scales with
+W, f and g as the bounds do, so no unit decides a verdict.
 """
 
 from __future__ import annotations
@@ -63,14 +72,21 @@ BOUND_SLACK = 1e-9
 
 
 def bound_factors(n: int, r: int) -> dict:
-    """The partner-count bound M(r, n) = (2^{n(2r+1)} - 1) / (2^n - 1) and the
-    factors of the A, I, II, B2 and B1 bounds built from it."""
+    """The partner count M = 2^{2r+1} - 1, the same at every dimension n
+    (module docstring), and the factors of the A, I, II, B2 and B1 bounds
+    built from it."""
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
-    m = ((1 << (n * (2 * r + 1))) - 1) // ((1 << n) - 1)
+    m = (1 << (2 * r + 1)) - 1
     sqrt_m = np.sqrt(m)
     return {"M": m, "A_factor": 4.0 * m, "I_factor": 2.0 * sqrt_m, "II_factor": 1.0,
             "B2_factor": np.sqrt(8.0), "K_B1": (2.0 * sqrt_m + 1.0) * np.sqrt(8.0)}
+
+
+def _within(value, bound, scale):
+    """|value| <= bound (elementwise, all of them), up to BOUND_SLACK of the
+    bound and 1e-12 scale, scale = ||f|| ||g|| ||W||_F of the pairing."""
+    return bool(np.all(np.abs(value) <= bound * (1 + BOUND_SLACK) + 1e-12 * scale))
 
 
 @dataclass
@@ -154,12 +170,12 @@ def boundary_terms_check(t: DyadicOperator, f: Analyzed, g: Analyzed, c1: float,
     term1 = g.mean * (root_o * float(w[0] @ f.coef0))  # <T(sigma f0), 1>_omega
     term2 = f.mean * (root_s * float(g.coef0 @ w[:, 0]))  # <T(sigma 1), g0>_omega
     term3 = f.mean * g.mean * (root_s * root_o * float(w[0, 0]))  # <T(sigma 1), 1>_omega
-    scale = f.norm * g.norm
-    atol = 1e-12 * (1.0 + scale) * (1.0 + t.frobenius())
+    fg = f.norm * g.norm
+    scale = fg * t.frobenius()
     verdicts = {
-        "boundary_term1": abs(term1) <= c2 * scale * (1 + BOUND_SLACK) + atol,
-        "boundary_term2": abs(term2) <= c1 * scale * (1 + BOUND_SLACK) + atol,
-        "boundary_term3": abs(term3) <= c1 * scale * (1 + BOUND_SLACK) + atol,
+        "boundary_term1": _within(term1, c2 * fg, scale),
+        "boundary_term2": _within(term2, c1 * fg, scale),
+        "boundary_term3": _within(term3, c1 * fg, scale),
     }
     return (term1, term2, term3), verdicts
 
@@ -296,19 +312,15 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int, c2: 
 
     # bound verdicts
     factors = bound_factors(grid.dimension, r)
-    atol = 1e-12 * (1.0 + scale)
     cap = (np.sqrt(om_mass[members]) * family.abs_average[members]
            * np.sqrt(p_norm_sq[members]) * c2)
     verdicts = {
         "b_structure": structure_ok,
         **{key: res <= PARTITION_RTOL for key, res in residuals.items()},
-        "bound_I": bool(np.all(np.abs(i_m)
-                               <= factors["I_factor"] * cap * (1 + BOUND_SLACK) + atol)),
-        "bound_II": bool(np.all(np.abs(ii_m) <= cap * (1 + BOUND_SLACK) + atol)),
-        "bound_B2": abs(b2_direct)
-        <= factors["B2_factor"] * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
-        "bound_B1": abs(b1)
-        <= factors["K_B1"] * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
+        "bound_I": _within(i_m, factors["I_factor"] * cap, scale),
+        "bound_II": _within(ii_m, cap, scale),
+        "bound_B2": _within(b2_direct, factors["B2_factor"] * c2 * fnorm * gnorm, scale),
+        "bound_B1": _within(b1, factors["K_B1"] * c2 * fnorm * gnorm, scale),
     }
     per_stopping = dict(zip(members.tolist(), zip(i_m.tolist(), ii_m.tolist())))
     return b1, b2_direct, per_stopping, verdicts, residuals
@@ -385,15 +397,15 @@ def full_certificate(t: DyadicOperator, f_values, g_values, report=None) -> Bili
     for key in ("abc_partition", "mean_reduction", "b_partition", "c_is_adjoint_b"):
         verdicts[key] = residuals[key] <= PARTITION_RTOL
 
-    # |A| <= 4 M(r, n) c3' ||f0|| ||g0||, c3' at enumeration radius r + 1
+    # |A| <= 4 M c3' ||f0|| ||g0||, c3' at enumeration radius r + 1
     a_bound = factors["A_factor"] * c3_next * f.norm0 * g.norm0
-    verdicts["bound_A"] = abs(a) <= a_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + f.norm0 * g.norm0)
+    verdicts["bound_A"] = _within(a, a_bound, scale)
 
     csum = c1 + c2 + c3
     total_bound = ((c2 + 2 * c1) * fnorm * gnorm
                    + a_bound
                    + (factors["B2_factor"] + factors["K_B1"]) * (c1 + c2) * f.norm0 * g.norm0)
-    verdicts["bound_total"] = abs(pi_full) <= total_bound * (1 + BOUND_SLACK) + 1e-12 * (1 + scale)
+    verdicts["bound_total"] = _within(pi_full, total_bound, scale)
     k_total = total_bound / (csum * fnorm * gnorm) if csum > 0 and fnorm * gnorm > 0 else 0.0
 
     bound_constants = {

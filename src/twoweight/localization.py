@@ -11,14 +11,13 @@ the value of a constant of L^2(mu) norm ||W||_F, so that scaling W or
 either measure keeps the radius.  Every support lies in Q0 = E^(depth(E)),
 so the radius of any operator on the grid is at most tree_depth - 1, the
 depth of the smallest rectangles; a dense generic W attains that bound.
-The images are the leaf levels of the input stages of the testing pass
-(which reads the radius from them too): input_stage holds every internal
-box's row of the synthesis of the rows and of the columns of W, built from
-W's nonzeros (DyadicOperator.nonzeros), and each leaf is read one step off
-its parent's row (leaf_steps): the parent's magnitude, or a listed child's
-value.  SupportGap keeps each rectangle's first and last support leaf as
-the leaf steps stream past and reads the radius from those alone, so the
-radius does not depend on the block size.
+The images are the leaf levels of the testing pass's input stages: each
+internal box's row of the synthesis of W's rows or columns (input_stage),
+and each leaf read one step off its parent's row (leaf_steps).  Rectangles
+sit above leaf scale, so both halves of a parent p lie depth(E) -
+lca_depth(E, p) levels below a rectangle E's smallest box holding them, a
+table by heap position (_gap_table); SupportGap takes its largest value
+over each rectangle's support, independent of the block size.
 
 wl_check tests the vanishing conditions of the well-localized property: for
 boxes Q and charged rectangles R with |R| <= 2|Q|,
@@ -58,87 +57,53 @@ WL_RTOL = 1e-10
 
 
 class SupportGap:
-    """Max over charged rectangles E of depth(E) less the depth of the
-    smallest box holding E and its support leaves.
-
-    scan reads one input stage's leaf steps (box of leaf_measure, slot E of
-    rect_measure), as leaf_steps yields them, and passes each step on once
-    it is read, so one stream can feed the gap and the testing pass or the
-    vanishing test.  Support is taken on the charged leaves above
-    SUPPORT_TOL fro / sqrt(leaf_measure(Q0)), fro = ||W||_F (module
-    docstring); first and last keep each rectangle's outermost support
-    leaves so far (N and -1 before any).  A step reads a parent as
-    supported where a charged child is, and takes its first (last) charged
-    child; that child has the parent's magnitude unless the entry is
-    listed, and a listed child unsupported beside a supported sibling is
-    then swapped for it.  The leaves lie in Morton order, so the smallest
-    box holding E and its support is the one holding the leaves from
-    min(first, E's first leaf) to max(last, E's last leaf).  value reads
-    the gap of the leaves scanned so far.
-    """
+    """gaps[E]: depth(E) less that of the smallest box holding the charged
+    rectangle E and its support leaves; value is their maximum.  scan reads
+    one input stage's leaf steps (box of leaf_measure, slot E of
+    rect_measure) and passes each on.  Support: charged leaves above
+    SUPPORT_TOL fro / sqrt(leaf_measure(Q0)), fro = ||W||_F, a parent's
+    magnitude or, at a listed entry, either child's value; one masked
+    maximum of _gap_table per step folds it into gaps."""
 
     def __init__(self, rect_measure, leaf_measure, fro):
-        self.grid = leaf_measure.grid
-        n = self.grid.num_leaves
+        n = leaf_measure.grid.num_leaves
         self.rects = basis(rect_measure).charged
         total = leaf_measure.total
         self.tol = SUPPORT_TOL * fro / np.sqrt(total) if total > 0 else 0.0
-        # by parent slot p (slot 0 is the root's parent at N = 1): each
-        # child's threshold, infinite where uncharged, whether it has a
-        # charged child, and the leaf numbers of its first and last one
+        # by parent slot p (slot 0 is the root's parent at N = 1): each child's
+        # threshold, infinite where uncharged, and whether it has a charged child
         charged = np.zeros(2 * n, dtype=bool)
         charged[n:] = leaf_measure.charged_leaves()
         self.child_tol = np.where(charged, self.tol, np.inf).reshape(n, 2)
         self.some = charged[0::2] | charged[1::2]
-        self.lead = np.arange(1 - n, n, 2) - charged[0::2]
-        self.tail = np.arange(-n, n, 2) + charged[1::2]
-        self.first = np.full(n, n)
-        self.last = np.full(n, -1)
+        self.table = _gap_table(leaf_measure.grid.tree_depth)
+        self.gaps = np.zeros(n, dtype=np.int8)
 
     def scan(self, steps):
-        n = len(self.first)
+        half = len(self.gaps) >> 1
         for step in steps:
             p0, k = step.p0, len(step.mag)
-            p, cols = p0 + step.at, step.cols
             supp = step.mag > self.tol
-            child = np.abs(step.children) > self.child_tol[p]  # listed: each child
-            low, up = child[:, 0], child[:, 1]
-            supp[step.at, cols] = low | up
+            child = np.abs(step.children) > self.child_tol[p0 + step.at]  # listed: each child
+            supp[step.at, step.cols] = child[:, 0] | child[:, 1]
             supp &= self.some[p0 : p0 + k, None]
-            hs = np.flatnonzero(np.logical_or.reduce(supp, axis=0) & self.rects)
-            sub = supp[:, hs]
-            self.first[hs] = np.minimum(self.first[hs], self.lead[p0 + sub.argmax(axis=0)])
-            j = p0 + k - 1 - sub[::-1].argmax(axis=0)
-            self.last[hs] = np.maximum(self.last[hs], self.tail[j])
-            # a listed lower (upper) leaf 2p - N (2p + 1 - N) taken as the
-            # first (last) while only its sibling is supported: move one over
-            odd = np.flatnonzero(low != up)
-            if len(odd):
-                for side, i, leaf, fix in ((self.first, odd[up[odd]], 0, 1),
-                                           (self.last, odd[low[odd]], 1, -1)):
-                    i = i[side[cols[i]] == 2 * p[i] + leaf - n]
-                    side[cols[i]] += fix
+            supp &= self.rects
+            gap = np.max(self.table[p0 - half : p0 - half + k], axis=0, where=supp, initial=0)
+            np.maximum(self.gaps, gap, out=self.gaps)
             yield step
 
     @property
     def value(self) -> int:
-        grid = self.grid
-        e = np.flatnonzero(self.last >= 0)
-        lo = np.minimum(grid.box_lo[e], self.first[e])
-        hi = np.maximum(grid.box_hi[e] - 1, self.last[e])
-        top = grid.tree_depth - np.frexp(lo ^ hi)[1]  # the depth of the box holding lo..hi
-        return int((grid.box_depth[e] - top).max(initial=0))
+        return int(self.gaps.max())
 
 
 def input_stage(t: DyadicOperator, transpose: bool):
-    """(nz, held, factor, input measure, output measure) of one input stage
-    of t: with transpose, the rows of W (the columns of W.T) synthesized
-    over sigma, whose row R on the sigma boxes is T*(omega h_R); without,
-    the columns of W over omega, whose column E is T(sigma h_E) on the omega
-    boxes.  nz is the side's nonzero list, held an N x N buffer of its own
-    holding every internal box's row (_kernels.synthesize_levels), and
-    factor the input basis' WeightedBasis.factor; the leaves are read off
-    held by _kernels.leaf_steps(factor, nz, held)."""
+    """(nz, held, factor, input measure, output measure) of one input stage of
+    t: the rows of W over sigma (transpose; row R is T*(omega h_R)) or its
+    columns over omega (column E is T(sigma h_E)), from the side's nonzeros
+    nz.  held, N x N, holds every internal box's row (synthesize_levels),
+    factor is the input basis'; _kernels.leaf_steps(factor, nz, held) reads
+    the leaves."""
     in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
     n = t.grid.num_leaves
     nz, held, factor = t.nonzeros(transpose), np.empty((n, n)), basis(in_m).factor
@@ -147,26 +112,43 @@ def input_stage(t: DyadicOperator, transpose: bool):
 
 
 def ewl_radius(t: DyadicOperator) -> int:
-    """Smallest uniform localization radius, at most tree_depth - 1 (radii).
-
-    The smallest box holding a rectangle and its support is the root at the
-    largest, a gap of at most the rectangle's depth, and rectangles sit
-    above leaf scale.
-    """
+    """Smallest uniform localization radius, at most tree_depth - 1 (radii)."""
     return radii(t)[0]
 
 
 @functools.cache
-def _need_table(tree_depth):
-    """(levels, leaf), read-only int8, built on first use and kept: levels[d][i, j]
-    is need(Q, R) at Q = 2^d + i, R = 2^(d-1) + j (R = j at the root), and
-    leaf[i, j] = 1 + bit_length(i ^ j) that of N/2 + i's halves and R = N/2 + j.
-    0.83 N^2 + N^2 / 4 bytes: 70 KB at 256 leaves, 1.1 MB at 1024, 18 MB at 4096."""
-    n, half = 1 << tree_depth, max(1, 1 << tree_depth >> 1)
-    bits = np.zeros((half, half), dtype=np.int8)  # bit_length(i ^ j), by doubling
+def _bits(tree_depth):
+    """bit_length(i ^ j), i, j < max(1, N/2), the levels from two boxes of one
+    level up to their lca: read-only int8, by doubling, kept per tree depth."""
+    half = max(1, 1 << tree_depth >> 1)
+    bits = np.zeros((half, half), dtype=np.int8)
     for h in (1 << np.arange(tree_depth - 1)).tolist():
         bits[:h, h : 2 * h] = bits[h : 2 * h, :h] = h.bit_length()
         bits[h : 2 * h, h : 2 * h] = bits[:h, :h]
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.cache
+def _gap_table(tree_depth):
+    """gap[i, E] = depth(E) - lca_depth(E, p = N/2 + i) (0 at slot 0), read-only
+    int8 (max(1, N/2), N) kept per tree depth: E's depth-e block is
+    bit_length(anc_e(p) ^ E), _bits' rows repeated N/2 >> e times (0.5 MB at
+    1024 leaves, 8 MB at 4096)."""
+    bits, half = _bits(tree_depth), max(1, 1 << tree_depth >> 1)
+    blocks = [np.repeat(bits[:h, :h], half // h, axis=0)
+              for h in (1 << np.arange(tree_depth)).tolist()]
+    gap = np.concatenate([np.zeros((half, 1), dtype=np.int8), *blocks], axis=1)
+    gap.flags.writeable = False
+    return gap
+
+
+@functools.cache
+def _need_table(tree_depth):
+    """levels, read-only int8, built on first use and kept: levels[d][i, j] is
+    need(Q, R) at Q = 2^d + i, R = 2^(d-1) + j (R = j at the root), in 0.83 N^2
+    bytes: 55 KB at 256 leaves, 0.9 MB at 1024, 14 MB at 4096."""
+    n, bits = 1 << tree_depth, _bits(tree_depth)
     levels = []
     for d in range(tree_depth):
         h, lo = 1 << d, (1 << d) >> 1
@@ -179,9 +161,7 @@ def _need_table(tree_depth):
                 np.maximum(own, e - d + 1) * (own > 0), 1 << e - d, axis=1)
         need.flags.writeable = False
         levels.append(need)
-    bits += 1
-    bits.flags.writeable = False
-    return tuple(levels), bits
+    return tuple(levels)
 
 
 def _vanishing_radius(held, steps, in_measure, out_measure, fro):
@@ -192,9 +172,10 @@ def _vanishing_radius(held, steps, in_measure, out_measure, fro):
     sqrt(nu(R)) (module docstring).  Each level is compared whole,
     block_rows(N) rows at a time, over the columns R >= 2^(d-1) (at leaf
     scale a leaf step's magnitudes and listed children), uncharged columns
-    masked after; one masked maximum of _need_table takes the largest need."""
+    masked after; one masked maximum of _need_table takes the largest need (at
+    leaf scale 1 + _bits, shared by both halves of a parent and R = N/2 + j)."""
     n, half = len(held), len(held) >> 1
-    levels, leaf = _need_table(in_measure.grid.tree_depth)
+    levels, bits = _need_table(in_measure.grid.tree_depth), _bits(in_measure.grid.tree_depth)
     charged = basis(out_measure).charged
     mass, sqrt_in = in_measure.box_mass, np.sqrt(in_measure.box_mass)
     tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[:n])
@@ -207,7 +188,7 @@ def _vanishing_radius(held, steps, in_measure, out_measure, fro):
             exceeds = (value > sqrt_in[rows, None] * tol[lo:]) & charged[lo:]
             worst = max(worst, int(np.max(need[a : a + size], where=exceeds, initial=0)))
     for step in steps:  # both halves of a parent share its bound
-        k, p0 = len(step.mag), step.p0
+        k, p0, i = len(step.mag), step.p0, step.p0 - half
         listed = np.flatnonzero(step.cols >= half)
         at, cols = step.at[listed], step.cols[listed] - half
         exceeds = np.zeros((k, n - half), dtype=bool)
@@ -217,14 +198,13 @@ def _vanishing_radius(held, steps, in_measure, out_measure, fro):
             value[at, cols] = np.abs(step.children[listed, child]) * mass[q[at]]
             exceeds |= value > sqrt_in[q, None] * tol[half:]
         exceeds &= charged[half:]
-        worst = max(worst, int(np.max(leaf[p0 - half : p0 - half + k], where=exceeds, initial=0)))
+        worst = max(worst, 1 + int(np.max(bits[i : i + k], where=exceeds, initial=-1)))
     return worst
 
 
 def wl_radius(t: DyadicOperator) -> int:
     """Smallest r >= 1 with wl_check(t, r); wl_check holds exactly from it on.
-    The tolerance scales with ||W||_F (module docstring), so scaling W keeps
-    r (radii)."""
+    The tolerance scales with ||W||_F, so scaling W keeps r (radii)."""
     return radii(t)[1]
 
 

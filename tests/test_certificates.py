@@ -6,6 +6,7 @@ randomized sign grids at depth 3, and a worst-case singular-vector check for
 the comparable-scale bound.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -69,8 +70,8 @@ def _split_B_loop_reference(t, parts, g, family, r, c2):
     fhat = parts["fhat"]
     fnorm, gnorm = parts["fnorm"], parts["gnorm"]
     scale = max(fnorm * gnorm * max(t.frobenius(), 1.0), 1e-300)
-    n = grid.dimension
-    m_const = ((1 << (n * (2 * r + 1))) - 1) // ((1 << n) - 1)  # M(r, n)
+    m_const = (1 << (2 * r + 1)) - 1  # the partner count, at every n
+    slack = 1e-12 * fnorm * gnorm * t.frobenius()
     om_mass = omega.box_mass
 
     gints = _kernels.box_sums(g.values0 * omega.masses)
@@ -144,12 +145,11 @@ def _split_B_loop_reference(t, parts, g, family, r, c2):
     # bound verdicts
     sqrt_m = np.sqrt(m_const)
     k_b1 = (2.0 * sqrt_m + 1.0) * np.sqrt(8.0)
-    atol = 1e-12 * (1.0 + scale)
     ok_i = ok_ii = True
     for s in members:
         cap = np.sqrt(om_mass[s]) * family.abs_average[s] * np.sqrt(p_norm_sq[s]) * c2
-        ok_i &= abs(i_s[s]) <= 2.0 * sqrt_m * cap * (1 + BOUND_SLACK) + atol
-        ok_ii &= abs(ii_s[s]) <= cap * (1 + BOUND_SLACK) + atol
+        ok_i &= abs(i_s[s]) <= 2.0 * sqrt_m * cap * (1 + BOUND_SLACK) + slack
+        ok_ii &= abs(ii_s[s]) <= cap * (1 + BOUND_SLACK) + slack
     verdicts = {
         "b_structure": structure_ok,
         "b2_collapse": residuals["b2_collapse"] <= PARTITION_RTOL,
@@ -159,8 +159,8 @@ def _split_B_loop_reference(t, parts, g, family, r, c2):
         "bound_I": bool(ok_i),
         "bound_II": bool(ok_ii),
         "bound_B2": abs(b2_direct)
-        <= np.sqrt(8.0) * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
-        "bound_B1": abs(b1) <= k_b1 * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + atol,
+        <= np.sqrt(8.0) * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + slack,
+        "bound_B1": abs(b1) <= k_b1 * c2 * fnorm * gnorm * (1 + BOUND_SLACK) + slack,
     }
     constants = {"M": m_const, "A_factor": 4.0 * m_const, "I_factor": 2.0 * sqrt_m,
                  "II_factor": 1.0, "B2_factor": np.sqrt(8.0), "K_B1": k_b1}
@@ -171,8 +171,10 @@ def _split_B_loop_reference(t, parts, g, family, r, c2):
 def test_count_M_values():
     assert bound_factors(1, 0)["M"] == 1
     assert bound_factors(1, 1)["M"] == 7
-    assert bound_factors(2, 1)["M"] == 21
+    assert bound_factors(2, 1)["M"] == 7
+    assert bound_factors(3, 1)["M"] == 7
     assert bound_factors(1, 2)["M"] == 31
+    assert bound_factors(3, 2)["M"] == 31
     with pytest.raises(ValueError):
         bound_factors(0, 1)
 
@@ -219,11 +221,11 @@ def test_partition_residual_sweep(r, rng):
 
 
 def test_full_certificate_scales_with_the_coefficients(rng):
-    """full_certificate on c W, c from 1e-12 to 1e6: A, B, C, B1 and B2 are c
+    """full_certificate on c W, c from 1e-14 to 1e6: A, B, C, B1 and B2 are c
     times their values at c = 1 within 1e-9 relative, with the same
-    verdicts.  The floor below which an entry of W is dropped and the
-    residual scale both follow ||W||_F, so no unit decides which pairs
-    count."""
+    verdicts.  The floor below which an entry of W is dropped, the residual
+    scale and the slack of every bound all follow ||W||_F, so no unit
+    decides which pairs count or which bound holds."""
     grid = build_grid(GridSpec(1, 5))
     keys = ("a_term", "b_term", "c_term", "b1_term", "b2_term")
     for seed in range(6):
@@ -231,12 +233,30 @@ def test_full_certificate_scales_with_the_coefficients(rng):
         t = random_ewl(1, sigma, omega, seed)
         f, g = rng.standard_normal((2, grid.num_leaves))
         base = full_certificate(t, f, g)
-        for c in (1e-12, 1e-6, 1.0, 1e6):
+        for c in (1e-14, 1e-12, 1e-6, 1.0, 1e6):
             cert = full_certificate(DyadicOperator(grid, sigma, omega, c * t.w), f, g)
             for key in keys:
                 want = c * getattr(base, key)
                 assert abs(getattr(cert, key) - want) <= 1e-9 * abs(want), (seed, c, key)
             assert cert.verdicts == base.verdicts, (seed, c)
+
+
+def test_bound_B2_fails_at_c2_zero_at_every_scale(rng):
+    """With c2 = 0 in the report the B2 bound is 0 and the nonzero B2 term
+    must fail it, at W and at 1e-14 W alike: the slack of a bound verdict is
+    relative to ||f|| ||g|| ||W||_F, not an absolute floor.  g is
+    log-normal, so its stopping family nests and B2 is not empty."""
+    grid = build_grid(GridSpec(1, 5))
+    sigma, omega = pair(rng, grid)
+    t = random_ewl(1, sigma, omega, 0)
+    f = rng.standard_normal(grid.num_leaves)
+    g = np.exp(3 * rng.standard_normal(grid.num_leaves))
+    for c in (1.0, 1e-14):
+        tc = DyadicOperator(grid, sigma, omega, c * t.w)
+        report = dataclasses.replace(make_report(tc, norm=False, c3_next=True), c2=0.0)
+        cert = full_certificate(tc, f, g, report)
+        assert abs(cert.b2_term) > 1e-3 * c, c
+        assert not cert.verdicts["bound_B2"], c
 
 
 def test_decomposition_error_names_pair(rng):

@@ -463,17 +463,26 @@ def _leaf_blocks(factor, nz, held):
         yield a, block
 
 
-def _scan_blocks(gap, charged, blocks):
-    """gap's first and last support leaves from leaf rows (the leaf-block
-    scan SupportGap ran), charged the leaf measure's charged leaves."""
-    n = len(gap.first)
+def _scan_blocks(gap, leaf_measure, blocks):
+    """gap.gaps from leaf rows, by the leaf-block scan SupportGap once ran:
+    each rectangle E's first and last support leaf on the charged leaves of
+    leaf_measure, then depth(E) less that of the smallest box holding the
+    leaves from min(first, E's first leaf) to max(last, E's last leaf)."""
+    grid, charged = leaf_measure.grid, leaf_measure.charged_leaves()
+    n = grid.num_leaves
+    first, last = np.full(n, n), np.full(n, -1)
     for heap0, block in blocks:
         a, rows = heap0 - n, block.shape[0]
         supp = (np.abs(block) > gap.tol) & charged[a : a + rows, None]
         hs = np.flatnonzero(supp.any(axis=0) & gap.rects)
         sub = supp[:, hs]
-        gap.first[hs] = np.minimum(gap.first[hs], a + np.argmax(sub, axis=0))
-        gap.last[hs] = np.maximum(gap.last[hs], a + rows - 1 - np.argmax(sub[::-1], axis=0))
+        first[hs] = np.minimum(first[hs], a + np.argmax(sub, axis=0))
+        last[hs] = np.maximum(last[hs], a + rows - 1 - np.argmax(sub[::-1], axis=0))
+    e = np.flatnonzero(last >= 0)
+    lo = np.minimum(grid.box_lo[e], first[e])
+    hi = np.maximum(grid.box_hi[e] - 1, last[e])
+    top = grid.tree_depth - np.frexp(lo ^ hi)[1]  # the depth of the box holding lo..hi
+    gap.gaps[e] = grid.box_depth[e] - top
     return gap
 
 
@@ -503,17 +512,27 @@ def _block_side(t, transpose):
     nz, held, factor, in_m, out_m = localization.input_stage(t, transpose)
     levels = [(h, held[h : 2 * h]) for h in 1 << np.arange(t.grid.tree_depth)]
     blocks = list(_leaf_blocks(factor, nz, held))
-    gap = _scan_blocks(SupportGap(out_m, in_m, t.frobenius()), in_m.charged_leaves(), blocks)
+    gap = _scan_blocks(SupportGap(out_m, in_m, t.frobenius()), in_m, blocks)
     leaf_sq = np.concatenate([np.einsum("ij,ij->i", rows, rows) for _, rows in blocks])
     return gap, leaf_sq, _vanishing_from_rows(levels + blocks, in_m, out_m, t.frobenius())
 
 
 def _crafted_gap_operators(rng):
-    """On 64 leaves, fully charged: W's column 3 holds a constant and, at the
+    """Operators whose support leaves sit beside a child that cancels its
+    parent, each with its (column, gap) pairs of the adjoint side.
+
+    On 64 leaves, fully charged: W's column 3 holds a constant and, at the
     first last-level rectangle, the entry whose lower child cancels its
-    parent, so the first support leaf is 1; column 5 does it at the last
-    one's upper child, so the last support leaf is 62.  Returns the operator
-    and those (column, first, last)."""
+    parent, so the first support leaf is 1 (gap 1, from rectangle 3 to the
+    root); column 5 does it at the last one's upper child, so the last
+    support leaf is 62 (gap 2).
+
+    On 16 leaves: column 5 (leaves 4-7) holds h^omega_2, and box 4, its
+    lower half, is uncharged, with omega empty on leaves 2 and 3 (0 and 1).
+    At rectangle 8 (9), the box of leaves 0 and 1 (2 and 3), the column
+    holds the entry whose lower (upper) child cancels the value h^omega_2
+    leaves there.  Its only support outside rectangle 5 is then leaf 1 (2),
+    an upper (lower) child, whose parent meets rectangle 5 in box 2: gap 1."""
     grid = build_grid(GridSpec(1, 6))
     n = grid.num_leaves
     sigma, omega = random_measure(grid, rng), random_measure(grid, rng)
@@ -523,7 +542,18 @@ def _crafted_gap_operators(rng):
     w[0, [3, 5]] = 0.7
     w[n // 2, 3] = x / b.beta[n // 2]
     w[n - 1, 5] = -x / b.alpha[n - 1]
-    return DyadicOperator(grid, sigma, omega, w), [(3, 1, n - 1), (5, 0, n - 2)]
+    yield DyadicOperator(grid, sigma, omega, w), [(3, 1), (5, 2)]
+    grid = build_grid(GridSpec(1, 4))
+    for empty, listed in ((slice(2, 4), 8), (slice(0, 2), 9)):
+        masses = rng.uniform(0.5, 1.0, 16)
+        masses[empty] = 0.0
+        sigma, omega = random_measure(grid, rng), LeafMeasure(grid, masses)
+        b = basis(omega)
+        w = np.zeros((16, 16))
+        w[2, 5] = 0.7
+        x = -b.beta[2] * 0.7  # the value on box 4 and its charged child
+        w[listed, 5] = x / b.beta[8] if listed == 8 else -x / b.alpha[9]
+        yield DyadicOperator(grid, sigma, omega, w), [(5, 1)]
 
 
 def _leaf_step_cases():
@@ -550,34 +580,34 @@ def _leaf_step_cases():
 
 
 def test_leaf_steps_match_leaf_blocks(monkeypatch):
-    """The leaf steps against the leaf-block walk: equal SupportGap first and
-    last, ewl_radius, wl_radius and radii, and leaf norms within 1e-15, per
-    side, under the three block rules of the multi-block test, on the
-    operators of _leaf_step_cases; and on a crafted column whose first (last)
-    support leaf is an upper (lower) child whose charged sibling cancels."""
+    """The leaf steps against the leaf-block walk: equal SupportGap gaps per
+    rectangle, ewl_radius, wl_radius and radii, and leaf norms within 1e-15,
+    per side, under the three block rules of the multi-block test, on the
+    operators of _leaf_step_cases and _crafted_gap_operators, whose crafted
+    columns also take their stated gaps."""
     cases = list(_leaf_step_cases())
-    crafted, expected = _crafted_gap_operators(np.random.default_rng(24))
+    crafted = list(_crafted_gap_operators(np.random.default_rng(24)))
     for chunk_floats, max_rows in [(_kernels.CHUNK_FLOATS, _kernels.MAX_BLOCK_ROWS),
                                    (1 << 15, 1 << 30), (_kernels.CHUNK_FLOATS, 4)]:
         monkeypatch.setattr(_kernels, "CHUNK_FLOATS", chunk_floats)
         monkeypatch.setattr(_kernels, "MAX_BLOCK_ROWS", max_rows)
-        for t in [*cases, crafted]:
+        for t in [*cases, *(t for t, _ in crafted)]:
             ewl, wl = 0, 1
             for transpose in (True, False):
                 want_gap, want_sq, want_wl = _block_side(t, transpose)
                 in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
                 gap = SupportGap(out_m, in_m, t.frobenius())
                 stage = _held_stage(t, transpose, gap)
-                assert np.array_equal(gap.first, want_gap.first)
-                assert np.array_equal(gap.last, want_gap.last)
+                assert np.array_equal(gap.gaps, want_gap.gaps)
                 assert np.all(np.abs(stage.leaf_sq - want_sq) <= 1e-15 * want_sq)
                 ewl, wl = max(ewl, want_gap.value), max(wl, want_wl)
             assert ewl_radius(_fresh(t)) == ewl and wl_radius(_fresh(t)) == wl
             assert localization.radii(_fresh(t)) == (ewl, wl)
-        gap = SupportGap(crafted.sigma, crafted.omega, crafted.frobenius())
-        _held_stage(crafted, False, gap)
-        for column, first, last in expected:
-            assert (gap.first[column], gap.last[column]) == (first, last)
+        for t, expected in crafted:
+            gap = SupportGap(t.sigma, t.omega, t.frobenius())
+            _held_stage(t, False, gap)
+            for column, want in expected:
+                assert gap.gaps[column] == want, column
 
 
 def test_mask_uncharged_keeps_signed_zeros_at_charged_slots(rng):
@@ -694,7 +724,7 @@ def _leaf_sum_report(monkeypatch, t):
         b = basis(in_measure)
         out = np.empty((n, n))
         blocks = list(_leaf_walk(b.alpha, b.beta, source, b.inv_sqrt_total, out))
-        _scan_blocks(gap, in_measure.charged_leaves(), ((n + a, block) for a, block in blocks))
+        _scan_blocks(gap, in_measure, ((n + a, block) for a, block in blocks))
         return out
 
     def output(out, in_measure, out_measure, pair_offsets, pair_partner):

@@ -213,3 +213,34 @@ def test_radii_read_once_per_operator(monkeypatch, rng):
     assert len(calls) == 4
     assert verdicts == [r >= wl_radius(s) for r in range(1, grid.tree_depth + 1)]
     assert verdicts == [wl_check_loop(s, r) for r in range(1, grid.tree_depth + 1)]
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_gap_table_is_depth_less_lca_depth(depth):
+    """_gap_table(D)[i, E] is depth(E) - lca_depth(E, p) at the parent p =
+    N/2 + i of leaf scale and every rectangle E, and 0 at slot 0."""
+    grid = build_grid(GridSpec(1, depth))
+    n = grid.num_leaves
+    table = localization._gap_table(depth)
+    assert table.shape == (max(1, n // 2), n) and table.dtype == np.int8
+    assert not table.flags.writeable
+    parents, rects = np.meshgrid(np.arange(n // 2, n), np.arange(1, n), indexing="ij")
+    want = grid.box_depth[rects] - grid.lca_depth(rects, parents)
+    assert np.array_equal(table[:, 1:], want)
+    assert not table[:, 0].any()
+
+
+def test_support_gap_skips_an_uncharged_listed_child():
+    """A listed child above the tolerance on a leaf of zero mass is no
+    support, while its charged sibling is.  W is zero at an uncharged
+    rectangle's row, so no operator lists such a child: the step is built by
+    hand, parent 2 (leaves 0 and 1, leaf 1 empty) listed at rectangle 3."""
+    grid = build_grid(GridSpec(1, 2))
+    leaves = LeafMeasure(grid, np.array([1.0, 0.0, 1.0, 1.0]))
+    rects = LeafMeasure(grid, np.ones(4))
+    for children, want in (((0.0, 1.0), 0), ((1.0, 0.0), 1)):
+        gap = localization.SupportGap(rects, leaves, 1.0)
+        step = _kernels.LeafStep(2, np.zeros((2, 4)), np.array([0]), np.array([3]),
+                                 np.array([children]))
+        assert list(gap.scan([step])) == [step]
+        assert gap.gaps[3] == gap.value == want

@@ -557,6 +557,20 @@ def test_admissible_pair_count_bound():
         assert int(per_box.max()) <= bound_factors(n, r)["M"]
 
 
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 3), (3, 2)])
+def test_largest_partner_count_is_M(n, d):
+    """At tree depth >= 2r + 1 some box has exactly bound_factors' M =
+    2^{2r+1} - 1 admissible partners, at every dimension: radii count heap
+    levels."""
+    from twoweight.certificates import bound_factors
+
+    grid = build_grid(GridSpec(n, d))
+    for r in range(3):
+        assert grid.tree_depth >= 2 * r + 1
+        offsets, _ = admissible_pairs(grid, r)
+        assert int(np.diff(offsets).max()) == bound_factors(n, r)["M"], r
+
+
 def test_report_json_bit_stable_ints(rng):
     grid = build_grid(GridSpec(1, 3))
     sigma, omega = pair(rng, grid, low=0.1)
