@@ -5,9 +5,10 @@ over the 2^(n*d) leaves, heap index 1 = root box, children of H are 2H and
 2H+1, leaves occupy [N, 2N).  Every transform is vectorized over the leading
 (batch) axes, except synthesize_levels, which fills a buffer with every
 internal box's row of M functions from the nonzero coefficients of an (N, M)
-array (nonzeros), vectorized over the nonzeros and the M columns; leaf_steps,
-which reads the leaf level one step off the last of those rows, so no leaf
-row is built; and the readers of the rows held (held_values, testing_images).
+array (nonzeros), vectorized over the nonzeros and the M columns, and slot 0
+with the root's parent row, -0.0; leaf_steps, which reads the leaf level one
+step off the last of those rows (at N = 1, off slot 0), so no leaf row is
+built; and the readers of the rows held (held_values, testing_images).
 """
 
 from typing import NamedTuple
@@ -92,24 +93,6 @@ def synthesize_boxes(alpha, beta, coef, inv_sqrt_total):
     return acc
 
 
-def synthesize_at(factor, coef, boxes, cols, depth, inv_sqrt_total):
-    """synthesize_boxes(alpha, beta, coef[:, c], inv_sqrt_total)[q] per pair.
-
-    factor: the basis' WeightedBasis.factor table; coef: (N, M) whitened
-    coefficients, one function per column; boxes, cols, depth: (P,) the box
-    q, the column c and q's heap depth of each pair.  Only each box's root
-    path is walked, top-down with the recurrence of synthesize_boxes
-    (x - b*c and x + (-b)*c round alike), so the values are the same bit for
-    bit at O(P * tree depth) instead of O(M * N).
-    """
-    val = coef[0, cols] * inv_sqrt_total
-    for k in range(int(depth.max()) if depth.size else 0):
-        live = np.flatnonzero(depth > k)
-        node = boxes[live] >> (depth[live] - k - 1)  # the path's box at depth k + 1
-        val[live] += factor[node] * coef[node >> 1, cols[live]]
-    return val
-
-
 def block_rows(n):
     """Rows per block of an n-column array (see CHUNK_FLOATS): a power of two
     that divides n when n is a power of two."""
@@ -142,10 +125,11 @@ def synthesize_levels(factor, nz, held):
     whitened coefficients coef (N, M) along the leading axis (row = input
     slot), one function per column.  held: a C-contiguous (N, M) buffer that
     receives box H's row, 1 <= H < N: synthesize_boxes(alpha, beta, coef.T,
-    inv_sqrt_total)[:, H], bit for bit.  Box 1's row is slot 0's nonzeros
-    times inv_sqrt_total; each further internal level is built whole from
-    the one above, breadth first.  The leaves are not built: leaf_steps
-    reads them off the last held level.
+    inv_sqrt_total)[:, H], bit for bit, and in slot 0 the root's parent
+    row, -0.0.  Box 1's row is slot 0's nonzeros times inv_sqrt_total; each
+    further internal level is built whole from the one above, breadth
+    first.  The leaves are not built: leaf_steps reads them off the last
+    held level, which at N = 1 is slot 0.
 
     A level is built with synthesize_boxes' float operations: every child
     starts as its parent's row x, as x - beta * 0.0 (that is x) on a lower
@@ -156,6 +140,7 @@ def synthesize_levels(factor, nz, held):
     """
     slots, cols, vals = nz
     n, m = held.shape
+    held[0] = -0.0  # the root's parent row: -0.0 + y is y, sign of zero included
     if n == 1:  # the root is the only box, and a leaf
         return
     # parent p's nonzeros: start[p]:start[p + 1], for the parents of internal boxes
@@ -200,15 +185,14 @@ def leaf_steps(factor, nz, held):
     or x + alpha v.  Every leaf reader wants magnitudes only, so a step
     hands out |x| for both children (zeroed where nz lists an entry) and the
     listed entries' two child values apart.  No leaf row is built.  At
-    N = 1 the parent level is slot 0, a row of -0.0 whose upper child (heap
-    1, factor inv_sqrt_total) is the root; heap 0 is no box, and readers
-    find no charge or mass there.
+    N = 1 the parent level is held[0], the root's parent row of -0.0, whose
+    upper child (heap 1, factor inv_sqrt_total) is the root; heap 0 is no
+    box, and readers find no charge or mass there.
     """
     slots, cols, vals = nz
     n, m = held.shape
     rows = block_rows(n)
     half = n // 2
-    top = held if n > 1 else np.full((1, m), -0.0)  # -0.0 + y is y, sign of zero included
     pair = factor.reshape(-1, 2)  # by parent: the lower and the upper child's factor
     bounds = np.searchsorted(slots, np.arange(half, n + rows, rows, dtype=slots.dtype))
     mag = np.empty((min(rows, n - half), m))
@@ -216,16 +200,10 @@ def leaf_steps(factor, nz, held):
         s = slice(bounds[i], bounds[i + 1])
         p, c = slots[s].astype(np.intp), cols[s]
         block = mag[: min(rows, n - p0)]
-        np.abs(top[p0 : p0 + len(block)], out=block)
+        np.abs(held[p0 : p0 + len(block)], out=block)
         at = p - p0
         block[at, c] = 0.0
-        yield LeafStep(p0, block, at, c, top[p, c, None] + pair[p] * vals[s, None])
-
-
-# Root-path values per piece of testing_images' gathers.  About eight arrays of
-# a piece are live at once, 1 MB in all; the whole pair list at once lifted a
-# 1024-leaf testing_report's tracemalloc peak by 5 MB.
-GATHER_VALUES = 1 << 14
+        yield LeafStep(p0, block, at, c, held[p, c, None] + pair[p] * vals[s, None])
 
 
 class HeldStage(NamedTuple):
@@ -244,10 +222,10 @@ def held_values(stage, boxes, slots):
     An internal box's is its held row; a leaf's is its parent p's held row
     plus one step of the recurrence, factor[leaf] * source[p], which is
     synthesize_boxes' x - b*c or x + a*c (x + (-b)*c rounds as x - b*c).
+    At N = 1 the root is a leaf, one step off held[0], the root's parent
+    row of -0.0: synthesize_boxes' constant term.
     """
     n = stage.leaf_sq.shape[0]
-    if n == 1:  # the root is the only box: synthesize_boxes' constant term
-        return stage.source[0, slots] * stage.factor[1]
     leaf = np.flatnonzero(boxes >= n)
     rows = boxes.copy()
     rows[leaf] >>= 1
@@ -262,16 +240,10 @@ def root_path_sums(stage, factor, boxes, targets, depth):
     """The value of box boxes[i]'s row of stage on box targets[i] of the
     output basis (factor): the sum of factor[H] row[H >> 1] over targets[i]'s
     root path H, from the root down, then zeros (so a box and a leaf below
-    it that adds only a zero term sum alike), GATHER_VALUES values a piece."""
-    steps = np.arange(int(depth.max()) + 1)
-    piece = max(1, GATHER_VALUES // len(steps))
-    val = np.empty(len(targets))
-    for a in range(0, len(targets), piece):
-        bc, gc = boxes[a : a + piece], targets[a : a + piece]
-        shift = depth[gc, None] - steps
-        node = np.where(shift >= 0, gc[:, None] >> np.maximum(shift, 0), 0)
-        val[a : a + len(gc)] = (np.take(factor, node) * held_values(stage, bc, node >> 1)).sum(axis=1)
-    return val
+    it that adds only a zero term sum alike), every path in one gather."""
+    shift = depth[targets, None] - np.arange(int(depth.max()) + 1)
+    node = np.where(shift >= 0, targets[:, None] >> np.maximum(shift, 0), 0)
+    return (np.take(factor, node) * held_values(stage, boxes, node >> 1)).sum(axis=1)
 
 
 def testing_images(stage, in_box_mass, alpha, beta, inv_sqrt_total, box_mass,

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import DecompositionError
 from .haar import analyze, basis, synthesize
 from .measures import LeafMeasure
@@ -246,10 +245,12 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int, c2: 
     S_E = synthesize_boxes(alpha_omega, beta_omega, W[:, E], 1/sqrt(omega(Q0)))
     is column E of W synthesized on every box: the value on Q collects the
     components of Q's strict ancestors and the constant, each times
-    <h^omega_G, 1_Q>_omega / omega(Q).  _kernels.synthesize_at evaluates
-    S_E[Q] for every live column (fhat(E) != 0, E sigma-charged) and its
-    two boxes by walking only Q's root path, and the per-S sums are
-    bincounts over S = pi(E^(r)).
+    <h^omega_G, 1_Q>_omega / omega(Q).  S_E[Q], for every live column
+    (fhat(E) != 0, E sigma-charged) and its two boxes, is one bincount over
+    the terms of Q's root path, listed from the root down by
+    WeightedBasis.average_coefficients (synthesize_boxes' value bit for
+    bit, at O(P * tree depth) for P boxes instead of O(N^2)), and the per-S
+    sums are bincounts over S = pi(E^(r)).
 
     The bound verdicts read bound_factors(n, r).
     Returns (b1, b2, per_stopping, verdicts, residuals).
@@ -285,11 +286,9 @@ def split_B(t: DyadicOperator, parts: dict, family: StoppingFamily, r: int, c2: 
     p_norm_sq = _sums_by(spanc[1 : grid.num_leaves], fe * fe, num_boxes)
     live = np.flatnonzero((fe != 0.0) & basis(t.sigma).charged[1:]) + 1
     anc, stop = anc_all[live], spanc[live]
-    b = basis(omega)
-    boxes = np.concatenate((anc, stop))
-    values = om_mass[boxes] * _kernels.synthesize_at(
-        b.factor, t.w, boxes, np.concatenate((live, live)), grid.box_depth[boxes],
-        b.inv_sqrt_total)
+    boxes, cols = np.concatenate((anc, stop)), np.concatenate((live, live))
+    i, slot, c = basis(omega).average_coefficients(boxes)
+    values = om_mass[boxes] * _sums_by(i, c * t.w[slot, cols[i]], boxes.size)
     t_anc, t_stop = values[: live.size], values[live.size :]
     f_live = fhat[live]
     i_s = _sums_by(stop, f_live * gavg[anc] * t_anc, num_boxes)

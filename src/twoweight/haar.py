@@ -72,15 +72,19 @@ class WeightedBasis:
         """Flat arrays (i, A, c): <f>^mu_Q = sum of c fhat(A) for Q = boxes[i],
         over the constant slot A = 0 (c = 1/sqrt(mu(Q0))) and Q's strict
         ancestors A (c = factor of A's child on Q's root path).  Times mu(Q),
-        the entries of indicator_coefficients(mu, Q), zeros included."""
+        the entries of indicator_coefficients(mu, Q), zeros included.  Each
+        root path is listed from the root down, one level of every path at a
+        time, so np.bincount(i, c * fhat[A]) adds Q's terms in the order of
+        _kernels.synthesize_boxes and gives its value on Q bit for bit (x -
+        b*c and x + (-b)*c round alike), but for the sign of a zero sum."""
         boxes = np.asarray(boxes, dtype=np.int64)
-        idx, node = np.arange(boxes.size), boxes
-        parts = [(idx, np.zeros_like(boxes), np.full(boxes.size, self.inv_sqrt_total))]
-        while node.size:
-            up = node > 1
-            idx, node = idx[up], node[up]
-            parts.append((idx, node >> 1, self.factor[node]))
-            node = node >> 1
+        depth = self.grid.box_depth[boxes]
+        parts = [(np.arange(boxes.size), np.zeros_like(boxes),
+                  np.full(boxes.size, self.inv_sqrt_total))]
+        for k in range(int(depth.max(initial=0))):
+            live = np.flatnonzero(depth > k)
+            node = boxes[live] >> (depth[live] - k - 1)  # the path's box at depth k + 1
+            parts.append((live, node >> 1, self.factor[node]))
         return tuple(np.concatenate(p) for p in zip(*parts))
 
 

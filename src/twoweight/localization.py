@@ -59,22 +59,23 @@ WL_RTOL = 1e-10
 class SupportGap:
     """gaps[E]: depth(E) less that of the smallest box holding the charged
     rectangle E and its support leaves; value is their maximum.  scan reads
-    one input stage's leaf steps (box of leaf_measure, slot E of
-    rect_measure) and passes each on.  Support: charged leaves above
+    one input stage's leaf steps (box of leaf_measure, slot E of the output
+    measure) and passes each on.  Support: charged leaves above
     SUPPORT_TOL fro / sqrt(leaf_measure(Q0)), fro = ||W||_F, a parent's
-    magnitude or, at a listed entry, either child's value; one masked
-    maximum of _gap_table per step folds it into gaps."""
+    magnitude or, at a listed entry, the larger of its children's values;
+    one masked maximum of _gap_table per step folds it into gaps.  W is
+    +0.0 at uncharged slots (DyadicOperator), so an uncharged column E has
+    no support, and a listed parent's slot is charged: both its halves are
+    charged leaves.  The table is 0 at the constant slot."""
 
-    def __init__(self, rect_measure, leaf_measure, fro):
+    def __init__(self, leaf_measure, fro):
         n = leaf_measure.grid.num_leaves
-        self.rects = basis(rect_measure).charged
         total = leaf_measure.total
         self.tol = SUPPORT_TOL * fro / np.sqrt(total) if total > 0 else 0.0
-        # by parent slot p (slot 0 is the root's parent at N = 1): each child's
-        # threshold, infinite where uncharged, and whether it has a charged child
+        # by parent slot p (slot 0 is the root's parent at N = 1): whether it
+        # has a charged child
         charged = np.zeros(2 * n, dtype=bool)
         charged[n:] = leaf_measure.charged_leaves()
-        self.child_tol = np.where(charged, self.tol, np.inf).reshape(n, 2)
         self.some = charged[0::2] | charged[1::2]
         self.table = _gap_table(leaf_measure.grid.tree_depth)
         self.gaps = np.zeros(n, dtype=np.int8)
@@ -84,10 +85,8 @@ class SupportGap:
         for step in steps:
             p0, k = step.p0, len(step.mag)
             supp = step.mag > self.tol
-            child = np.abs(step.children) > self.child_tol[p0 + step.at]  # listed: each child
-            supp[step.at, step.cols] = child[:, 0] | child[:, 1]
+            supp[step.at, step.cols] = np.abs(step.children).max(axis=1) > self.tol
             supp &= self.some[p0 : p0 + k, None]
-            supp &= self.rects
             gap = np.max(self.table[p0 - half : p0 - half + k], axis=0, where=supp, initial=0)
             np.maximum(self.gaps, gap, out=self.gaps)
             yield step
@@ -171,12 +170,13 @@ def _vanishing_radius(held, steps, in_measure, out_measure, fro):
     (Q, R) exceeds when |held[Q, R]| mu(Q) > sqrt(mu(Q)) WL_RTOL ||W||_F
     sqrt(nu(R)) (module docstring).  Each level is compared whole,
     block_rows(N) rows at a time, over the columns R >= 2^(d-1) (at leaf
-    scale a leaf step's magnitudes and listed children), uncharged columns
-    masked after; one masked maximum of _need_table takes the largest need (at
-    leaf scale 1 + _bits, shared by both halves of a parent and R = N/2 + j)."""
+    scale a leaf step's magnitudes and listed children); one masked maximum
+    of _need_table takes the largest need (at leaf scale 1 + _bits, shared
+    by both halves of a parent and R = N/2 + j).  No column is masked: W is
+    +0.0 at an uncharged R (DyadicOperator), and need is 0 at the constant
+    slot."""
     n, half = len(held), len(held) >> 1
     levels, bits = _need_table(in_measure.grid.tree_depth), _bits(in_measure.grid.tree_depth)
-    charged = basis(out_measure).charged
     mass, sqrt_in = in_measure.box_mass, np.sqrt(in_measure.box_mass)
     tol = WL_RTOL * fro * np.sqrt(out_measure.box_mass[:n])
     size, worst = _kernels.block_rows(n), 0
@@ -185,7 +185,7 @@ def _vanishing_radius(held, steps, in_measure, out_measure, fro):
         for a in range(0, h, size):
             rows = slice(h + a, h + min(a + size, h))
             value = np.abs(held[rows, lo:]) * mass[rows, None]
-            exceeds = (value > sqrt_in[rows, None] * tol[lo:]) & charged[lo:]
+            exceeds = value > sqrt_in[rows, None] * tol[lo:]
             worst = max(worst, int(np.max(need[a : a + size], where=exceeds, initial=0)))
     for step in steps:  # both halves of a parent share its bound
         k, p0, i = len(step.mag), step.p0, step.p0 - half
@@ -197,7 +197,6 @@ def _vanishing_radius(held, steps, in_measure, out_measure, fro):
             value = step.mag[:, half:] * mass[q, None]
             value[at, cols] = np.abs(step.children[listed, child]) * mass[q[at]]
             exceeds |= value > sqrt_in[q, None] * tol[half:]
-        exceeds &= charged[half:]
         worst = max(worst, 1 + int(np.max(bits[i : i + k], where=exceeds, initial=-1)))
     return worst
 
@@ -216,7 +215,7 @@ def radii(t: DyadicOperator) -> tuple:
         fro, ewl, wl = t.frobenius(), 0, 1
         for transpose in (True, False):
             nz, held, factor, in_m, out_m = input_stage(t, transpose)
-            gap = SupportGap(out_m, in_m, fro)
+            gap = SupportGap(in_m, fro)
             steps = gap.scan(_kernels.leaf_steps(factor, nz, held))
             wl = max(wl, _vanishing_radius(held, steps, in_m, out_m, fro))
             ewl = max(ewl, gap.value)

@@ -246,12 +246,15 @@ def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> Dyad
       feeding the C class.
 
     Both support conditions hold by construction, so the measured radius is
-    at most r.
+    at most r.  From r = tree_depth on every r-ancestor is the root and every
+    window the whole tree, so W is built at min(r, tree_depth): a radius
+    read from a file or a config forms no shift wider than the grid.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
     grid = sigma.grid
     n = grid.num_leaves
+    claimed, r = r, min(r, grid.tree_depth)
     boxes = _slot_boxes(grid)
     anc = grid.ancestor(boxes, r)
 
@@ -275,7 +278,7 @@ def random_ewl(r: int, sigma: LeafMeasure, omega: LeafMeasure, rng_seed) -> Dyad
     _add_mean_components(w, omega, anc, in_charged, rng)
     _add_mean_components(w.T, sigma, anc, out_charged, rng)
     return DyadicOperator(grid, sigma, omega, w, family="random_ewl",
-                          claimed_radius=r, meta={"seed": rng_seed})
+                          claimed_radius=claimed, meta={"seed": rng_seed})
 
 
 def _add_mean_components(w: np.ndarray, mu: LeafMeasure, anc: np.ndarray,

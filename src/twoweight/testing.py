@@ -270,13 +270,13 @@ def testing_report(t: DyadicOperator, r: int = None, norm: bool = True,
     om_mass = t.omega.box_mass
 
     # adjoint: column E of W over omega is T(sigma h_E) on the omega boxes
-    gap = SupportGap(t.sigma, t.omega, fro)
+    gap = SupportGap(t.omega, fro)
     stage = _held_stage(t, False, gap)
     empty = (np.zeros(grid.num_boxes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
     restricted2, glob2, _ = _output_stage(stage, t.omega, t.sigma, *empty)
     del stage
     # forward: row R of W over sigma is T*(omega h_R) on the sigma boxes
-    forward_gap = SupportGap(t.omega, t.sigma, fro)
+    forward_gap = SupportGap(t.sigma, fro)
     stage = _held_stage(t, True, forward_gap)
     if r is None:
         r = max(gap.value, forward_gap.value)

@@ -1,13 +1,18 @@
 """The batched testing pass and ewl_radius against direct references."""
 
 import hashlib
+import importlib
 import inspect
 import json
+import pathlib
+import pkgutil
+import re
 import sys
 
 import numpy as np
 import pytest
 
+import twoweight
 import twoweight.certificates as certificates
 import twoweight.sweep as sweep
 from twoweight import GridSpec, LeafMeasure, _kernels, build_grid, cli, haar, localization, serialize, testing
@@ -76,14 +81,41 @@ def _check_both_sides(t):
         for r in range(4):
             offsets, partners = admissible_pairs(grid, r)
             boxes_e = np.repeat(np.arange(grid.num_boxes), np.diff(offsets))
-            stage = _held_stage(t, transpose, SupportGap(out_measure, in_measure, t.frobenius()))
+            stage = _held_stage(t, transpose, SupportGap(in_measure, t.frobenius()))
             got = _output_stage(stage, in_measure, out_measure, offsets, partners)
             for g, want in zip(got, (restricted, glob, pairings[boxes_e, partners])):
                 _assert_close(g, want)
 
 
+@pytest.mark.parametrize("dimension,depth", [(1, 0), (1, 1), (2, 1)])
+def test_testing_images_on_one_and_two_leaves(rng, dimension, depth):
+    """Both sides of a dense W over fully charged measures against the leaf
+    matrix, where the root is a leaf (read one step off the root's parent
+    row) or the only internal box."""
+    grid = build_grid(GridSpec(dimension, depth))
+    sigma, omega = (random_measure(grid, rng, low=0.5) for _ in range(2))
+    _check_both_sides(DyadicOperator(grid, sigma, omega, rng.standard_normal((grid.num_leaves,) * 2)))
+
+
+def test_one_leaf_report_and_certificate(rng):
+    """On one leaf W is the 1 x 1 map of the constants, so the norm and every
+    testing constant are |W[0, 0]|, and the certificate passes."""
+    grid = build_grid(GridSpec(1, 0))
+    sigma, omega = (random_measure(grid, rng, low=0.5) for _ in range(2))
+    t = DyadicOperator(grid, sigma, omega, rng.standard_normal((1, 1)))
+    want = abs(t.w[0, 0])
+    report = testing.testing_report(t, c3_next=True)
+    for value in (report.norm, report.c1, report.c2, report.c3):
+        assert abs(value - want) <= 1e-15 * want
+    cert = certificates.full_certificate(t, rng.standard_normal(1), rng.standard_normal(1), report)
+    assert cert.passed, cert.failures()
+
+
 @pytest.mark.parametrize("dimension,depth", [(1, 0), (1, 5), (2, 3)])
-def test_synthesize_at_equals_synthesize_boxes(rng, dimension, depth):
+def test_average_coefficients_sum_to_synthesize_boxes(rng, dimension, depth):
+    """The root-path terms of average_coefficients, added by np.bincount in
+    the order listed, give synthesize_boxes' value on every box bit for bit
+    (split_B's S_E[Q]), over a measure with uncharged rectangles."""
     grid = build_grid(GridSpec(dimension, depth))
     b = basis(random_measure(grid, rng, zero_fraction=0.25))
     n = grid.num_leaves
@@ -91,8 +123,8 @@ def test_synthesize_at_equals_synthesize_boxes(rng, dimension, depth):
     want = _kernels.synthesize_boxes(b.alpha, b.beta, coef.T, b.inv_sqrt_total)
     boxes = np.tile(np.arange(1, 2 * n), 3)
     cols = np.repeat(np.arange(3), 2 * n - 1)
-    got = _kernels.synthesize_at(b.factor, coef, boxes, cols, grid.box_depth[boxes],
-                                 b.inv_sqrt_total)
+    i, slot, c = b.average_coefficients(boxes)
+    got = np.bincount(i, weights=c * coef[slot, cols[i]], minlength=boxes.size)
     assert np.array_equal(got, want[cols, boxes])
 
 
@@ -208,6 +240,32 @@ def test_benchmark_entry_points():
     assert _kernels.HAVE_NUMBA is False
     for fn in (localization.ewl_radius, localization.wl_check, haar.synthesize):
         assert callable(fn)
+
+
+def test_readme_names_resolve():
+    """Every backticked README name that starts with a twoweight module, as
+    `_kernels.leaf_steps` or `localization.input_stage`, is an attribute
+    path of that module; `_kernels.py` names its file, and the benchmark's
+    per-layer counters (`testing.testing_report.self_ms`) are the ones
+    BENCHMARK.json lists."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = pathlib.Path(twoweight.__file__).parent
+    modules = {info.name for info in pkgutil.iter_modules([str(package)])}
+    counters = {layer["name"] for layer in
+                json.loads((root / "BENCHMARK.json").read_text())["per_layer"]}
+    text = (root / "README.md").read_text()
+    names = sorted({name for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+                    if name.split(".")[0] in modules})
+    assert "_kernels.leaf_steps" in names
+    for name in names:
+        head, *path = name.split(".")
+        if path == ["py"]:
+            assert (package / name).is_file(), name
+        elif name not in counters:
+            obj = importlib.import_module(f"twoweight.{head}")
+            for attr in path:
+                assert hasattr(obj, attr), name
+                obj = getattr(obj, attr)
 
 
 def _fresh(t):
@@ -463,18 +521,19 @@ def _leaf_blocks(factor, nz, held):
         yield a, block
 
 
-def _scan_blocks(gap, leaf_measure, blocks):
+def _scan_blocks(gap, leaf_measure, rects, blocks):
     """gap.gaps from leaf rows, by the leaf-block scan SupportGap once ran:
-    each rectangle E's first and last support leaf on the charged leaves of
-    leaf_measure, then depth(E) less that of the smallest box holding the
-    leaves from min(first, E's first leaf) to max(last, E's last leaf)."""
+    each charged rectangle E's (rects[E]) first and last support leaf on the
+    charged leaves of leaf_measure, then depth(E) less that of the smallest
+    box holding the leaves from min(first, E's first leaf) to max(last, E's
+    last leaf)."""
     grid, charged = leaf_measure.grid, leaf_measure.charged_leaves()
     n = grid.num_leaves
     first, last = np.full(n, n), np.full(n, -1)
     for heap0, block in blocks:
         a, rows = heap0 - n, block.shape[0]
         supp = (np.abs(block) > gap.tol) & charged[a : a + rows, None]
-        hs = np.flatnonzero(supp.any(axis=0) & gap.rects)
+        hs = np.flatnonzero(supp.any(axis=0) & rects)
         sub = supp[:, hs]
         first[hs] = np.minimum(first[hs], a + np.argmax(sub, axis=0))
         last[hs] = np.maximum(last[hs], a + rows - 1 - np.argmax(sub[::-1], axis=0))
@@ -512,7 +571,7 @@ def _block_side(t, transpose):
     nz, held, factor, in_m, out_m = localization.input_stage(t, transpose)
     levels = [(h, held[h : 2 * h]) for h in 1 << np.arange(t.grid.tree_depth)]
     blocks = list(_leaf_blocks(factor, nz, held))
-    gap = _scan_blocks(SupportGap(out_m, in_m, t.frobenius()), in_m, blocks)
+    gap = _scan_blocks(SupportGap(in_m, t.frobenius()), in_m, basis(out_m).charged, blocks)
     leaf_sq = np.concatenate([np.einsum("ij,ij->i", rows, rows) for _, rows in blocks])
     return gap, leaf_sq, _vanishing_from_rows(levels + blocks, in_m, out_m, t.frobenius())
 
@@ -595,8 +654,8 @@ def test_leaf_steps_match_leaf_blocks(monkeypatch):
             ewl, wl = 0, 1
             for transpose in (True, False):
                 want_gap, want_sq, want_wl = _block_side(t, transpose)
-                in_m, out_m = (t.sigma, t.omega) if transpose else (t.omega, t.sigma)
-                gap = SupportGap(out_m, in_m, t.frobenius())
+                in_m = t.sigma if transpose else t.omega
+                gap = SupportGap(in_m, t.frobenius())
                 stage = _held_stage(t, transpose, gap)
                 assert np.array_equal(gap.gaps, want_gap.gaps)
                 assert np.all(np.abs(stage.leaf_sq - want_sq) <= 1e-15 * want_sq)
@@ -604,10 +663,32 @@ def test_leaf_steps_match_leaf_blocks(monkeypatch):
             assert ewl_radius(_fresh(t)) == ewl and wl_radius(_fresh(t)) == wl
             assert localization.radii(_fresh(t)) == (ewl, wl)
         for t, expected in crafted:
-            gap = SupportGap(t.sigma, t.omega, t.frobenius())
+            gap = SupportGap(t.omega, t.frobenius())
             _held_stage(t, False, gap)
             for column, want in expected:
                 assert gap.gaps[column] == want, column
+
+
+def test_stages_hold_the_charge_invariant():
+    """What lets the stage readers skip every charge mask, on the operators of
+    _leaf_step_cases and _crafted_gap_operators, both sides: the slot of
+    every listed leaf-step parent is charged, so both its children are
+    charged leaves (N > 1), and every column at an uncharged output slot is
+    +0.0 in every held row and leaf magnitude, with no entry listed."""
+    crafted = [t for t, _ in _crafted_gap_operators(np.random.default_rng(24))]
+    for t in [*_leaf_step_cases(), *crafted]:
+        n = t.grid.num_leaves
+        for transpose in (True, False):
+            nz, held, factor, in_m, out_m = localization.input_stage(t, transpose)
+            slots, uncharged = basis(in_m).charged_slots(), ~basis(out_m).charged_slots()
+            assert not held[1:, uncharged].view(np.int64).any()
+            for step in _kernels.leaf_steps(factor, nz, held):
+                p = step.p0 + step.at
+                assert slots[p].all()
+                if n > 1:
+                    assert (in_m.box_mass[2 * p] > 0).all() and (in_m.box_mass[2 * p + 1] > 0).all()
+                assert not step.mag[:, uncharged].view(np.int64).any()
+                assert not uncharged[step.cols].any()
 
 
 def test_mask_uncharged_keeps_signed_zeros_at_charged_slots(rng):
@@ -720,11 +801,13 @@ def _leaf_sum_report(monkeypatch, t):
     n = t.grid.num_leaves
 
     def stage(t, transpose, gap):
-        source, in_measure = (t.w.T, t.sigma) if transpose else (t.w, t.omega)
+        source, in_measure, out_measure = ((t.w.T, t.sigma, t.omega) if transpose
+                                           else (t.w, t.omega, t.sigma))
         b = basis(in_measure)
         out = np.empty((n, n))
         blocks = list(_leaf_walk(b.alpha, b.beta, source, b.inv_sqrt_total, out))
-        _scan_blocks(gap, in_measure, ((n + a, block) for a, block in blocks))
+        _scan_blocks(gap, in_measure, basis(out_measure).charged,
+                     ((n + a, block) for a, block in blocks))
         return out
 
     def output(out, in_measure, out_measure, pair_offsets, pair_partner):

@@ -228,19 +228,3 @@ def test_gap_table_is_depth_less_lca_depth(depth):
     want = grid.box_depth[rects] - grid.lca_depth(rects, parents)
     assert np.array_equal(table[:, 1:], want)
     assert not table[:, 0].any()
-
-
-def test_support_gap_skips_an_uncharged_listed_child():
-    """A listed child above the tolerance on a leaf of zero mass is no
-    support, while its charged sibling is.  W is zero at an uncharged
-    rectangle's row, so no operator lists such a child: the step is built by
-    hand, parent 2 (leaves 0 and 1, leaf 1 empty) listed at rectangle 3."""
-    grid = build_grid(GridSpec(1, 2))
-    leaves = LeafMeasure(grid, np.array([1.0, 0.0, 1.0, 1.0]))
-    rects = LeafMeasure(grid, np.ones(4))
-    for children, want in (((0.0, 1.0), 0), ((1.0, 0.0), 1)):
-        gap = localization.SupportGap(rects, leaves, 1.0)
-        step = _kernels.LeafStep(2, np.zeros((2, 4)), np.array([0]), np.array([3]),
-                                 np.array([children]))
-        assert list(gap.scan([step])) == [step]
-        assert gap.gaps[3] == gap.value == want

@@ -165,6 +165,25 @@ def test_cli_sweep_report_classify_exit_codes(tmp_path, rng, capsys):
     assert "well-localized radii: [2, 3]" in shown
 
 
+def test_classify_random_ewl_at_a_radius_past_the_tree(tmp_path, rng, capsys):
+    """A random_ewl file may claim any radius.  From tree_depth on every
+    window is the whole tree, so a claim of 10**20 builds the operator of
+    radius tree_depth, keeps its claim and classifies (it once overflowed
+    a shift of the heap indices)."""
+    from conftest import random_measure
+    from twoweight.operators import random_ewl
+
+    grid = build_grid(GridSpec(1, 3))
+    sigma, omega = random_measure(grid, rng), random_measure(grid, rng)
+    huge = random_ewl(10**20, sigma, omega, 5)
+    assert huge.claimed_radius == 10**20
+    assert np.array_equal(huge.w, random_ewl(grid.tree_depth, sigma, omega, 5).w)
+    op_path = tmp_path / "op.json"
+    serialize.dump_json(op_path, serialize.operator_to_dict(huge))
+    assert main(["classify", "--operator", str(op_path)]) == 0
+    assert "claimed radius: 100000000000000000000\n" in capsys.readouterr().out
+
+
 def test_cli_report_ranks_only_finite_trials(tmp_path, capsys):
     """A raised trial's NaN ratio is left out of the ranking, not sorted into it."""
     ratios = [1.5, float("nan"), 3.0, 2.0, 0.5, 4.0]
